@@ -6,7 +6,7 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck
+.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck perfbench
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
@@ -15,8 +15,9 @@ PR ?= 10
 # workers-1-vs-8 determinism tests and the concurrent-census test), one pass
 # of the pipeline-throughput benchmarks (serial + worker pool), the trace
 # golden check (DESIGN.md §10), the triage-index golden gate (DESIGN.md
-# §14), and the ingest replay-determinism gate (DESIGN.md §15).
-check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck
+# §14), the ingest replay-determinism gate (DESIGN.md §15), and the
+# benchmark module's own vet and tests.
+check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck perfbench
 
 build:
 	$(GO) build ./...
@@ -70,7 +71,9 @@ tracecheck:
 # triagecheck is the triage-index golden gate (DESIGN.md §14). It proves
 # three byte-identity contracts in one pass: (1) replaying the example
 # fault-injected corpus into a fresh -tracestore segment reproduces the
-# committed fixture store byte-for-byte; (2) compacting the fixture through
+# committed fixture store byte-for-byte, both straight from the generated
+# corpus and from the same messages written out by mkdataset and read back
+# with -dir; (2) compacting the fixture through
 # obsreport -compact reproduces it byte-for-byte (build-vs-compact); and
 # (3) the canned obsreport renders — stats, inverted-index queries,
 # analyst checklists, crawl-free re-adjudications — match the committed
@@ -81,6 +84,10 @@ triagecheck:
 	$(GO) run ./cmd/crawlerbox -n 8 -workers 4 -faults 0.1 \
 		-tracestore $$tmp/fresh.tstore > /dev/null && \
 	cmp testdata/triagecheck.store $$tmp/fresh.tstore && \
+	$(GO) run ./cmd/mkdataset -seed 42 -scale 0.1 -out $$tmp/eml > /dev/null && \
+	$(GO) run ./cmd/crawlerbox -dir $$tmp/eml -n 8 -workers 4 -faults 0.1 \
+		-tracestore $$tmp/dir.tstore > /dev/null && \
+	cmp testdata/triagecheck.store $$tmp/dir.tstore && \
 	$(GO) run ./cmd/obsreport -compact $$tmp/compacted.tstore testdata/triagecheck.store > /dev/null && \
 	cmp testdata/triagecheck.store $$tmp/compacted.tstore && \
 	{ $(GO) run ./cmd/obsreport -store testdata/triagecheck.store -stats && \
@@ -112,6 +119,12 @@ servecheck:
 	diff -u $$tmp/counters1.txt $$tmp/counters8.txt && \
 	grep -q '"cache_hits":27' $$tmp/counters1.txt && \
 	rm -rf $$tmp && echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
+
+# perfbench vets and tests the benchmark module. It is its own Go module,
+# so the root's ./... patterns skip it, yet it compiles against the ingest
+# and report APIs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-serve runs the continuous-ingest benchmarks (replay throughput over
 # the canned corpus log, verdict-cache hit path) and folds the results into

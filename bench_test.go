@@ -13,7 +13,6 @@ import (
 	"crawlerbox/internal/crawler"
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
 	"crawlerbox/internal/phishkit"
@@ -386,13 +385,9 @@ func BenchmarkTraceStoreBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("seg-%d.tstore", i))
-		w, err := tracestore.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.StartTimer()
 		run, err := report.Analyze(context.Background(), c,
-			report.WithWorkers(4), report.WithTraceStore(w))
+			report.WithWorkers(4), report.WithTraceStorePath(path))
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
@@ -424,12 +419,8 @@ func BenchmarkTraceStoreQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := tracestore.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
 	if _, err := report.Analyze(context.Background(), c,
-		report.WithWorkers(4), report.WithTraceStore(w)); err != nil {
+		report.WithWorkers(4), report.WithTraceStorePath(path)); err != nil {
 		b.Fatal(err)
 	}
 	st, err := tracestore.Open(path)
@@ -491,10 +482,6 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					store, err := evstore.Create(filepath.Join(dir, fmt.Sprintf("ev-%d.cbes", i)))
-					if err != nil {
-						b.Fatal(err)
-					}
 					// Baseline after generation: the corpus plan and the
 					// hosted world are setup cost, not analysis footprint.
 					// Two GCs settle the heap (the first cycle's floating
@@ -502,7 +489,8 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 					base := settledHeap()
 					b.StartTimer()
 					run, err := report.Analyze(context.Background(), c,
-						report.WithWorkers(workers), report.WithEvidenceStore(store))
+						report.WithWorkers(workers),
+						report.WithEvidencePath(filepath.Join(dir, fmt.Sprintf("ev-%d.cbes", i))))
 					b.StopTimer()
 					if err != nil {
 						b.Fatal(err)
@@ -511,9 +499,6 @@ func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 						b.Fatalf("%d analysis errors", run.Errors)
 					}
 					live := settledHeap()
-					if cerr := store.Close(); cerr != nil {
-						b.Fatal(cerr)
-					}
 					analyzed += c.Len()
 					if d := float64(live-base) / (1 << 20); live > base && d > peakMB {
 						peakMB = d

@@ -37,9 +37,7 @@ import (
 	"crawlerbox/internal/climain"
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/obs"
-	"crawlerbox/internal/phishkit"
-	"crawlerbox/internal/tracestore"
+	"crawlerbox/internal/report"
 )
 
 func main() {
@@ -64,128 +62,82 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pipe := crawlerbox.New(corpus.Net, corpus.Registry)
-	observer := shared.Observer()
-	tstore, err := shared.TraceStoreWriter()
-	if err != nil {
-		return err
-	}
-	if tstore != nil {
-		defer tstore.Close()
-		if observer == nil {
-			// The triage index persists span trees and metrics, so it
-			// needs an observer even without -trace / -metrics.
-			observer = obs.New()
-		}
-	}
-	if observer != nil {
-		pipe.Obs = observer
-		corpus.Net.Metrics = observer.Metrics
-	}
-	pipe.Resilience = shared.Policy()
-	store, err := shared.EvidenceStore()
-	if err != nil {
-		return err
-	}
-	if store != nil {
-		defer store.Close()
-		corpus.Net.SpillTrafficTo(store)
-	}
-	for _, b := range phishkit.StudyBrands {
-		if err := pipe.AddReference(context.Background(), b.Name, corpus.BrandURLs[b.Name]); err != nil {
-			return err
-		}
-	}
-	corpus.Net.Clock.Set(time.Date(2024, 11, 1, 0, 0, 0, 0, time.UTC))
+	// Every message is analyzed at one fixed virtual time, whatever its
+	// delivery date.
+	at := time.Date(2024, 11, 1, 0, 0, 0, 0, time.UTC)
 
+	var names []string
+	var produce func(send func(crawlerbox.IndexedSpec) bool)
 	if *dir != "" {
-		entries, err := os.ReadDir(*dir)
+		files, raws, err := readEML(*dir, *limit)
 		if err != nil {
 			return err
 		}
-		var files []string
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".eml") {
-				files = append(files, e.Name())
+		names = files
+		produce = func(send func(crawlerbox.IndexedSpec) bool) {
+			for i, raw := range raws {
+				if !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: raw, ID: int64(i + 1), At: at}}) {
+					return
+				}
 			}
 		}
-		sort.Strings(files)
-		if *limit > 0 && len(files) > *limit {
-			files = files[:*limit]
+	} else {
+		// Corpus mode streams: specs render one message at a time through
+		// Corpus.Each; only the one-line summaries are buffered (to restore
+		// message order), never the corpus.
+		count := corpus.Len()
+		if *limit > 0 && *limit < count {
+			count = *limit
 		}
-		specs := make([]crawlerbox.MessageSpec, len(files))
-		for i, f := range files {
-			raw, err := os.ReadFile(filepath.Join(*dir, f))
-			if err != nil {
-				return err
-			}
-			specs[i] = crawlerbox.MessageSpec{Raw: raw, ID: int64(i + 1)}
+		names = make([]string, count)
+		for i := range names {
+			names[i] = fmt.Sprintf("corpus-%05d", i)
 		}
-		for i, res := range pipe.AnalyzeCorpus(context.Background(), specs, *shared.Workers) {
-			// The summary line never reads Visits, so spilling first is safe
-			// (verdict facts survive the spill).
-			if err := crawlerbox.SpillEvidence(store, res.Analysis); err != nil {
-				return err
-			}
-			tstore.Add(tracestore.VerdictOf(int64(i+1), res.Analysis, res.Err))
-			fmt.Println(resultLine(files[i], res))
+		produce = func(send func(crawlerbox.IndexedSpec) bool) {
+			corpus.Each(func(i int, m *dataset.Message) bool {
+				return i < count &&
+					send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: at}})
+			})
 		}
-		if err := finalizeTraceStore(tstore, observer); err != nil {
-			return err
-		}
-		return shared.WriteExports(observer)
 	}
 
-	// Corpus mode streams: specs render one message at a time through
-	// Corpus.Each and flow into the bounded worker pool; only the one-line
-	// summaries are buffered (to restore message order), never the corpus.
-	count := corpus.Len()
-	if *limit > 0 && *limit < count {
-		count = *limit
+	observer := shared.Observer()
+	lines := make([]string, len(names))
+	sink := func(_ int, res crawlerbox.CorpusResult) {
+		lines[res.Index] = resultLine(names[res.Index], res)
 	}
-	specs := make(chan crawlerbox.IndexedSpec, *shared.Workers)
-	go func() {
-		defer close(specs)
-		corpus.Each(func(i int, m *dataset.Message) bool {
-			if i >= count {
-				return false
-			}
-			specs <- crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1)}}
-			return true
-		})
-	}()
-	lines := make([]string, count)
-	spillErrs := make([]error, max(*shared.Workers, 1))
-	pipe.AnalyzeStream(context.Background(), specs, *shared.Workers, func(w int, res crawlerbox.CorpusResult) {
-		// The summary line never reads Visits, so spilling first is safe
-		// (verdict facts survive the spill).
-		if err := crawlerbox.SpillEvidence(store, res.Analysis); err != nil && spillErrs[w] == nil {
-			spillErrs[w] = err
-		}
-		tstore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, res.Err))
-		lines[res.Index] = resultLine(fmt.Sprintf("corpus-%05d", res.Index), res)
-	})
-	for _, err := range spillErrs {
-		if err != nil {
-			return err
-		}
+	if err := report.AnalyzeSpecs(context.Background(), corpus, produce, sink, shared.ReportOptions(observer)...); err != nil {
+		return err
 	}
 	for _, line := range lines {
 		fmt.Println(line)
 	}
-	if err := finalizeTraceStore(tstore, observer); err != nil {
-		return err
-	}
 	return shared.WriteExports(observer)
 }
 
-// finalizeTraceStore flushes the triage index: span trees and metrics from
-// the observer join the buffered verdict rows in one canonical segment.
-func finalizeTraceStore(tstore *tracestore.Writer, observer *obs.Observer) error {
-	if tstore == nil {
-		return nil
+// readEML reads up to limit (0 = all) .eml files from dir in name order.
+func readEML(dir string, limit int) ([]string, [][]byte, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
 	}
-	return tstore.Finalize(observer.Traces(), observer.Metrics.Snapshot())
+	var files []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".eml") {
+			files = append(files, e.Name())
+		}
+	}
+	sort.Strings(files)
+	if limit > 0 && len(files) > limit {
+		files = files[:limit]
+	}
+	raws := make([][]byte, len(files))
+	for i, f := range files {
+		if raws[i], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return files, raws, nil
 }
 
 // resultLine formats one analysis result as the tool's summary line.

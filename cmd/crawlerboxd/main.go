@@ -13,14 +13,19 @@
 // Usage:
 //
 //	crawlerboxd -record FILE -n N [-seed N] [-scale F]
-//	crawlerboxd -replay FILE [-out FILE] [-workers N] [-cache=false] [-tracestore FILE]
+//	crawlerboxd -replay FILE [-out FILE] [-workers N] [-cache=false]
+//	            [-trace FILE] [-metrics FILE] [-tracestore FILE]
 //	crawlerboxd -serve ADDR -log FILE [-workers N] [-max-pending N]
 //
 // -record writes a canned spec-only ingest log from the generated corpus
 // (the daemon-shaped replacement for a batch corpus run). -replay runs a
 // log to completion against a fresh world and writes the canonical
 // verdict stream — byte-identical for any -workers value, and identical
-// across a kill and resume. -serve exposes the ingest API over HTTP:
+// across a kill and resume — plus the -trace, -metrics, and -tracestore
+// exports after the drain. Output-file flags a mode would never write are
+// rejected: -evidence in every mode, and -trace, -metrics, and -tracestore
+// outside -replay (a daemon's buffered traces would grow with its uptime).
+// -serve exposes the ingest API over HTTP:
 //
 //	POST /api/submit      — submit one spec {"id":N,"at":RFC3339,"raw":BASE64}
 //	GET  /api/stats       — counters + pending depth (JSON)
@@ -37,15 +42,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
 	"crawlerbox/internal/climain"
-	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/ingest"
-	"crawlerbox/internal/obs"
+	"crawlerbox/internal/report"
 )
 
 func main() {
@@ -65,11 +68,13 @@ func run(args []string, w io.Writer) error {
 	out := fs.String("out", "", "replay mode: write the canonical verdict stream to FILE (default stdout)")
 	serve := fs.String("serve", "", "serve the ingest API over HTTP on this address (e.g. :8080)")
 	logPath := fs.String("log", "", "serve mode: journal accepted specs and emitted verdicts to FILE (resumes if it exists)")
-	queueDepth := fs.Int("queue-depth", 2, "per-worker shard queue depth (full queues block submission)")
 	maxPending := fs.Int("max-pending", 0, "serve mode: shed submissions with 503 when this many are in flight (0 = never shed)")
 	cache := fs.Bool("cache", true, "dedup verdicts through the sharded cache (verdict outcomes are identical either way)")
 	shared := climain.Register(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := rejectUnwritten(fs, *replay != ""); err != nil {
 		return err
 	}
 
@@ -77,39 +82,29 @@ func run(args []string, w io.Writer) error {
 	case *record != "":
 		return recordLog(*record, *seed, *scale, *limit, w)
 	case *replay != "":
-		return replayLog(*replay, *out, *seed, *scale, *queueDepth, *cache, shared, w)
+		return replayLog(*replay, *out, *seed, *scale, *cache, shared, w)
 	case *serve != "":
-		return serveIngest(*serve, *logPath, *seed, *scale, *queueDepth, *maxPending, *cache, shared, w)
+		return serveIngest(*serve, *logPath, *seed, *scale, *maxPending, *cache, shared, w)
 	}
 	return errors.New("one of -record, -replay, or -serve is required")
 }
 
-// buildWorld deploys a fresh simulated world and assembles its pipeline
-// with the shared observability/resilience flags applied.
-func buildWorld(seed int64, scale float64, shared *climain.Flags) (*dataset.Corpus, *crawlerbox.Pipeline, error) {
-	c, err := dataset.Stream(dataset.Config{Seed: seed, Scale: scale})
-	if err != nil {
-		return nil, nil, err
-	}
-	pipe := crawlerbox.New(c.Net, c.Registry)
-	if shared != nil {
-		if observer := shared.Observer(); observer != nil {
-			pipe.Obs = observer
-			c.Net.Metrics = observer.Metrics
+// rejectUnwritten fails when the command line sets a shared output-file
+// flag the selected mode would never write: -evidence in every mode (the
+// daemon keeps no evidence store), and -trace, -metrics, and -tracestore
+// unless replaying.
+func rejectUnwritten(fs *flag.FlagSet, replaying bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case f.Name == "evidence":
+			err = errors.New("-evidence is not supported: crawlerboxd keeps no evidence store")
+		case !replaying && (f.Name == "trace" || f.Name == "metrics" || f.Name == "tracestore"):
+			err = fmt.Errorf("-%s is only supported with -replay", f.Name)
 		}
-		pipe.Resilience = shared.Policy()
-	}
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			return nil, nil, fmt.Errorf("reference %s: %w", b, err)
-		}
-	}
-	return c, pipe, nil
+	})
+	return err
 }
 
 // recordLog writes the canned ingest log a batch corpus run would have
@@ -152,21 +147,20 @@ func recordLog(path string, seed int64, scale float64, limit int, w io.Writer) e
 // replayLog runs an ingest log to completion against a fresh world: the
 // batch mode of the service API. The verdict stream and the printed
 // counters are byte-identical for any worker count.
-func replayLog(path, out string, seed int64, scale float64, queueDepth int, cache bool,
+func replayLog(path, out string, seed int64, scale float64, cache bool,
 	shared *climain.Flags, w io.Writer) error {
-	c, pipe, err := buildWorld(seed, scale, shared)
+	ctx := context.Background()
+	c, err := dataset.Stream(dataset.Config{Seed: seed, Scale: scale})
 	if err != nil {
 		return err
 	}
-	if *shared.TraceStore != "" && pipe.Obs == nil {
-		// The triage segment persists span trees and metrics, so it needs
-		// an observer even without -trace / -metrics.
-		pipe.Obs = obs.New()
-		c.Net.Metrics = pipe.Obs.Metrics
+	observer := shared.Observer()
+	pipe, err := report.NewPipeline(ctx, c, observer, shared.Policy())
+	if err != nil {
+		return err
 	}
-	res, err := ingest.Replay(context.Background(), path, pipe, ingest.PipelineKeyer(pipe),
+	res, err := ingest.Replay(ctx, path, pipe, ingest.PipelineKeyer(pipe),
 		ingest.WithWorkers(*shared.Workers),
-		ingest.WithQueueDepth(queueDepth),
 		ingest.WithCache(cache))
 	if err != nil {
 		return err
@@ -184,9 +178,12 @@ func replayLog(path, out string, seed int64, scale float64, queueDepth int, cach
 		return err
 	}
 	if *shared.TraceStore != "" {
-		if err := res.WriteTraceStore(*shared.TraceStore, pipe.Obs.Traces(), pipe.Obs.Metrics.Snapshot()); err != nil {
+		if err := res.WriteTraceStore(*shared.TraceStore, observer.Traces(), observer.Metrics.Snapshot()); err != nil {
 			return err
 		}
+	}
+	if err := shared.WriteExports(observer); err != nil {
+		return err
 	}
 	printCounters(w, res.Counters)
 	return nil
@@ -200,12 +197,18 @@ func printCounters(w io.Writer, c ingest.Counters) {
 
 // serveIngest runs the HTTP daemon: recover the journal (if any), serve
 // the ingest API until SIGINT/SIGTERM, then drain and report.
-func serveIngest(addr, logPath string, seed int64, scale float64, queueDepth, maxPending int,
+func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int,
 	cache bool, shared *climain.Flags, w io.Writer) error {
 	if logPath == "" {
 		return errors.New("-serve requires -log FILE (the ingest journal)")
 	}
-	_, pipe, err := buildWorld(seed, scale, shared)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	c, err := dataset.Stream(dataset.Config{Seed: seed, Scale: scale})
+	if err != nil {
+		return err
+	}
+	pipe, err := report.NewPipeline(ctx, c, nil, shared.Policy())
 	if err != nil {
 		return err
 	}
@@ -231,11 +234,8 @@ func serveIngest(addr, logPath string, seed int64, scale float64, queueDepth, ma
 
 	svc := ingest.NewService(pipe, ingest.PipelineKeyer(pipe), log,
 		ingest.WithWorkers(*shared.Workers),
-		ingest.WithQueueDepth(queueDepth),
 		ingest.WithMaxPending(maxPending),
 		ingest.WithCache(cache))
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	svc.Start(ctx)
 	if state != nil {
 		if err := svc.Resume(ctx, state); err != nil {

@@ -59,6 +59,59 @@ func TestRecordReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestSharedOutputFlags pins that no shared output-file flag is silently
+// dropped: -replay writes -trace and -metrics after the drain without
+// changing its stdout, and a flag the mode never writes fails the run with
+// an error naming it, before any file is created.
+func TestSharedOutputFlags(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "canned.ingestlog")
+	if err := run([]string{"-record", logPath, "-n", "5", "-scale", "0.1"}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "trace.jsonl")
+	metricsPath := filepath.Join(dir, "metrics.prom")
+	var plain, exported bytes.Buffer
+	if err := run([]string{"-replay", logPath, "-out", filepath.Join(dir, "a.jsonl"), "-scale", "0.1"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-replay", logPath, "-out", filepath.Join(dir, "b.jsonl"), "-scale", "0.1",
+		"-trace", tracePath, "-metrics", metricsPath}, &exported); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != exported.String() {
+		t.Errorf("exports changed replay stdout:\n%s\n%s", plain.String(), exported.String())
+	}
+	for _, path := range []string{tracePath, metricsPath} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: stat %v, want a non-empty file", path, err)
+		}
+	}
+
+	out := filepath.Join(dir, "never-written")
+	journal := filepath.Join(dir, "journal.log")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-evidence", []string{"-replay", logPath, "-evidence", out}},
+		{"-evidence", []string{"-record", filepath.Join(dir, "r.log"), "-evidence", out}},
+		{"-trace", []string{"-serve", "127.0.0.1:0", "-log", journal, "-trace", out}},
+		{"-metrics", []string{"-serve", "127.0.0.1:0", "-log", journal, "-metrics", out}},
+		{"-tracestore", []string{"-serve", "127.0.0.1:0", "-log", journal, "-tracestore", out}},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+		for _, path := range []string{out, journal} {
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%v: rejected run created %s", tc.args, path)
+			}
+		}
+	}
+}
+
 // releasableAnalyzer blocks every analysis until Release, so the API tests
 // can observe in-flight state without sleeping.
 type releasableAnalyzer struct {
@@ -83,7 +136,7 @@ func TestDaemonAPI(t *testing.T) {
 	ra := &releasableAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
 	svc := ingest.NewService(ra, keyer, nil,
-		ingest.WithWorkers(1), ingest.WithQueueDepth(1), ingest.WithMaxPending(2))
+		ingest.WithWorkers(1), ingest.WithMaxPending(2))
 	svc.Start(context.Background())
 	ts := httptest.NewServer(daemonMux(svc))
 	defer ts.Close()

@@ -21,7 +21,6 @@ package crawlerboxgo
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"crawlerbox/internal/botdetect"
@@ -30,7 +29,6 @@ import (
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/phishkit"
-	"crawlerbox/internal/report"
 	"crawlerbox/internal/webnet"
 	"crawlerbox/internal/whois"
 )
@@ -70,10 +68,8 @@ func NewWorld(start time.Time) *World {
 // bounds the reference crawls.
 func (w *World) NewPipeline(ctx context.Context) (*crawlerbox.Pipeline, error) {
 	pipe := crawlerbox.New(w.Net, w.Registry)
-	for _, b := range phishkit.StudyBrands {
-		if err := pipe.AddReference(ctx, b.Name, w.BrandLoginURLs[b.Name]); err != nil {
-			return nil, fmt.Errorf("crawlerbox: registering reference %s: %w", b.Name, err)
-		}
+	if err := pipe.AddReferences(ctx, w.BrandLoginURLs); err != nil {
+		return nil, err
 	}
 	return pipe, nil
 }
@@ -87,20 +83,6 @@ func (w *World) NotABotBrowser(seed int64) *browser.Browser {
 // (scale 1.0 reproduces the paper's 5,181 messages).
 func GenerateCorpus(seed int64, scale float64) (*dataset.Corpus, error) {
 	return dataset.Generate(dataset.Config{Seed: seed, Scale: scale})
-}
-
-// AnalyzeCorpus runs the full pipeline over a corpus serially and returns
-// the aggregated run (tables, figures, censuses).
-func AnalyzeCorpus(c *dataset.Corpus) (*report.Run, error) {
-	//cblint:ignore ctxflow AnalyzeCorpus is the documented no-cancellation serial entry point
-	return report.Analyze(context.Background(), c)
-}
-
-// AnalyzeCorpusParallel is AnalyzeCorpus with a bounded worker pool and
-// cancellation. The aggregated run is bitwise identical for any worker
-// count (see the pipeline's determinism guarantee in DESIGN.md).
-func AnalyzeCorpusParallel(ctx context.Context, c *dataset.Corpus, workers int) (*report.Run, error) {
-	return report.Analyze(ctx, c, report.WithWorkers(workers))
 }
 
 // RunTable1 reproduces the Table I crawler-vs-detector assessment.

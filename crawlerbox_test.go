@@ -10,6 +10,7 @@ import (
 	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/mime"
 	"crawlerbox/internal/phishkit"
+	"crawlerbox/internal/report"
 	"crawlerbox/internal/webnet"
 	"crawlerbox/internal/whois"
 )
@@ -66,7 +67,7 @@ func TestGenerateAndAnalyzeCorpusTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := AnalyzeCorpus(c)
+	run, err := report.Analyze(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

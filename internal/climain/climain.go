@@ -13,11 +13,9 @@ import (
 	"os"
 	"runtime"
 
-	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/report"
 	"crawlerbox/internal/resilience"
-	"crawlerbox/internal/tracestore"
 )
 
 // Flags holds the parsed values of the shared CLI flags. Read them after
@@ -62,11 +60,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// ReportOptions assembles the report.Analyze options the shared flags
-// select: the worker count, the given observer, the resilience policy, and
-// the path-based evidence/trace stores (-evidence / -tracestore) whose
-// create/finalize/close lifecycle Analyze owns — one coherent options
-// surface for batch runs, replays, and the daemon.
+// ReportOptions assembles the report.Analyze / report.AnalyzeSpecs options
+// the shared flags select: the worker count, the given observer, the
+// resilience policy, and the path-based evidence/trace stores (-evidence /
+// -tracestore) whose create/finalize/close lifecycle the run owns.
 func (f *Flags) ReportOptions(observer *obs.Observer) []report.Option {
 	return []report.Option{
 		report.WithWorkers(*f.Workers),
@@ -77,30 +74,11 @@ func (f *Flags) ReportOptions(observer *obs.Observer) []report.Option {
 	}
 }
 
-// TraceStoreWriter creates the triage-index writer named by -tracestore, or
-// returns nil when the flag is unset. The caller must Finalize the writer
-// (and should defer Close for the abort path).
-func (f *Flags) TraceStoreWriter() (*tracestore.Writer, error) {
-	if *f.TraceStore == "" {
-		return nil, nil
-	}
-	return tracestore.Create(*f.TraceStore)
-}
-
-// EvidenceStore creates the on-disk evidence store named by -evidence, or
-// returns nil when the flag is unset (evidence stays in RAM). The caller
-// owns the returned store and should defer Close.
-func (f *Flags) EvidenceStore() (*evstore.Store, error) {
-	if *f.Evidence == "" {
-		return nil, nil
-	}
-	return evstore.Create(*f.Evidence)
-}
-
-// Observer returns a fresh observer when -trace or -metrics was given, nil
-// otherwise (observability off).
+// Observer returns a fresh observer when -trace, -metrics, or -tracestore
+// was given, nil otherwise (observability off). The triage index persists
+// span trees and metrics, so -tracestore alone needs an observer too.
 func (f *Flags) Observer() *obs.Observer {
-	if *f.Trace == "" && *f.Metrics == "" {
+	if *f.Trace == "" && *f.Metrics == "" && *f.TraceStore == "" {
 		return nil
 	}
 	return obs.New()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // CorpusResult pairs one corpus message with its analysis outcome.
@@ -30,10 +29,12 @@ type IndexedSpec struct {
 	Spec  MessageSpec
 }
 
-// AnalyzeStream drains specs with a bounded worker pool, handing each
-// result to sink as soon as it completes. It is the streaming core of
-// AnalyzeCorpus: the channel bounds how many specs are in flight, so peak
-// memory is O(workers) no matter how many specs the producer sends.
+// AnalyzeStream is the one worker pool over message specs: it drains specs
+// with a bounded set of workers, runs each through analyze, and hands each
+// result to sink as soon as it completes. The channel bounds how many specs
+// are in flight, so peak memory is O(workers) no matter how many specs the
+// producer sends. Batch runs pass (*Pipeline).Analyze; the ingest service
+// passes its Analyzer.
 //
 // sink is called concurrently from the pool, but calls that share a worker
 // index are serialized — a sink that only touches per-worker state (a
@@ -45,11 +46,11 @@ type IndexedSpec struct {
 // On cancellation the pool keeps draining the channel (so the producer
 // never blocks) and reports each unstarted spec as Skipped with a wrapped
 // context error. AnalyzeStream returns once specs is closed and drained.
-func (p *Pipeline) AnalyzeStream(ctx context.Context, specs <-chan IndexedSpec, workers int, sink func(worker int, res CorpusResult)) {
+func AnalyzeStream(ctx context.Context, analyze func(context.Context, MessageSpec) (*MessageAnalysis, error),
+	specs <-chan IndexedSpec, workers int, sink func(worker int, res CorpusResult)) {
 	if workers < 1 {
 		workers = 1
 	}
-	var skipped atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -57,7 +58,6 @@ func (p *Pipeline) AnalyzeStream(ctx context.Context, specs <-chan IndexedSpec, 
 			defer wg.Done()
 			for is := range specs {
 				if ctx.Err() != nil {
-					skipped.Add(1)
 					sink(w, CorpusResult{
 						Index: is.Index,
 						Err: fmt.Errorf("crawlerbox: corpus spec %d not started: %w",
@@ -66,20 +66,17 @@ func (p *Pipeline) AnalyzeStream(ctx context.Context, specs <-chan IndexedSpec, 
 					})
 					continue
 				}
-				ma, err := p.Analyze(ctx, is.Spec)
+				ma, err := analyze(ctx, is.Spec)
 				sink(w, CorpusResult{Index: is.Index, Analysis: ma, Err: err})
 			}
 		}(w)
 	}
 	wg.Wait()
-	if p.Obs != nil && skipped.Load() > 0 {
-		p.Obs.Metrics.Add("crawlerbox_corpus_skipped_total", float64(skipped.Load()))
-	}
 }
 
 // AnalyzeCorpus analyzes a batch of messages with a bounded worker pool and
 // returns the results in input order. It is the slice-backed convenience
-// wrapper over AnalyzeStream.
+// wrapper over AnalyzeStream with p.Analyze.
 //
 // Results are bitwise deterministic regardless of workers: each message's
 // RNG stream is keyed by its spec.ID (not a shared counter), each analysis
@@ -99,7 +96,7 @@ func (p *Pipeline) AnalyzeCorpus(ctx context.Context, specs []MessageSpec, worke
 			ch <- IndexedSpec{Index: i, Spec: specs[i]}
 		}
 	}()
-	p.AnalyzeStream(ctx, ch, workers, func(_ int, res CorpusResult) {
+	AnalyzeStream(ctx, p.Analyze, ch, workers, func(_ int, res CorpusResult) {
 		results[res.Index] = res
 	})
 	return results

@@ -3,7 +3,6 @@ package crawlerbox
 import (
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -83,15 +82,8 @@ func corpusSummaries(t *testing.T, workers int) []analysisSummary {
 		t.Fatal(err)
 	}
 	pipe := New(c.Net, c.Registry)
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
+	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
+		t.Fatal(err)
 	}
 	msgs := c.Messages
 	if len(msgs) > 120 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -26,15 +25,8 @@ func observedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte) {
 	o := obs.New()
 	pipe.Obs = o
 	c.Net.Metrics = o.Metrics
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
+	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
+		t.Fatal(err)
 	}
 	msgs := c.Messages
 	if len(msgs) > 120 {
@@ -203,14 +195,12 @@ func TestForkedClockSpanTimeline(t *testing.T) {
 	}
 }
 
-// TestCorpusCancellationObserved covers the mid-corpus cancellation
-// satellite: specs never started report a wrapped, errors.Is-compatible
-// context error, carry the Skipped marker, and the skipped count lands in
-// the metrics registry.
+// TestCorpusCancellationObserved covers mid-corpus cancellation: specs
+// never started report a wrapped, errors.Is-compatible context error and
+// carry the Skipped marker. (The skipped-count metric belongs to the run
+// loop that owns the observer; report's tests pin it.)
 func TestCorpusCancellationObserved(t *testing.T) {
 	env := newEnv(t)
-	o := obs.New()
-	env.pipe.Obs = o
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	specs := []MessageSpec{
@@ -233,14 +223,5 @@ func TestCorpusCancellationObserved(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("pre-cancelled run started specs it should have skipped")
-	}
-	var got float64
-	for _, p := range o.Metrics.Snapshot() {
-		if p.Name == "crawlerbox_corpus_skipped_total" {
-			got = p.Value
-		}
-	}
-	if got != float64(skipped) {
-		t.Errorf("crawlerbox_corpus_skipped_total = %v, want %d", got, skipped)
 	}
 }

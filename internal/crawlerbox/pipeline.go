@@ -3,8 +3,10 @@ package crawlerbox
 import (
 	"context"
 	"errors"
+	"fmt"
 	neturl "net/url"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -102,6 +104,24 @@ func (p *Pipeline) AddReference(ctx context.Context, brand, loginURL string) err
 		return err
 	}
 	p.References = append(p.References, ReferencePage{Brand: brand, Sig: imaging.Sign(res.Screenshot)})
+	return nil
+}
+
+// AddReferences registers every brand's login page (brand name → login
+// URL) in sorted-name order. Each reference visit draws the next pipeline
+// seed, so a fixed order keeps the signed references identical across
+// runs and callers.
+func (p *Pipeline) AddReferences(ctx context.Context, loginURLs map[string]string) error {
+	brands := make([]string, 0, len(loginURLs))
+	for b := range loginURLs {
+		brands = append(brands, b)
+	}
+	sort.Strings(brands)
+	for _, b := range brands {
+		if err := p.AddReference(ctx, b, loginURLs[b]); err != nil {
+			return fmt.Errorf("crawlerbox: reference %s: %w", b, err)
+		}
+	}
 	return nil
 }
 
@@ -259,17 +279,17 @@ type MessageAnalysis struct {
 	Outcome Outcome
 	// ErrorKind classifies OutcomeError messages as network-dead versus
 	// content-broken (ErrorNone otherwise).
-	ErrorKind   ErrorKind
-	SpearPhish  bool
-	Brand       string
-	Landing     *LandingInfo
-	Cloaks      CloakCensus
+	ErrorKind  ErrorKind
+	SpearPhish bool
+	Brand      string
+	Landing    *LandingInfo
+	Cloaks     CloakCensus
 	// Facts are the per-visit adjudication facts distilled by the Classify
 	// stage — non-nil (possibly empty) exactly when classification ran, nil
 	// for analyses the chain halted earlier (no-resource, download). They
 	// survive evidence spilling, so Adjudicate(Facts) reproduces Outcome
 	// and ErrorKind from storage without the bulky visit records.
-	Facts []VisitFact
+	Facts       []VisitFact
 	HotLoadsRef bool // page hot-loads assets from the impersonated brand
 	AnalyzedAt  time.Time
 	// Evidence addresses this analysis's spilled visit records in an

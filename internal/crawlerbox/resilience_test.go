@@ -3,7 +3,6 @@ package crawlerbox
 import (
 	"bytes"
 	"context"
-	"sort"
 	"testing"
 	"time"
 
@@ -28,15 +27,8 @@ func faultedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte, outcomes
 	o := obs.New()
 	pipe.Obs = o
 	c.Net.Metrics = o.Metrics
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
+	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
+		t.Fatal(err)
 	}
 	specs := make([]MessageSpec, len(c.Messages))
 	for i, m := range c.Messages {

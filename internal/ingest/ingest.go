@@ -2,7 +2,8 @@
 // service: reported message specs are submitted one at a time (or over
 // HTTP via cmd/crawlerboxd), journaled to an append-only ingest log,
 // admitted through a sharded verdict dedup cache keyed by canonical URL,
-// and fed to sharded work queues with backpressure and admission control.
+// and fed through one bounded queue, with backpressure and admission
+// control, to the pipeline's worker pool (crawlerbox.AnalyzeStream).
 //
 // The cache is the scaling lever: the paper measures a mean of 2.62
 // reported messages per landing domain (max 58), so at production volume
@@ -25,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
@@ -142,7 +142,6 @@ func (r *Result) WriteVerdictStream(w io.Writer) error {
 // replays, and the daemon are configured in one vocabulary.
 type options struct {
 	workers    int
-	queueDepth int
 	maxPending int
 	cacheOff   bool
 }
@@ -150,16 +149,11 @@ type options struct {
 // Option configures one aspect of a Service.
 type Option func(*options)
 
-// WithWorkers sets the analysis worker-pool size (default 1). One work
-// queue is created per worker; keyed submissions shard by key hash.
+// WithWorkers sets the analysis worker-pool size (default 1). The work
+// queue holds two specs per worker; a full queue blocks Submit — the
+// backpressure that keeps peak memory O(workers).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithQueueDepth bounds each worker queue (default 2). A full queue
-// blocks Submit — the backpressure that keeps peak memory O(workers).
-func WithQueueDepth(n int) Option {
-	return func(o *options) { o.queueDepth = n }
 }
 
 // WithMaxPending arms admission control: when more than n submissions are
@@ -177,87 +171,91 @@ func WithCache(enabled bool) Option {
 	return func(o *options) { o.cacheOff = !enabled }
 }
 
-// job is one unit of fresh analysis work on a shard queue.
+// job is one fresh analysis in flight: the submission it answers and its
+// cache key.
 type job struct {
-	spec Spec
-	key  string
+	id  int64
+	key string
 }
 
 // Service is the continuous-ingest daemon core. Submissions flow through
-// admission (journal, admission control, cache consult) into per-worker
-// shard queues; workers run the pipeline and complete cache entries,
-// flushing any waiters. Drain stops intake, waits for in-flight work, and
-// returns the Result.
+// admission (journal, admission control, cache consult) into one bounded
+// work queue drained by crawlerbox.AnalyzeStream; each completed analysis
+// fills its cache entry, flushing any waiters. Drain stops intake, waits
+// for in-flight work, and returns the Result.
 type Service struct {
 	analyzer Analyzer
 	keyer    KeyFunc
 	o        options
 	log      *Log
 	cache    *verdictCache
-	queues   []chan job
+	jobs     chan crawlerbox.IndexedSpec
 	wg       sync.WaitGroup
 	started  bool
 
 	// admitMu serializes admission so journal order, cache consults, and
 	// counters all see one total submission order.
 	admitMu sync.Mutex
-	// mu guards the emission buffer, counters, and pending count.
+	// mu guards the emission buffer, counters, pending count, and the
+	// in-flight table of queued and running jobs by queue Index.
 	mu       sync.Mutex
-	emitted  []Emitted // guarded by mu
-	counters Counters  // guarded by mu
-	pending  int       // guarded by mu
-	draining bool      // read/written under admitMu (see submitLocked/Drain)
-	emitErr  error     // guarded by mu
+	emitted  []Emitted   // guarded by mu
+	counters Counters    // guarded by mu
+	pending  int         // guarded by mu
+	inflight map[int]job // guarded by mu
+	nextJob  int         // guarded by mu
+	draining bool        // read/written under admitMu (see submitLocked/Drain)
+	emitErr  error       // guarded by mu
 }
 
 // NewService assembles a service around an analyzer and a cache keyer.
 // A nil log runs without a journal (no checkpoint/resume); see WithLog.
 func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
-	o := options{workers: 1, queueDepth: 2}
+	o := options{workers: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	if o.workers < 1 {
 		o.workers = 1
 	}
-	if o.queueDepth < 1 {
-		o.queueDepth = 1
+	s := &Service{
+		analyzer: a, keyer: keyer, o: o, log: log,
+		// Two queued specs per worker keep every worker fed while Submit
+		// blocks for backpressure.
+		jobs:     make(chan crawlerbox.IndexedSpec, 2*o.workers),
+		inflight: map[int]job{},
 	}
-	s := &Service{analyzer: a, keyer: keyer, o: o, log: log}
 	if !o.cacheOff {
 		s.cache = newVerdictCache()
-	}
-	s.queues = make([]chan job, o.workers)
-	for i := range s.queues {
-		s.queues[i] = make(chan job, o.queueDepth)
 	}
 	return s
 }
 
 // Start launches the worker pool. ctx cancels in-flight analyses; work
-// already admitted still emits (a failed-analysis verdict when cancelled).
+// already admitted still emits exactly one verdict (a failed-analysis
+// verdict when cancelled, whether or not its analysis had started).
 func (s *Service) Start(ctx context.Context) {
 	if s.started {
 		return
 	}
 	s.started = true
-	for i := range s.queues {
-		s.wg.Add(1)
-		go func(q <-chan job) {
-			defer s.wg.Done()
-			for j := range q {
-				ma, err := s.analyzer.Analyze(ctx, crawlerbox.MessageSpec{
-					Raw: j.spec.Raw, ID: j.spec.ID, At: j.spec.At,
-				})
-				s.complete(j, tracestore.VerdictOf(j.spec.ID, ma, err))
-			}
-		}(s.queues[i])
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		crawlerbox.AnalyzeStream(ctx, s.analyzer.Analyze, s.jobs, s.o.workers,
+			func(_ int, res crawlerbox.CorpusResult) {
+				s.mu.Lock()
+				j := s.inflight[res.Index]
+				delete(s.inflight, res.Index)
+				s.mu.Unlock()
+				s.complete(j, tracestore.VerdictOf(j.id, res.Analysis, res.Err))
+			})
+	}()
 }
 
 // Submit admits one reported message: journal, admission control, cache
 // consult, then either an immediate cached emission or a queued fresh
-// analysis. Submissions are totally ordered; a full shard queue blocks
+// analysis. Submissions are totally ordered; a full work queue blocks
 // (backpressure) until a worker frees a slot or ctx is cancelled.
 func (s *Service) Submit(ctx context.Context, spec Spec) error {
 	s.admitMu.Lock()
@@ -309,7 +307,7 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		s.counters.Fresh++
 		s.pending++
 		s.mu.Unlock()
-		return s.enqueue(ctx, job{spec: spec, key: key})
+		return s.enqueue(ctx, spec, key)
 	}
 
 	switch adm, v, sourceID := s.cache.admit(key, spec.ID); adm {
@@ -330,46 +328,37 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		s.counters.Fresh++
 		s.pending++
 		s.mu.Unlock()
-		return s.enqueue(ctx, job{spec: spec, key: key})
+		return s.enqueue(ctx, spec, key)
 	}
 }
 
-// enqueue pushes a job onto its shard queue, blocking for backpressure.
-func (s *Service) enqueue(ctx context.Context, j job) error {
-	q := s.queues[s.shardOf(j)]
+// enqueue pushes a fresh analysis onto the work queue, blocking for
+// backpressure. The job is registered before the send because a worker
+// may complete it before the send returns.
+func (s *Service) enqueue(ctx context.Context, spec Spec, key string) error {
+	s.mu.Lock()
+	idx := s.nextJob
+	s.nextJob++
+	s.inflight[idx] = job{id: spec.ID, key: key}
+	s.mu.Unlock()
 	select {
-	case q <- j:
+	case s.jobs <- crawlerbox.IndexedSpec{Index: idx, Spec: crawlerbox.MessageSpec{Raw: spec.Raw, ID: spec.ID, At: spec.At}}:
 		return nil
 	case <-ctx.Done():
 		// The spec is journaled but never ran: it stays pending in the
 		// log and a resume will pick it up.
 		s.mu.Lock()
+		delete(s.inflight, idx)
 		s.pending--
 		s.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// shardOf routes a job to a worker queue: keyed jobs by key hash (cache
-// affinity), keyless jobs by ID.
-func (s *Service) shardOf(j job) int {
-	h := fnv.New32a()
-	if j.key != "" {
-		_, _ = h.Write([]byte(j.key))
-	} else {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(uint64(j.spec.ID) >> (8 * i))
-		}
-		_, _ = h.Write(b[:])
-	}
-	return int(h.Sum32() % uint32(len(s.queues)))
-}
-
 // complete records a fresh verdict, fills the cache entry, and flushes
 // any waiters as cached emissions.
 func (s *Service) complete(j job, v tracestore.Verdict) {
-	s.emit(Emitted{ID: j.spec.ID, Provenance: ProvenanceFresh, Key: j.key, Verdict: v}, true)
+	s.emit(Emitted{ID: j.id, Provenance: ProvenanceFresh, Key: j.key, Verdict: v}, true)
 	s.mu.Lock()
 	s.pending--
 	s.mu.Unlock()
@@ -461,9 +450,7 @@ func (s *Service) Drain() (*Result, error) {
 	}
 	s.draining = true
 	s.admitMu.Unlock()
-	for _, q := range s.queues {
-		close(q)
-	}
+	close(s.jobs)
 	s.wg.Wait()
 	if err := s.log.Close(); err != nil {
 		return nil, err

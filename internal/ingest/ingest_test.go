@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,15 +25,8 @@ func buildWorld(t testing.TB) (*dataset.Corpus, *crawlerbox.Pipeline) {
 		t.Fatal(err)
 	}
 	pipe := crawlerbox.New(c.Net, c.Registry)
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(context.Background(), b, c.BrandURLs[b]); err != nil {
-			t.Fatal(err)
-		}
+	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
+		t.Fatal(err)
 	}
 	return c, pipe
 }
@@ -72,7 +65,6 @@ func recordLog(t testing.TB, path string, specs []Spec) {
 	}
 }
 
-
 // replayStream replays a log against a fresh world and renders the
 // canonical verdict stream.
 func replayStream(t *testing.T, logPath string, opts ...Option) ([]byte, Counters) {
@@ -98,7 +90,7 @@ func TestReplayDeterminism(t *testing.T) {
 	recordLog(t, logPath, corpusSpecs(c))
 
 	stream1, counters1 := replayStream(t, logPath, WithWorkers(1))
-	stream8, counters8 := replayStream(t, logPath, WithWorkers(8), WithQueueDepth(4))
+	stream8, counters8 := replayStream(t, logPath, WithWorkers(8))
 
 	if !bytes.Equal(stream1, stream8) {
 		t.Fatalf("verdict streams differ between workers 1 and 8 (%d vs %d bytes)",
@@ -251,7 +243,7 @@ func (b *blockingAnalyzer) Release() { b.once.Do(func() { close(b.release) }) }
 func TestAdmissionControl(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, nil, WithWorkers(1), WithQueueDepth(1), WithMaxPending(2))
+	svc := NewService(ba, keyer, nil, WithWorkers(1), WithMaxPending(2))
 	ctx := context.Background()
 	svc.Start(ctx)
 
@@ -277,6 +269,45 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if len(res.Emitted) != 2 {
 		t.Fatalf("emitted %d verdicts, want 2", len(res.Emitted))
+	}
+}
+
+// TestCancelEmitsFailedVerdicts pins cancellation: cancelling Start's
+// context while specs wait behind a blocked analysis still emits exactly
+// one failed verdict per admitted submission — the running analysis cut
+// off mid-flight, the queued ones never started — and Drain returns.
+func TestCancelEmitsFailedVerdicts(t *testing.T) {
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	keyer := func(raw []byte) string { return string(raw) }
+	svc := NewService(ba, keyer, nil, WithWorkers(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc.Start(ctx)
+	// Distinct keys: one analysis blocks the worker, the rest queue.
+	const n = 3
+	for id := int64(1); id <= n; id++ {
+		if err := svc.Submit(context.Background(), Spec{ID: id, Raw: []byte{byte('a' + id)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emitted) != n {
+		t.Fatalf("emitted %d verdicts, want %d", len(res.Emitted), n)
+	}
+	for i, e := range res.Emitted {
+		if e.ID != int64(i+1) || e.Provenance != ProvenanceFresh {
+			t.Errorf("emission %d: id %d provenance %q", i, e.ID, e.Provenance)
+		}
+		if e.Verdict.Outcome != tracestore.OutcomeFailed || !strings.Contains(e.Verdict.Err, context.Canceled.Error()) {
+			t.Errorf("id %d: verdict %q (err %q), want a cancelled failure", e.ID, e.Verdict.Outcome, e.Verdict.Err)
+		}
+	}
+	if _, pending := svc.Stats(); pending != 0 {
+		t.Errorf("pending = %d after drain", pending)
 	}
 }
 

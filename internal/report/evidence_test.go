@@ -9,7 +9,7 @@ import (
 	"crawlerbox/internal/evstore"
 )
 
-// TestEvidenceStoreEquivalence pins the WithEvidenceStore contract: spilling
+// TestEvidenceStoreEquivalence pins the WithEvidencePath contract: spilling
 // evidence to disk changes where the bytes live, never what the run reports.
 // A streamed, spilled run must render every artifact byte-identically to a
 // slice-backed, fully in-RAM run of the same seed.
@@ -40,15 +40,19 @@ func TestEvidenceStoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := evstore.Create(filepath.Join(t.TempDir(), "ev.bin"))
+	evPath := filepath.Join(t.TempDir(), "ev.bin")
+	spillRun, err := Analyze(context.Background(), spilled, WithWorkers(4), WithEvidencePath(evPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Analyze closed its store; point the spilled ledger at a read-only
+	// reopening so the traffic scans below decode from disk.
+	store, err := evstore.Open(evPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	spillRun, err := Analyze(context.Background(), spilled, WithWorkers(4), WithEvidenceStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spilled.Net.SpillTrafficTo(store)
 
 	want, got := render(ramRun), render(spillRun)
 	for key := range want {
@@ -80,15 +84,16 @@ func TestEvidenceStoreStripsVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := evstore.Create(filepath.Join(t.TempDir(), "ev.bin"))
+	evPath := filepath.Join(t.TempDir(), "ev.bin")
+	run, err := Analyze(context.Background(), c, WithWorkers(2), WithEvidencePath(evPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := evstore.Open(evPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	run, err := Analyze(context.Background(), c, WithWorkers(2), WithEvidenceStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spilled int
 	for i, ma := range run.Analyses {
 		if ma == nil {

@@ -8,8 +8,8 @@
 //
 // Every aggregate is served from a memoized census index derived from a
 // CensusShard — a commutative partial fold of the analyses. Analyze streams
-// message specs through the worker pool and each worker folds its own
-// shard, so census state is O(domains), not O(corpus); repeated aggregate
+// message specs through the AnalyzeSpecs run loop and each worker folds its
+// own shard, so census state is O(domains), not O(corpus); repeated aggregate
 // calls — the paper's workload, where each table and figure re-queries the
 // same analyzed corpus — cost a copy of the precomputed rows instead of a
 // full corpus re-scan.
@@ -58,18 +58,28 @@ type Run struct {
 	census     *census
 }
 
-// options collects the Analyze configuration assembled by Option values.
+// options collects the run configuration assembled by Option values.
 type options struct {
 	workers      int
 	observer     *obs.Observer
 	resilience   *resilience.Policy
-	evidence     *evstore.Store
-	tracestore   *tracestore.Writer
 	evidencePath string
 	tracePath    string
 }
 
-// Option configures one aspect of an Analyze run.
+// resolve applies opts over the defaults.
+func resolve(opts []Option) options {
+	op := options{workers: 1}
+	for _, o := range opts {
+		o(&op)
+	}
+	if op.workers < 1 {
+		op.workers = 1
+	}
+	return op
+}
+
+// Option configures one aspect of an Analyze or AnalyzeSpecs run.
 type Option func(*options)
 
 // WithWorkers sets the analysis worker-pool size (default 1, i.e. serial).
@@ -102,9 +112,9 @@ func WithResilience(p *resilience.Policy) Option {
 // analysis's visit records (markup, screenshots, request logs) are encoded
 // into one checksummed record — addressed afterwards by the analysis's
 // Evidence handle — and the corpus network's exchange ledger appends to the
-// same store instead of RAM. The spill happens after the worker's shard has
-// folded the analysis, so every aggregate is identical with or without a
-// store; only the residency of the evidence changes. Analyze owns the
+// same store instead of RAM. The spill happens after the run's sink has
+// seen the analysis, so every aggregate is identical with or without a
+// store; only the residency of the evidence changes. The run owns the
 // store's whole lifecycle: it creates the file and closes it before
 // returning. An empty path disables spilling (the default).
 func WithEvidencePath(path string) Option {
@@ -114,32 +124,123 @@ func WithEvidencePath(path string) Option {
 // WithTraceStorePath persists the run's triage index at path: each
 // message's verdict row (outcome, domains, cloak flags, and the visit
 // facts the Classify stage adjudicated from) plus its span tree land in a
-// segment Analyze creates, finalizes, and closes — queryable afterwards
+// segment the run creates, finalizes, and closes — queryable afterwards
 // with `obsreport -store`. Implies observability: when no WithObserver is
-// given, Analyze creates an internal observer so span trees and metrics
+// given, the run creates an internal observer so span trees and metrics
 // exist to persist. The segment bytes are canonical — identical for every
 // worker count. An empty path disables the store (the default).
 func WithTraceStorePath(path string) Option {
 	return func(o *options) { o.tracePath = path }
 }
 
-// WithEvidenceStore spills evidence to a caller-owned store.
-//
-// Deprecated: use WithEvidencePath — Analyze then owns the store's
-// create/close lifecycle. This option remains for callers that must
-// share one store across runs; they keep responsibility for Close.
-func WithEvidenceStore(s *evstore.Store) Option {
-	return func(o *options) { o.evidence = s }
+// NewPipeline assembles the analysis pipeline over the corpus world — the
+// one place a corpus becomes a pipeline. A non-nil observer records a
+// trace per message and receives the corpus network's metrics; a non-nil
+// policy arms the resilience layer. Every protected brand's login page is
+// registered as a reference under ctx.
+func NewPipeline(ctx context.Context, c *dataset.Corpus, observer *obs.Observer, policy *resilience.Policy) (*crawlerbox.Pipeline, error) {
+	pipe := crawlerbox.New(c.Net, c.Registry)
+	if observer != nil {
+		pipe.Obs = observer
+		c.Net.Metrics = observer.Metrics
+	}
+	pipe.Resilience = policy
+	if err := pipe.AddReferences(ctx, c.BrandURLs); err != nil {
+		return nil, fmt.Errorf("report: %w", err)
+	}
+	return pipe, nil
 }
 
-// WithTraceStore persists the triage index into a caller-owned writer.
+// AnalyzeSpecs is the run loop every batch tool shares. It creates the
+// stores the options name, assembles the pipeline over c's world
+// (NewPipeline), and runs produce on its own goroutine: each spec produce
+// sends flows through the crawlerbox.AnalyzeStream worker pool, and each
+// result goes first to sink — with AnalyzeStream's per-worker
+// serialization — then to the trace store as a verdict row with ID
+// Index+1, then to the evidence store. send blocks while the pool is busy
+// and reports false once ctx is cancelled; produce should then return.
 //
-// Deprecated: use WithTraceStorePath — Analyze then owns the writer's
-// create/finalize/close lifecycle. This option remains for callers that
-// pre-create the writer; Analyze still finalizes it, the caller defers
-// Close for the abort path.
-func WithTraceStore(w *tracestore.Writer) Option {
-	return func(o *options) { o.tracestore = w }
+// AnalyzeSpecs owns the stores' whole lifecycle: it creates them,
+// finalizes the trace store after the last result, and closes both before
+// returning. The first evidence-spill failure fails the run.
+func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func(crawlerbox.IndexedSpec) bool),
+	sink func(worker int, res crawlerbox.CorpusResult), opts ...Option) error {
+	op := resolve(opts)
+	var evidence *evstore.Store
+	if op.evidencePath != "" {
+		st, err := evstore.Create(op.evidencePath)
+		if err != nil {
+			return fmt.Errorf("report: evidence store: %w", err)
+		}
+		// No-op after the checked Close below.
+		defer st.Close()
+		evidence = st
+		c.Net.SpillTrafficTo(st)
+	}
+	var tstore *tracestore.Writer
+	if op.tracePath != "" {
+		w, err := tracestore.Create(op.tracePath)
+		if err != nil {
+			return fmt.Errorf("report: trace store: %w", err)
+		}
+		// No-op after the Finalize below succeeds; aborts the segment on
+		// every error path.
+		defer w.Close()
+		tstore = w
+		if op.observer == nil {
+			// The trace store persists span trees and metrics, so it needs
+			// an observer even when the caller didn't ask for live exports.
+			op.observer = obs.New()
+		}
+	}
+	pipe, err := NewPipeline(ctx, c, op.observer, op.resilience)
+	if err != nil {
+		return err
+	}
+
+	specs := make(chan crawlerbox.IndexedSpec, op.workers)
+	go func() {
+		defer close(specs)
+		produce(func(is crawlerbox.IndexedSpec) bool {
+			select {
+			case specs <- is:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
+	}()
+	spillErrs := make([]error, op.workers)
+	crawlerbox.AnalyzeStream(ctx, pipe.Analyze, specs, op.workers, func(w int, res crawlerbox.CorpusResult) {
+		if res.Skipped && op.observer != nil {
+			op.observer.Metrics.Inc("crawlerbox_corpus_skipped_total")
+		}
+		sink(w, res)
+		// Verdict rows are buffered in completion order and sorted by ID at
+		// Finalize, so the segment stays schedule-independent.
+		tstore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, res.Err))
+		// Spill AFTER the sink: hot-load detection and landing titles read
+		// the visit records the spill strips.
+		if err := crawlerbox.SpillEvidence(evidence, res.Analysis); err != nil && spillErrs[w] == nil {
+			spillErrs[w] = err
+		}
+	})
+	for _, err := range spillErrs {
+		if err != nil {
+			return fmt.Errorf("report: evidence spill: %w", err)
+		}
+	}
+	if tstore != nil {
+		if err := tstore.Finalize(op.observer.Traces(), op.observer.Metrics.Snapshot()); err != nil {
+			return fmt.Errorf("report: trace store: %w", err)
+		}
+	}
+	if evidence != nil {
+		if err := evidence.Close(); err != nil {
+			return fmt.Errorf("report: evidence store: %w", err)
+		}
+	}
+	return nil
 }
 
 // Analyze runs the pipeline over the corpus and aggregates the Run. Each
@@ -149,72 +250,18 @@ func WithTraceStore(w *tracestore.Writer) Option {
 // every worker count. The context cancels the run; messages not yet analyzed
 // at cancellation are counted in Run.Errors.
 //
-// Messages stream through the bounded worker pool one at a time — the
-// producer renders specs on demand (Corpus.Each) and each worker folds its
-// results into a private CensusShard — so peak memory is O(workers), not
-// O(corpus). For a corpus built by dataset.Stream, Run.Analyses stays nil
-// and every aggregate is served from the merged shard; a corpus built by
+// Messages stream through AnalyzeSpecs one at a time — the producer renders
+// specs on demand (Corpus.Each) and each worker folds its results into a
+// private CensusShard — so peak memory is O(workers), not O(corpus). For a
+// corpus built by dataset.Stream, Run.Analyses stays nil and every
+// aggregate is served from the merged shard; a corpus built by
 // dataset.Generate additionally retains the analyses for callers that
 // inspect them directly.
 //
-// Analyze is the single entry point; concurrency, observability, and fault
-// injection are all opt-in through WithWorkers, WithObserver, and
-// WithResilience.
+// Concurrency, observability, fault injection, and the on-disk stores are
+// all opt-in through the Option values.
 func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, error) {
-	op := options{workers: 1}
-	for _, o := range opts {
-		o(&op)
-	}
-	workers := op.workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Path-based options: Analyze owns the whole lifecycle of the stores it
-	// creates (the deprecated object-based options leave ownership with the
-	// caller).
-	if op.evidencePath != "" && op.evidence == nil {
-		st, err := evstore.Create(op.evidencePath)
-		if err != nil {
-			return nil, fmt.Errorf("report: evidence store: %w", err)
-		}
-		defer st.Close()
-		op.evidence = st
-	}
-	if op.tracePath != "" && op.tracestore == nil {
-		w, err := tracestore.Create(op.tracePath)
-		if err != nil {
-			return nil, fmt.Errorf("report: trace store: %w", err)
-		}
-		// No-op after the Finalize below succeeds; aborts the segment on
-		// every error path.
-		defer w.Close()
-		op.tracestore = w
-	}
-	pipe := crawlerbox.New(c.Net, c.Registry)
-	if op.tracestore != nil && op.observer == nil {
-		// The trace store persists span trees and metrics, so it needs an
-		// observer even when the caller didn't ask for live exports.
-		op.observer = obs.New()
-	}
-	if op.observer != nil {
-		pipe.Obs = op.observer
-		c.Net.Metrics = op.observer.Metrics
-	}
-	pipe.Resilience = op.resilience
-	if op.evidence != nil {
-		c.Net.SpillTrafficTo(op.evidence)
-	}
-	brands := make([]string, 0, len(c.BrandURLs))
-	for b := range c.BrandURLs {
-		brands = append(brands, b)
-	}
-	sort.Strings(brands)
-	for _, b := range brands {
-		if err := pipe.AddReference(ctx, b, c.BrandURLs[b]); err != nil {
-			return nil, fmt.Errorf("report: reference %s: %w", b, err)
-		}
-	}
-
+	workers := resolve(opts).workers
 	run := &Run{Corpus: c}
 	retain := !c.Streamed()
 	var analyses []*crawlerbox.MessageAnalysis
@@ -222,8 +269,8 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		analyses = make([]*crawlerbox.MessageAnalysis, c.Len())
 	}
 
-	// The producer streams specs into the bounded channel, folding the
-	// monthly series as plans flow past; each worker folds its own shard.
+	// The producer folds the monthly series as plans flow past; each worker
+	// folds its own shard.
 	msgShard := NewCensusShard()
 	shards := make([]*CensusShard, workers)
 	errCounts := make([]int, workers)
@@ -231,46 +278,34 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		shards[i] = NewCensusShard()
 	}
 	produced := 0
-	specs := make(chan crawlerbox.IndexedSpec, workers)
-	go func() {
-		defer close(specs)
+	produce := func(send func(crawlerbox.IndexedSpec) bool) {
 		c.Each(func(i int, m *dataset.Message) bool {
 			msgShard.AddMessage(m)
-			select {
-			case specs <- crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{
+			if !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{
 				Raw: m.Raw,
 				ID:  int64(i + 1),
 				At:  m.Delivered.Add(2 * time.Hour),
-			}}:
-				produced++
-				return true
-			case <-ctx.Done():
+			}}) {
 				return false
 			}
+			produced++
+			return true
 		})
-	}()
-	pipe.AnalyzeStream(ctx, specs, workers, func(w int, res crawlerbox.CorpusResult) {
+	}
+	sink := func(w int, res crawlerbox.CorpusResult) {
 		if res.Err != nil {
 			errCounts[w]++
-			op.tracestore.Add(tracestore.VerdictOf(int64(res.Index+1), nil, res.Err))
 			return
 		}
 		shards[w].AddAnalysis(res.Index, res.Analysis)
-		// Verdict rows are buffered in completion order and sorted by trace
-		// ID at Finalize, so the segment stays schedule-independent.
-		op.tracestore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, nil))
-		if op.evidence != nil {
-			// Spill AFTER the shard fold: hot-load detection and landing
-			// titles read the visit records the spill strips.
-			if err := crawlerbox.SpillEvidence(op.evidence, res.Analysis); err != nil {
-				errCounts[w]++
-			}
-		}
 		if retain {
 			analyses[res.Index] = res.Analysis
 		}
-	})
-	// AnalyzeStream has returned, so the producer has exited and the
+	}
+	if err := AnalyzeSpecs(ctx, c, produce, sink, opts...); err != nil {
+		return nil, err
+	}
+	// AnalyzeSpecs has returned, so the producer has exited and the
 	// per-worker state is quiescent.
 	for _, n := range errCounts {
 		run.Errors += n
@@ -297,11 +332,6 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 	run.shard = msgShard
 	if retain {
 		run.Analyses = analyses
-	}
-	if op.tracestore != nil {
-		if err := op.tracestore.Finalize(op.observer.Traces(), op.observer.Metrics.Snapshot()); err != nil {
-			return nil, fmt.Errorf("report: trace store: %w", err)
-		}
 	}
 	return run, nil
 }

@@ -30,15 +30,10 @@ func writeStore(t *testing.T, dir string, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := tracestore.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
 	if _, err := Analyze(context.Background(), c,
 		WithWorkers(workers),
 		WithResilience(faultyPolicy()),
-		WithTraceStore(w),
+		WithTraceStorePath(path),
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +153,12 @@ func TestReadjudicationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPathOptionsEquivalence pins the api redesign: the path-based options
-// (lifecycle owned by Analyze) produce byte-identical artifacts to the
-// deprecated caller-owned-object options.
+// TestPathOptionsEquivalence pins the path-based store options: arming the
+// evidence store beside the trace store leaves the segment byte-identical
+// to a trace-store-only run, and the evidence file fills.
 func TestPathOptionsEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	legacyPath := writeStore(t, dir, 4) // deprecated WithTraceStore
+	plainPath := writeStore(t, dir, 4)
 
 	c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
 	if err != nil {
@@ -180,7 +175,7 @@ func TestPathOptionsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, err := os.ReadFile(legacyPath)
+	plain, err := os.ReadFile(plainPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +183,9 @@ func TestPathOptionsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacy, byPath) {
-		t.Fatalf("path-based trace store diverges from caller-owned writer (%d vs %d bytes)",
-			len(legacy), len(byPath))
+	if !bytes.Equal(plain, byPath) {
+		t.Fatalf("trace store written beside an evidence store diverges (%d vs %d bytes)",
+			len(plain), len(byPath))
 	}
 	if fi, err := os.Stat(evPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("evidence store at %s: stat %v, want a non-empty file", evPath, err)
