@@ -6,7 +6,7 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck perfbench
+.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
@@ -119,6 +119,20 @@ servecheck:
 	diff -u $$tmp/counters1.txt $$tmp/counters8.txt && \
 	grep -q '"cache_hits":27' $$tmp/counters1.txt && \
 	rm -rf $$tmp && echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
+
+# fuzz-smoke gives every Fuzz* target in the tree a fixed 5 s of
+# coverage-guided fuzzing, one target at a time (go test -fuzz takes one
+# package and one target per run): the time-budgeted pass over the parsers'
+# hostile-input contracts. It is kept out of check, which stays
+# deterministic; a failing input is written under the package's
+# testdata/fuzz/ and replays as a regular test case from then on.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: ./$$(dirname $$f) $$t"; \
+			$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=5s ./$$(dirname $$f); \
+		done; \
+	done
 
 # perfbench vets and tests the benchmark module. It is its own Go module,
 # so the root's ./... patterns skip it, yet it compiles against the ingest

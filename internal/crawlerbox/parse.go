@@ -12,9 +12,11 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"regexp"
 	"strings"
+	"sync"
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
@@ -58,6 +60,11 @@ type HTMLAttachmentFile struct {
 }
 
 // ParseResult is the outcome of the parsing phase for one message.
+//
+// A *ParseResult is shared and read-only: ParseMessage hands the same value
+// to every caller that parses identical bytes (the ingest keyer and the
+// ParseStage of the analysis it admits, or two reports of one message), so
+// no consumer may modify it or the slices it holds.
 type ParseResult struct {
 	Subject string
 	From    string
@@ -84,7 +91,24 @@ type ParseResult struct {
 }
 
 // ParseMessage runs the full recursive parsing phase over a raw message.
+// Repeat calls on identical bytes are served from a bounded memo (see
+// parseMemo), so the result is shared: callers must treat it as read-only.
 func (p *Pipeline) ParseMessage(raw []byte) (*ParseResult, error) {
+	hash, ocr := maphash.Bytes(_parseMemoSeed, raw), p.ocrMinScore()
+	if res := p.memo.get(hash, ocr, raw); res != nil {
+		return res, nil
+	}
+	res, err := p.parseMessage(raw)
+	if err != nil {
+		return nil, err
+	}
+	p.memo.put(parseMemoEntry{hash: hash, ocr: ocr, raw: raw, res: res})
+	return res, nil
+}
+
+// parseMessage is ParseMessage without the memo; recursive parses of EMLs
+// nested in archives call it directly.
+func (p *Pipeline) parseMessage(raw []byte) (*ParseResult, error) {
 	root, err := mime.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("crawlerbox: parsing message: %w", err)
@@ -247,11 +271,65 @@ func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool)
 		case imaging.IsCBI(content):
 			p.parseImage(content, res, seen, SourceImageQR, SourceImageOCR)
 		case strings.HasSuffix(name, ".eml"):
-			if inner, err := p.ParseMessage(content); err == nil {
+			if inner, err := p.parseMessage(content); err == nil {
 				mergeParse(res, seen, inner)
 			}
 		}
 	}
+}
+
+// parseMemoSize bounds the parse memo. The ingest service keys a message
+// at admission and parses it again in ParseStage; in between it waits in a
+// queue of 2×workers behind the running analyses, so 64 entries cover up to
+// 20 workers. Memory stays bounded by this constant, not by uptime.
+const parseMemoSize = 64
+
+// _parseMemoSeed keys the memo's content hash. It is drawn per process, so
+// inputs cannot be crafted to collide.
+var _parseMemoSeed = maphash.MakeSeed()
+
+// parseMemo remembers the last parseMemoSize successful parses, evicting
+// first in, first out. It is content-addressed, not pointer-addressed: an
+// entry matches only bytes with the same hash and equal contents, so a
+// buffer the caller reuses or mutates gets a fresh parse. The OCR threshold
+// is part of the match because the parse output depends on it; nothing
+// else in the pipeline feeds the parse, so a hit returns exactly what a
+// fresh parse would. Errors are never memoised.
+type parseMemo struct {
+	mu      sync.Mutex
+	entries [parseMemoSize]parseMemoEntry // guarded by mu
+	next    int                           // guarded by mu
+}
+
+// parseMemoEntry is one memoised parse. raw is the caller's slice, retained
+// as the key: it is compared, never written.
+type parseMemoEntry struct {
+	hash uint64
+	ocr  float64
+	raw  []byte
+	res  *ParseResult
+}
+
+// get returns the memoised parse of raw, or nil.
+func (m *parseMemo) get(hash uint64, ocr float64, raw []byte) *ParseResult {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.entries {
+		e := &m.entries[i]
+		if e.res != nil && e.hash == hash && e.ocr == ocr && bytes.Equal(e.raw, raw) {
+			return e.res
+		}
+	}
+	return nil
+}
+
+// put records a parse, replacing the oldest entry.
+func (m *parseMemo) put(e parseMemoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := m.next % len(m.entries)
+	m.entries[i] = e
+	m.next = i + 1
 }
 
 func mergeParse(dst *ParseResult, seen map[string]bool, src *ParseResult) {
@@ -335,9 +413,38 @@ var _otpRe = regexp.MustCompile(`(?i)(?:access code|one.time|security code|otp)[
 
 // findOTPCodes recovers 6-digit access codes mentioned near OTP phrasing.
 func findOTPCodes(text string) []string {
+	if !mayHaveOTPPhrase(text) {
+		return nil
+	}
 	var out []string
 	for _, m := range _otpRe.FindAllStringSubmatch(text, -1) {
 		out = append(out, m[1])
 	}
 	return out
+}
+
+// mayHaveOTPPhrase is _otpRe's exact prefilter: every alternative of the
+// regexp contains "otp", "code" or "time", so text with none of the three
+// (in any ASCII case) cannot match. ASCII case suffices because none of the
+// letters o, t, p, c, d, e, i, m has a non-ASCII case fold. The regexp has
+// no literal prefix to skip ahead with, so without the filter the matcher
+// tries a match at every byte of every body.
+func mayHaveOTPPhrase(text string) bool {
+	for i := 0; i < len(text); i++ {
+		var word string
+		switch text[i] | 0x20 {
+		case 'o':
+			word = "otp"
+		case 'c':
+			word = "code"
+		case 't':
+			word = "time"
+		default:
+			continue
+		}
+		if len(text)-i >= len(word) && strings.EqualFold(text[i:i+len(word)], word) {
+			return true
+		}
+	}
+	return false
 }

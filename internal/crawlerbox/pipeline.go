@@ -70,6 +70,8 @@ type Pipeline struct {
 	// merely order-dependent, never a data race; corpus runs derive seeds
 	// from the message ID instead and never touch it.
 	seed atomic.Int64
+	// memo serves ParseMessage's repeat calls on identical bytes.
+	memo parseMemo
 }
 
 // New returns a pipeline using a NotABot crawler on a mobile egress IP.

@@ -135,13 +135,16 @@ func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
 	// Normalize bare LF to CRLF for the textproto reader.
 	normalized := normalizeCRLF(raw)
 	idx := bytes.Index(normalized, []byte("\r\n\r\n"))
+	// headerBytes is capped with a full slice expression: normalized may be
+	// the caller's own bytes, and the append below must not write into
+	// their spare capacity.
 	var headerBytes, body []byte
 	if idx < 0 {
 		// Header-only entity (empty body) is legal.
-		headerBytes = normalized
+		headerBytes = normalized[:len(normalized):len(normalized)]
 		body = nil
 	} else {
-		headerBytes = normalized[:idx+2]
+		headerBytes = normalized[: idx+2 : idx+2]
 		body = normalized[idx+4:]
 	}
 	if len(bytes.TrimSpace(headerBytes)) == 0 {
@@ -155,20 +158,32 @@ func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
 	return header, body, nil
 }
 
+// normalizeCRLF replaces every lone LF with CRLF. Input without a lone LF
+// (the common case: wire-format mail is already CRLF) is returned as is,
+// uncopied; otherwise the runs between lone LFs are copied in bulk.
 func normalizeCRLF(raw []byte) []byte {
-	if !bytes.Contains(raw, []byte("\n")) {
+	var out []byte
+	rest := raw // the part of raw not yet copied to out
+	for i := 0; i < len(rest); {
+		n := bytes.IndexByte(rest[i:], '\n')
+		if n < 0 {
+			break
+		}
+		lf := i + n
+		if lf > 0 && rest[lf-1] == '\r' {
+			i = lf + 1
+			continue
+		}
+		if out == nil {
+			out = make([]byte, 0, len(raw)+len(raw)/20)
+		}
+		out = append(append(out, rest[:lf]...), '\r', '\n')
+		rest, i = rest[lf+1:], 0
+	}
+	if out == nil {
 		return raw
 	}
-	// Replace lone LF with CRLF.
-	var out bytes.Buffer
-	out.Grow(len(raw) + len(raw)/20)
-	for i := 0; i < len(raw); i++ {
-		if raw[i] == '\n' && (i == 0 || raw[i-1] != '\r') {
-			out.WriteByte('\r')
-		}
-		out.WriteByte(raw[i])
-	}
-	return out.Bytes()
+	return append(out, rest...)
 }
 
 // splitMultipart splits a multipart body into its raw part chunks.
