@@ -331,6 +331,13 @@ func BenchmarkPerceptualHashing(b *testing.B) {
 			_ = imaging.DHash(img)
 		}
 	})
+	// Sign is what the pipeline calls per screenshot: both hashes from one
+	// pass over the pixels.
+	b.Run("Sign", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = imaging.Sign(img)
+		}
+	})
 }
 
 // BenchmarkCorpusGeneration measures tenth-scale corpus generation.

@@ -265,6 +265,12 @@ func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int
 	return nil
 }
 
+// maxSubmitBytes caps one /api/submit body. A spec carries its message
+// base64-encoded, a third larger than the message itself; the largest
+// corpus message is about 110 KB, and 32 MiB also admits a 24 MB message,
+// the attachment limit of common mail providers.
+const maxSubmitBytes = 32 << 20
+
 // daemonMux builds the ingest API. Split from serveIngest so the endpoint
 // behavior is testable with httptest against a real service.
 func daemonMux(svc *ingest.Service) *http.ServeMux {
@@ -286,7 +292,14 @@ func daemonMux(svc *ingest.Service) *http.ServeMux {
 			return
 		}
 		var spec ingest.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				climain.HTTPError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("spec larger than %d bytes", maxSubmitBytes))
+				return
+			}
 			climain.HTTPError(w, http.StatusBadRequest, "bad spec: "+err.Error())
 			return
 		}

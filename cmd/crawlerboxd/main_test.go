@@ -227,3 +227,41 @@ func TestDaemonAPI(t *testing.T) {
 		t.Errorf("index page:\n%s", got)
 	}
 }
+
+// TestSubmitRejectsOversizedBody pins the HTTP boundary: a body larger
+// than maxSubmitBytes is answered 413 and not admitted, while a spec just
+// under the cap is accepted.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	ra := &releasableAnalyzer{release: make(chan struct{})}
+	svc := ingest.NewService(ra, func(raw []byte) string { return string(raw) }, nil, ingest.WithWorkers(1))
+	svc.Start(context.Background())
+	ts := httptest.NewServer(daemonMux(svc))
+	defer ts.Close()
+	defer func() {
+		ra.Release()
+		svc.Drain()
+	}()
+
+	post := func(body string) int {
+		resp, err := http.Post(ts.URL+"/api/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	frame := func(rawLen int) string {
+		return `{"id":1,"raw":"` + strings.Repeat("A", rawLen) + `"}`
+	}
+	overhead := len(frame(0))
+	if got := post(frame(maxSubmitBytes - overhead + 1)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", got)
+	}
+	if counters, _ := svc.Stats(); counters.Submitted != 0 {
+		t.Fatalf("oversized spec was admitted: %+v", counters)
+	}
+	// The largest valid base64 payload (a multiple of 4) that fits.
+	if got := post(frame((maxSubmitBytes - overhead) &^ 3)); got != http.StatusAccepted {
+		t.Fatalf("spec just under maxSubmitBytes: status %d, want 202", got)
+	}
+}

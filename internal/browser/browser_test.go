@@ -17,7 +17,7 @@ import (
 var _epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // testWorld wires a fresh internet with one page served at phish.example.
-func testWorld(t *testing.T, html string) (*webnet.Internet, *Browser) {
+func testWorld(t testing.TB, html string) (*webnet.Internet, *Browser) {
 	t.Helper()
 	net := webnet.NewInternet(webnet.NewClock(_epoch))
 	ip := net.AllocateIP(webnet.IPDatacenter)

@@ -22,12 +22,13 @@ const (
 // document-level hue-rotate filter (the Section V-C2d evasion) is applied
 // last when a script installed one.
 func renderScreenshot(pg *page) *imaging.Image {
-	img := imaging.MustNew(shotW, shotH, imaging.White)
 	body := pg.findOrCreate("body")
-	// Body background.
-	if bg, ok := styleColor(pg, body, "background"); ok {
-		img.FillRect(0, 0, shotW, shotH, bg)
+	// The canvas starts in the body background, white by default.
+	bg := imaging.White
+	if c, ok := styleColor(pg, body, "background"); ok {
+		bg = c
 	}
+	img := imaging.MustNew(shotW, shotH, bg)
 	y := 2
 	renderBlock(pg, img, body, &y)
 	// Document-level CSS filter installed by script?

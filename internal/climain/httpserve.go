@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Server is the HTTP scaffolding shared by the serving tools (`obsreport
@@ -21,13 +22,25 @@ type Server struct {
 	ln  net.Listener
 }
 
+// Read deadlines of the serving tools: a client that trickles its headers
+// or body cannot hold a connection (and its goroutine) open forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+)
+
 // NewHTTPServer binds addr and wraps handler in a managed server.
 func NewHTTPServer(addr string, handler http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{srv: &http.Server{Handler: handler}, ln: ln}, nil
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
+	return &Server{srv: srv, ln: ln}, nil
 }
 
 // Addr is the bound listen address (resolved, so ":0" shows the real port).

@@ -46,10 +46,23 @@ func New(w, h int, fill RGB) (*Image, error) {
 		return nil, fmt.Errorf("%w: %dx%d", ErrBadDimensions, w, h)
 	}
 	img := &Image{W: w, H: h, Pix: make([]RGB, w*h)}
-	for i := range img.Pix {
-		img.Pix[i] = fill
+	if fill != (RGB{}) {
+		fillRGB(img.Pix, fill)
 	}
 	return img, nil
+}
+
+// fillRGB sets every element of dst to c. It stores c into a short prefix
+// and then doubles the filled prefix with copy, so a long fill costs
+// O(log n) memmove calls instead of n three-byte stores.
+func fillRGB(dst []RGB, c RGB) {
+	n := min(len(dst), 16)
+	for i := range dst[:n] {
+		dst[i] = c
+	}
+	for ; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
 }
 
 // MustNew is New for statically valid dimensions; it panics on error and is
@@ -90,18 +103,24 @@ func (m *Image) Clone() *Image {
 }
 
 // FillRect fills the rectangle [x0,x1) x [y0,y1) with c, clipped to bounds.
+// An empty or inverted rectangle fills nothing. The first clipped row is
+// filled in bulk and copied into the rows below it.
 func (m *Image) FillRect(x0, y0, x1, y1 int, c RGB) {
-	for y := max(0, y0); y < min(m.H, y1); y++ {
-		for x := max(0, x0); x < min(m.W, x1); x++ {
-			m.Pix[y*m.W+x] = c
-		}
+	x0, y0 = max(0, x0), max(0, y0)
+	x1, y1 = min(m.W, x1), min(m.H, y1)
+	if x1 <= x0 || y1 <= y0 {
+		return
+	}
+	first := m.Pix[y0*m.W+x0 : y0*m.W+x1]
+	fillRGB(first, c)
+	for y := y0 + 1; y < y1; y++ {
+		copy(m.Pix[y*m.W+x0:y*m.W+x1], first)
 	}
 }
 
 // Gray returns the luma (ITU-R BT.601) of the pixel at (x, y) in [0, 255].
 func (m *Image) Gray(x, y int) float64 {
-	c := m.At(x, y)
-	return 0.299*float64(c.R) + 0.587*float64(c.G) + 0.114*float64(c.B)
+	return luma(m.At(x, y))
 }
 
 // Resize returns a bilinear-resampled copy with the given dimensions.
@@ -220,7 +239,9 @@ func (m *Image) AddNoise(rng *rand.Rand, amplitude int) {
 
 // HueRotate applies the SVG/CSS hue-rotate(degrees) color matrix in place —
 // the exact filter threat actors inject into phishing pages to perturb
-// visual-similarity detectors.
+// visual-similarity detectors. Rendered pages are mostly flat, so a run of
+// equal pixels is converted once and filled; every pixel still gets the
+// matrix product of its own input.
 func (m *Image) HueRotate(degrees float64) {
 	rad := degrees * math.Pi / 180
 	cosA, sinA := math.Cos(rad), math.Sin(rad)
@@ -234,15 +255,21 @@ func (m *Image) HueRotate(degrees float64) {
 	a20 := 0.213 - cosA*0.213 - sinA*0.787
 	a21 := 0.715 - cosA*0.715 + sinA*0.715
 	a22 := 0.072 + cosA*0.928 + sinA*0.072
-	for i := range m.Pix {
-		r := float64(m.Pix[i].R)
-		g := float64(m.Pix[i].G)
-		b := float64(m.Pix[i].B)
-		m.Pix[i] = RGB{
+	for i := 0; i < len(m.Pix); {
+		c := m.Pix[i]
+		j := i + 1
+		for j < len(m.Pix) && m.Pix[j] == c {
+			j++
+		}
+		r := float64(c.R)
+		g := float64(c.G)
+		b := float64(c.B)
+		fillRGB(m.Pix[i:j], RGB{
 			R: clampU8(int(math.Round(a00*r + a01*g + a02*b))),
 			G: clampU8(int(math.Round(a10*r + a11*g + a12*b))),
 			B: clampU8(int(math.Round(a20*r + a21*g + a22*b))),
-		}
+		})
+		i = j
 	}
 }
 

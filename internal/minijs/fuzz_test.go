@@ -1,6 +1,9 @@
 package minijs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzMiniJS feeds the interpreter arbitrary source under a small fuel
 // budget. The contract: parse errors and runtime errors are returned, never
@@ -25,6 +28,10 @@ func FuzzMiniJS(f *testing.F) {
 	f.Add(`do { x = 1 } while`)
 	f.Add(`x =>`)
 	f.Add(`switch (a) { case`)
+	// Regression: unbounded recursion and deep nesting, which used to
+	// overflow the Go stack.
+	f.Add(`function f(n){return f(n+1)} f(0)`)
+	f.Add(strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000))
 	f.Fuzz(func(t *testing.T, src string) {
 		ip := New(50_000)
 		_, _ = ip.Eval(src)

@@ -15,6 +15,26 @@ var ErrFuelExhausted = errors.New("minijs: execution fuel exhausted")
 // DefaultFuel is the default execution budget (abstract operations).
 const DefaultFuel = 2_000_000
 
+// ErrCallDepth is returned when a script function call would nest deeper
+// than maxEvalDepth allows. Like ErrFuelExhausted it is not catchable by
+// script-level try/catch. Fuel bounds how long a script runs but not how
+// deep it recurses, so unbounded recursion such as
+// `function f(n){return f(n+1)} f(0)` would otherwise overflow the Go stack
+// and kill the whole process.
+var ErrCallDepth = errors.New("minijs: call stack depth exceeded")
+
+// maxEvalDepth bounds the interpreter's recursion, and with it the Go
+// stack, across script calls: a call is refused once this many statements
+// and expressions are under evaluation, summed over every call in
+// progress. Counting levels rather than calls also bounds recursion whose
+// every call sits deep inside an expression. A recursive function spends
+// two to five levels per call, so scripts recurse 10,000 to 25,000 calls
+// deep, the order of a browser's call stack. Measured on amd64 with Go
+// 1.24, unbounded recursion then stops within a 64 MB Go stack, or 128 MB
+// when every call passes through a host function such as
+// Array.prototype.map: far inside Go's 1 GB limit.
+const maxEvalDepth = 50_000
+
 // environment is a lexical scope.
 type environment struct {
 	vars   map[string]Value
@@ -52,6 +72,7 @@ func (e *environment) define(name string, v Value) {
 type Interp struct {
 	global *environment
 	fuel   int64
+	depth  int // statements and expressions under evaluation, see maxEvalDepth
 	// OnDebugger, when set, is invoked for every debugger statement — the
 	// hook the anti-debugging timer checks in the corpus rely on.
 	OnDebugger func()
@@ -179,10 +200,20 @@ func (ip *Interp) runStmts(stmts []stmt, env *environment) (Value, error) {
 }
 
 // execStmt executes one statement; expression statements yield their value.
+// It counts the statement's level for maxEvalDepth around exec: with this
+// many returns, a deferred decrement would not be open-coded and would
+// cost more than the count.
 func (ip *Interp) execStmt(s stmt, env *environment) (Value, error) {
 	if err := ip.burn(); err != nil {
 		return Undefined, err
 	}
+	ip.depth++
+	v, err := ip.exec(s, env)
+	ip.depth--
+	return v, err
+}
+
+func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 	switch n := s.(type) {
 	case *emptyStmt:
 		return Undefined, nil
@@ -430,8 +461,13 @@ func (ip *Interp) makeFunction(fn *funcLit, env *environment, boundThis *Value) 
 	})
 }
 
+// evalExpr evaluates one expression and counts its level for
+// maxEvalDepth. It is the only caller of evalExprThis and is inlined.
 func (ip *Interp) evalExpr(e expr, env *environment) (Value, error) {
-	return ip.evalExprThis(e, env, Undefined)
+	ip.depth++
+	v, err := ip.evalExprThis(e, env, Undefined)
+	ip.depth--
+	return v, err
 }
 
 func (ip *Interp) evalExprThis(e expr, env *environment, this Value) (Value, error) {
@@ -635,6 +671,9 @@ func (ip *Interp) call(fn Value, this Value, args []Value, line int) (Value, err
 	}
 	if o.fn == nil {
 		return Undefined, &throwSignal{value: errorValue("TypeError", "not callable")}
+	}
+	if ip.depth >= maxEvalDepth {
+		return Undefined, ErrCallDepth
 	}
 	callEnv := newEnvironment(o.env)
 	effectiveThis := this

@@ -1,6 +1,23 @@
 package minijs
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrNestingDepth is returned when source nests statements or expressions
+// deeper than maxNestingDepth. The parser is recursive descent, so 200,000
+// nested parentheses would otherwise overflow the Go stack and kill the
+// whole process; like ErrFuelExhausted, the bound turns hostile input into
+// an ordinary error.
+var ErrNestingDepth = errors.New("minijs: nesting depth limit exceeded")
+
+// maxNestingDepth bounds the parser's recursion. A level is one statement,
+// assignment, unary or primary production in progress, so one pair of
+// parentheses costs three and the bound admits nearly 10,000 nested
+// parentheses. Measured on amd64 with Go 1.24, a parse that hits the bound
+// stays within a 64 MB Go stack, far inside Go's 1 GB limit.
+const maxNestingDepth = 30_000
 
 // Parse compiles source text into a Program.
 func Parse(src string) (*Program, error) {
@@ -21,9 +38,23 @@ func Parse(src string) (*Program, error) {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // recursive productions in progress, see maxNestingDepth
 }
+
+// enter starts one more level of recursion, or fails without starting it
+// once maxNestingDepth levels are in progress. A production that entered
+// calls leave when it returns.
+func (p *parser) enter() error {
+	if p.depth >= maxNestingDepth {
+		return ErrNestingDepth
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // cur returns the current token. The lexer always terminates the stream
 // with tokEOF, but a parse path that consumes EOF (hostile input reaching a
@@ -90,6 +121,10 @@ func (p *parser) eatSemi() {
 }
 
 func (p *parser) statement() (stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.atPunct(";"):
@@ -491,6 +526,10 @@ func (p *parser) expression() (expr, error) {
 }
 
 func (p *parser) assignment() (expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	// Arrow function lookahead: ident => or (params) =>.
 	if e, ok, err := p.tryArrow(); err != nil {
 		return nil, err
@@ -532,31 +571,18 @@ func (p *parser) tryArrow() (expr, bool, error) {
 		}
 		return &funcLit{Params: []string{param}, Body: body, Arrow: true}, true, nil
 	}
-	// (a, b) => ...
+	// (a, b) => ...: a parameter list holds only identifiers and commas,
+	// so the scan for its ")" stops at the first other token. (A scan to
+	// the matching parenthesis would be quadratic in nested parentheses.)
 	if p.atPunct("(") {
-		depth := 0
-		i := p.pos
-		for i < len(p.toks) {
-			t := p.toks[i]
-			if t.kind == tokPunct {
-				switch t.text {
-				case "(":
-					depth++
-				case ")":
-					depth--
-					if depth == 0 {
-						goto closed
-					}
-				}
-			}
-			if t.kind == tokEOF {
-				break
-			}
+		i := p.pos + 1
+		for i < len(p.toks) && (p.toks[i].kind == tokIdent || p.toks[i].kind == tokPunct && p.toks[i].text == ",") {
 			i++
 		}
-		return nil, false, nil
-	closed:
-		if i+1 < len(p.toks) && p.toks[i+1].kind == tokPunct && p.toks[i+1].text == "=>" {
+		isPunct := func(j int, text string) bool {
+			return j < len(p.toks) && p.toks[j].kind == tokPunct && p.toks[j].text == text
+		}
+		if isPunct(i, ")") && isPunct(i+1, "=>") {
 			p.pos++ // (
 			var params []string
 			for !p.atPunct(")") {
@@ -715,6 +741,10 @@ func (p *parser) binaryLevel(ops []string, next func() (expr, error)) (expr, err
 }
 
 func (p *parser) unary() (expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.atPunct("!") || p.atPunct("-") || p.atPunct("+") || p.atPunct("~"):
 		op := p.next().text
@@ -877,6 +907,10 @@ func (p *parser) argList() ([]expr, error) {
 }
 
 func (p *parser) primary() (expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
