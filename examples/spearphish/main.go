@@ -40,7 +40,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		refs[b.Name] = imaging.Sign(res.Screenshot)
+		refs[b.Name] = imaging.Sign(res.RenderScreenshot())
 	}
 	fmt.Printf("=== Spear-phishing screenshot triage (%d reference pages) ===\n\n", len(refs))
 
@@ -64,7 +64,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		sig := imaging.Sign(res.Screenshot)
+		sig := imaging.Sign(res.RenderScreenshot())
 		matched := ""
 		var bestP, bestD int
 		for brand, ref := range refs {

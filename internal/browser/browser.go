@@ -181,6 +181,8 @@ type Result struct {
 	DOM          *htmlx.Node
 	Frames       []*htmlx.Node
 	HTML         string
+	// Screenshot is the rendered page. It is nil until RenderScreenshot
+	// renders it: read it through that method.
 	Screenshot   *imaging.Image
 	Console      []string
 	Scripts      []string
@@ -194,6 +196,23 @@ type Result struct {
 	// the classifier downgrades such messages to OutcomePartial rather than
 	// treating them as fully measured.
 	Degraded bool
+	// shot is what the screenshot render reads of the final page, held
+	// until RenderScreenshot consumes it; nil when no page loaded.
+	shot *shotState
+}
+
+// RenderScreenshot returns the screenshot of the final page, or nil when no
+// page loaded. The first call renders it from the page state the visit
+// ended in, stores it in Screenshot and releases that state; later calls
+// return the stored image. Most visits are never looked at, so a result
+// costs a render only when something reads its screenshot. Like the rest
+// of a Result, it is not safe for concurrent use.
+func (r *Result) RenderScreenshot() *imaging.Image {
+	if r.shot != nil {
+		r.Screenshot = renderScreenshot(r.shot)
+		r.shot = nil
+	}
+	return r.Screenshot
 }
 
 func (b *Browser) navigate(ctx context.Context, rawURL, referrer string, rec *recorder, depth int) (*Result, error) {
@@ -625,6 +644,10 @@ func (pg *page) cookieHeader() string {
 	return pg.br.cookieFor(pg.host())
 }
 
+// testHookAssemble, when set by a test, sees every page as its result is
+// assembled.
+var testHookAssemble func(pg *page, r *Result)
+
 func partialResult(requested, current string, navs []string, rec *recorder, pg *page, status int) *Result {
 	return assembleResult(requested, current, navs, rec, pg, status)
 }
@@ -648,7 +671,10 @@ func assembleResult(requested, final string, navs []string, rec *recorder, pg *p
 		r.Scripts = pg.scripts
 		r.ScriptErrors = pg.errors
 		r.DebuggerHits = pg.debuggerHits
-		r.Screenshot = renderScreenshot(pg)
+		r.shot = newShotState(pg)
+	}
+	if testHookAssemble != nil {
+		testHookAssemble(pg, r)
 	}
 	return r
 }

@@ -46,7 +46,7 @@ func TestVisitBasicPage(t *testing.T) {
 	if !strings.Contains(res.HTML, "Welcome") {
 		t.Errorf("HTML = %q", res.HTML)
 	}
-	if res.Screenshot == nil || res.Screenshot.W != 256 {
+	if res.RenderScreenshot() == nil || res.RenderScreenshot().W != 256 {
 		t.Error("screenshot missing")
 	}
 }
@@ -578,12 +578,12 @@ func TestScreenshotDeterministicAndStyled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res1.Screenshot.Equal(res2.Screenshot) {
+	if !res1.RenderScreenshot().Equal(res2.RenderScreenshot()) {
 		t.Error("identical pages must render identical screenshots")
 	}
 	// The banner color must actually appear.
 	var sawBanner bool
-	for _, p := range res1.Screenshot.Pix {
+	for _, p := range res1.RenderScreenshot().Pix {
 		if p == (imaging.RGB{R: 0x1a, G: 0x3c, B: 0x8c}) {
 			sawBanner = true
 			break
@@ -615,11 +615,11 @@ func TestHueRotateEvasionAffectsScreenshotNotHashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Screenshot.Equal(res2.Screenshot) {
+	if res1.RenderScreenshot().Equal(res2.RenderScreenshot()) {
 		t.Error("hue-rotate must change raw pixels")
 	}
 	m := imaging.DefaultMatcher()
-	ok, dp, dd := m.Match(imaging.Sign(res1.Screenshot), imaging.Sign(res2.Screenshot))
+	ok, dp, dd := m.Match(imaging.Sign(res1.RenderScreenshot()), imaging.Sign(res2.RenderScreenshot()))
 	if !ok {
 		t.Errorf("fuzzy hashes must survive hue-rotate: pHash=%d dHash=%d", dp, dd)
 	}
@@ -869,5 +869,42 @@ func TestNestedIframeDepthBounded(t *testing.T) {
 	}
 	if len(res.Frames) > 8 {
 		t.Errorf("frames = %d, recursion not bounded", len(res.Frames))
+	}
+}
+
+// A script can take the body out of the document. The eager render then
+// appended an empty body to the DOM it had already serialized; the render
+// on read only looks the body up, paints the background alone, and leaves
+// the DOM as the visit left it.
+func TestRenderOnReadOfBodylessPageLeavesDOMAlone(t *testing.T) {
+	html := `<html><head><script>
+	document.documentElement.style.filter = "hue-rotate(90deg)";
+	document.documentElement.setInnerHTML("<p>gone</p>");
+	</script></head><body style="background:red"><div>X</div></body></html>`
+	var eager *imaging.Image
+	restore := CaptureEagerScreenshots(func(_ *Result, shot *imaging.Image) { eager = shot })
+	defer restore()
+	_, br := testWorld(t, html)
+	res, err := br.Visit(context.Background(), "https://phish.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(htmlx.Find(res.DOM, "body")) != 0 {
+		t.Fatalf("the script did not remove the body: %s", res.HTML)
+	}
+	if res.Screenshot != nil {
+		t.Fatal("screenshot rendered before anything read it")
+	}
+	shot := res.RenderScreenshot()
+	if !shot.Equal(eager) {
+		t.Error("screenshot rendered on read differs from the eager render")
+	}
+	if got := htmlx.Render(res.DOM); got != res.HTML {
+		t.Errorf("rendering changed the DOM:\n got %s\nwant %s", got, res.HTML)
+	}
+	for _, p := range shot.Pix {
+		if p != shot.Pix[0] {
+			t.Fatal("a page without a body painted more than its background")
+		}
 	}
 }

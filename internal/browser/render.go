@@ -16,26 +16,65 @@ const (
 	shotH = 192
 )
 
+// shotState is what the screenshot render reads of a finished page: the
+// document, and the style objects scripts may have written through element
+// wrappers. Keeping only these lets the page, with its interpreter and
+// host functions, be collected before the screenshot is rendered.
+type shotState struct {
+	doc *htmlx.Node
+	// styles maps an element to its wrapper's style object, for the
+	// wrappers whose style holds any property.
+	styles map[*htmlx.Node]*minijs.Object
+}
+
+// newShotState keeps what renderScreenshot reads of a page whose scripts
+// have finished.
+func newShotState(pg *page) *shotState {
+	st := &shotState{doc: pg.doc}
+	for node, obj := range pg.domCache {
+		style := obj.Get("style")
+		if style.Kind() != minijs.KindObject || len(style.Object().Props) == 0 {
+			continue // an empty style object sets no property
+		}
+		if st.styles == nil {
+			st.styles = map[*htmlx.Node]*minijs.Object{}
+		}
+		st.styles[node] = style.Object()
+	}
+	return st
+}
+
 // renderScreenshot rasterizes the page like the original pipeline's
 // screenshot step: block elements stack vertically, inline styles set
 // backgrounds and ink colors, text renders in the bitmap font, and a
 // document-level hue-rotate filter (the Section V-C2d evasion) is applied
-// last when a script installed one.
-func renderScreenshot(pg *page) *imaging.Image {
-	body := pg.findOrCreate("body")
+// last when a script installed one. It only reads the page: a document
+// without a body paints the background alone.
+func renderScreenshot(st *shotState) *imaging.Image {
+	body := firstElement(st.doc, "body")
 	// The canvas starts in the body background, white by default.
 	bg := imaging.White
-	if c, ok := styleColor(pg, body, "background"); ok {
+	if c, ok := st.styleColor(body, "background"); ok {
 		bg = c
 	}
 	img := imaging.MustNew(shotW, shotH, bg)
-	y := 2
-	renderBlock(pg, img, body, &y)
+	if body != nil {
+		y := 2
+		st.renderBlock(img, body, &y)
+	}
 	// Document-level CSS filter installed by script?
-	if deg, ok := hueRotation(pg); ok {
+	if deg, ok := st.hueRotation(); ok {
 		img.HueRotate(deg)
 	}
 	return img
+}
+
+// firstElement returns the first element with the tag, or nil.
+func firstElement(root *htmlx.Node, tag string) *htmlx.Node {
+	if nodes := htmlx.Find(root, tag); len(nodes) > 0 {
+		return nodes[0]
+	}
+	return nil
 }
 
 // _blockTags render as stacked rows.
@@ -46,7 +85,7 @@ var _blockTags = map[string]bool{
 	"section": true, "span": true,
 }
 
-func renderBlock(pg *page, img *imaging.Image, node *htmlx.Node, y *int) {
+func (st *shotState) renderBlock(img *imaging.Image, node *htmlx.Node, y *int) {
 	for _, child := range node.Children {
 		if *y >= shotH {
 			return
@@ -55,45 +94,45 @@ func renderBlock(pg *page, img *imaging.Image, node *htmlx.Node, y *int) {
 		case htmlx.KindText:
 			text := strings.TrimSpace(child.Text)
 			if text != "" {
-				drawRow(pg, img, node, text, y, false)
+				st.drawRow(img, node, text, y, false)
 			}
 		case htmlx.KindElement:
 			if !_blockTags[child.Tag] {
-				renderBlock(pg, img, child, y)
+				st.renderBlock(img, child, y)
 				continue
 			}
 			switch child.Tag {
 			case "input":
 				drawInput(img, child, y)
 			case "button":
-				drawRow(pg, img, child, firstText(child, "SUBMIT"), y, true)
+				st.drawRow(img, child, firstText(child, "SUBMIT"), y, true)
 			case "img", "iframe":
 				drawPlaceholder(img, child, y)
 			default:
 				// Containers with their own background paint a band first.
-				if bg, ok := styleColor(pg, child, "background"); ok {
-					h := styleHeight(pg, child, 18)
+				if bg, ok := st.styleColor(child, "background"); ok {
+					h := styleHeight(child, 18)
 					img.FillRect(0, *y, shotW, *y+h, bg)
 				}
 				if text := ownText(child); text != "" {
-					drawRow(pg, img, child, text, y, false)
+					st.drawRow(img, child, text, y, false)
 				}
-				renderBlock(pg, img, child, y)
+				st.renderBlock(img, child, y)
 			}
 		}
 	}
 }
 
 // drawRow draws one text row styled by the element.
-func drawRow(pg *page, img *imaging.Image, node *htmlx.Node, text string, y *int, boxed bool) {
-	h := styleHeight(pg, node, 14)
-	if bg, ok := styleColor(pg, node, "background"); ok {
+func (st *shotState) drawRow(img *imaging.Image, node *htmlx.Node, text string, y *int, boxed bool) {
+	h := styleHeight(node, 14)
+	if bg, ok := st.styleColor(node, "background"); ok {
 		img.FillRect(4, *y, shotW-4, *y+h, bg)
 	} else if boxed {
 		img.FillRect(4, *y, shotW-4, *y+h, imaging.RGB{R: 210, G: 210, B: 210})
 	}
 	ink := imaging.Black
-	if c, ok := styleColor(pg, node, "color"); ok {
+	if c, ok := st.styleColor(node, "color"); ok {
 		ink = c
 	}
 	if len(text) > 40 {
@@ -148,8 +187,11 @@ func firstText(node *htmlx.Node, fallback string) string {
 }
 
 // styleColor reads a color property from the element's style attribute or
-// its script-written style object.
-func styleColor(pg *page, node *htmlx.Node, prop string) (imaging.RGB, bool) {
+// its script-written style object. A nil element has neither.
+func (st *shotState) styleColor(node *htmlx.Node, prop string) (imaging.RGB, bool) {
+	if node == nil {
+		return imaging.RGB{}, false
+	}
 	for _, kv := range parseStyle(node.Attr("style")) {
 		if kv[0] == prop || kv[0] == prop+"-color" {
 			if c, ok := parseColor(kv[1]); ok {
@@ -157,13 +199,11 @@ func styleColor(pg *page, node *htmlx.Node, prop string) (imaging.RGB, bool) {
 			}
 		}
 	}
-	if obj, ok := pg.domCache[node]; ok {
-		if styleVal := obj.Get("style"); styleVal.Kind() == minijs.KindObject {
-			for _, key := range []string{cssToCamel(prop), cssToCamel(prop + "-color")} {
-				if v := styleVal.Object().Get(key); !v.IsUndefined() {
-					if c, ok := parseColor(v.ToString()); ok {
-						return c, true
-					}
+	if style, ok := st.styles[node]; ok {
+		for _, key := range []string{cssToCamel(prop), cssToCamel(prop + "-color")} {
+			if v := style.Get(key); !v.IsUndefined() {
+				if c, ok := parseColor(v.ToString()); ok {
+					return c, true
 				}
 			}
 		}
@@ -171,7 +211,7 @@ func styleColor(pg *page, node *htmlx.Node, prop string) (imaging.RGB, bool) {
 	return imaging.RGB{}, false
 }
 
-func styleHeight(pg *page, node *htmlx.Node, def int) int {
+func styleHeight(node *htmlx.Node, def int) int {
 	for _, kv := range parseStyle(node.Attr("style")) {
 		if kv[0] == "height" {
 			if h, ok := parsePx(kv[1]); ok {
@@ -179,7 +219,6 @@ func styleHeight(pg *page, node *htmlx.Node, def int) int {
 			}
 		}
 	}
-	_ = pg
 	return def
 }
 
@@ -231,24 +270,22 @@ func parseColor(v string) (imaging.RGB, bool) {
 
 // hueRotation inspects the documentElement's script-written style for the
 // hue-rotate filter evasion.
-func hueRotation(pg *page) (float64, bool) {
-	html := pg.findOrCreate("html")
+func (st *shotState) hueRotation() (float64, bool) {
+	html := firstElement(st.doc, "html")
+	body := firstElement(st.doc, "body")
 	candidates := []string{}
-	if obj, ok := pg.domCache[html]; ok {
-		if styleVal := obj.Get("style"); styleVal.Kind() == minijs.KindObject {
-			candidates = append(candidates, styleVal.Object().Get("filter").ToString())
+	if style, ok := st.styles[html]; ok {
+		candidates = append(candidates, style.Get("filter").ToString())
+	}
+	if html != nil {
+		for _, kv := range parseStyle(html.Attr("style")) {
+			if kv[0] == "filter" {
+				candidates = append(candidates, kv[1])
+			}
 		}
 	}
-	for _, kv := range parseStyle(html.Attr("style")) {
-		if kv[0] == "filter" {
-			candidates = append(candidates, kv[1])
-		}
-	}
-	body := pg.findOrCreate("body")
-	if obj, ok := pg.domCache[body]; ok {
-		if styleVal := obj.Get("style"); styleVal.Kind() == minijs.KindObject {
-			candidates = append(candidates, styleVal.Object().Get("filter").ToString())
-		}
+	if style, ok := st.styles[body]; ok {
+		candidates = append(candidates, style.Get("filter").ToString())
 	}
 	for _, c := range candidates {
 		c = strings.ToLower(strings.TrimSpace(c))

@@ -35,13 +35,14 @@ func BenchmarkScreenshotRender(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := hueRotation(pg); ok != tc.hue {
+			st := newShotState(pg)
+			if _, ok := st.hueRotation(); ok != tc.hue {
 				b.Fatalf("hue-rotate installed = %v, want %v", ok, tc.hue)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				renderSink = renderScreenshot(pg)
+				renderSink = renderScreenshot(st)
 			}
 		})
 	}

@@ -1,0 +1,105 @@
+package browser_test
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"crawlerbox/internal/browser"
+	"crawlerbox/internal/crawlerbox"
+	"crawlerbox/internal/dataset"
+	"crawlerbox/internal/htmlx"
+	"crawlerbox/internal/imaging"
+)
+
+// A screenshot is rendered when something first reads it, which can be
+// long after the visit ended. These tests pin that the late render paints
+// exactly what the eager render paints at the end of the visit
+// (referenceScreenshot), whether it runs straight after the crawl or after
+// Classify and Census have read the visit, and that rendering leaves the
+// DOM alone.
+func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stages []crawlerbox.Stage
+	}{
+		{"after crawl", crawlerbox.DefaultStages()[:3]},
+		{"after classify and census", crawlerbox.DefaultStages()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eager := map[*browser.Result]*imaging.Image{}
+			restore := browser.CaptureEagerScreenshots(func(r *browser.Result, shot *imaging.Image) {
+				eager[r] = shot
+			})
+			defer restore()
+			pipe, specs := corpusPipeline(t, 1_000)
+			pipe.Stages = tc.stages
+			results := pipe.AnalyzeCorpus(context.Background(), specs, 4)
+			restore()
+
+			var visits, rendered int
+			for _, res := range results {
+				if res.Err != nil {
+					t.Fatalf("message %d: %v", res.Index, res.Err)
+				}
+				for _, v := range res.Analysis.Visits {
+					r := v.Result
+					if r == nil {
+						continue
+					}
+					want, loaded := eager[r]
+					if !loaded {
+						if shot := r.RenderScreenshot(); shot != nil {
+							t.Errorf("%s: a visit that loaded no page rendered a screenshot", v.URL)
+						}
+						continue
+					}
+					visits++
+					if r.Screenshot != nil {
+						rendered++ // Classify read it
+					}
+					html := htmlx.Render(r.DOM)
+					got := r.RenderScreenshot()
+					if !got.Equal(want) {
+						t.Errorf("%s: screenshot rendered on read differs from the eager render", v.URL)
+					}
+					if after := htmlx.Render(r.DOM); after != html {
+						t.Errorf("%s: rendering the screenshot changed the DOM", v.URL)
+					}
+					if r.Screenshot != got || r.RenderScreenshot() != got {
+						t.Errorf("%s: the rendered screenshot is not stored for later reads", v.URL)
+					}
+				}
+			}
+			t.Logf("%d visits, %d rendered during analysis", visits, rendered)
+			if visits < 20 {
+				t.Fatalf("only %d visits loaded a page; the corpus slice is too small to test", visits)
+			}
+			// Only Classify renders during analysis, and only the phishing
+			// visit it signs.
+			if classify := len(tc.stages) > 3; classify != (rendered > 0) || rendered >= visits {
+				t.Errorf("%d of %d screenshots rendered during analysis", rendered, visits)
+			}
+		})
+	}
+}
+
+// corpusPipeline builds a fresh seed-7 world with its pipeline and returns
+// the first n corpus messages as specs.
+func corpusPipeline(t *testing.T, n int) (*crawlerbox.Pipeline, []crawlerbox.MessageSpec) {
+	t.Helper()
+	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := crawlerbox.New(c.Net, c.Registry)
+	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]crawlerbox.MessageSpec, min(n, len(c.Messages)))
+	for i := range specs {
+		m := c.Messages[i]
+		specs[i] = crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
+	}
+	return pipe, specs
+}

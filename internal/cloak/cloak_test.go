@@ -307,7 +307,7 @@ func TestHueRotateClientSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Screenshot.Equal(res2.Screenshot) {
+	if res1.RenderScreenshot().Equal(res2.RenderScreenshot()) {
 		t.Error("hue rotation must perturb pixels")
 	}
 }

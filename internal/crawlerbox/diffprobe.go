@@ -93,8 +93,8 @@ func (p *Pipeline) runDifferentialProbe(ctx context.Context, ex *Execution, url 
 		probe.Evidence = append(probe.Evidence, "navigation diverged: human="+
 			humanRes.FinalURL+" bot="+botRes.FinalURL)
 	}
-	if humanRes.Screenshot != nil && botRes.Screenshot != nil {
-		ok, dp, dd := p.Matcher.Match(imaging.Sign(humanRes.Screenshot), imaging.Sign(botRes.Screenshot))
+	if humanShot, botShot := humanRes.RenderScreenshot(), botRes.RenderScreenshot(); humanShot != nil && botShot != nil {
+		ok, dp, dd := p.Matcher.Match(imaging.Sign(humanShot), imaging.Sign(botShot))
 		if !ok {
 			probe.Cloaked = true
 			probe.Evidence = append(probe.Evidence, "rendered pages differ visually")

@@ -42,7 +42,8 @@ const evidenceVersion = 1
 // EncodeEvidence serializes a message's visit records into one evidence
 // payload. The encoding is varint-framed and self-contained: no field
 // references anything outside the payload, so a record decodes without the
-// run that produced it.
+// run that produced it. It renders each visit's screenshot that nothing
+// has read yet (browser.Result.RenderScreenshot).
 func EncodeEvidence(visits []VisitRecord) []byte {
 	buf := []byte{evidenceVersion}
 	buf = binary.AppendUvarint(buf, uint64(len(visits)))
@@ -69,8 +70,8 @@ func appendVisit(buf []byte, v *VisitRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(res.Status))
 	buf = appendString(buf, res.HTML)
 	var shot []byte
-	if res.Screenshot != nil {
-		shot = imaging.EncodeCBI(res.Screenshot)
+	if img := res.RenderScreenshot(); img != nil {
+		shot = imaging.EncodeCBI(img)
 	}
 	buf = appendBytes(buf, shot)
 	buf = appendStrings(buf, res.Console)

@@ -86,7 +86,7 @@ func TestEvidenceRoundTrip(t *testing.T) {
 				t.Errorf("visit %d request %d: %+v want %+v", i, j, ev.Requests[j], r.Requests[j])
 			}
 		}
-		if r.Screenshot == nil {
+		if r.RenderScreenshot() == nil {
 			if ev.Screenshot != nil {
 				t.Errorf("visit %d: unexpected screenshot bytes", i)
 			}
@@ -96,7 +96,7 @@ func TestEvidenceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("visit %d: screenshot decode: %v", i, err)
 		}
-		if !img.Equal(r.Screenshot) {
+		if !img.Equal(r.RenderScreenshot()) {
 			t.Errorf("visit %d: screenshot pixels differ", i)
 		}
 	}

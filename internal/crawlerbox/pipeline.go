@@ -105,7 +105,7 @@ func (p *Pipeline) AddReference(ctx context.Context, brand, loginURL string) err
 	if err != nil {
 		return err
 	}
-	p.References = append(p.References, ReferencePage{Brand: brand, Sig: imaging.Sign(res.Screenshot)})
+	p.References = append(p.References, ReferencePage{Brand: brand, Sig: imaging.Sign(res.RenderScreenshot())})
 	return nil
 }
 
@@ -608,10 +608,11 @@ func (p *Pipeline) classify(ma *MessageAnalysis) {
 // classifySpearPhish matches the phishing screenshot against the protected
 // brands' reference pages.
 func (p *Pipeline) classifySpearPhish(ma *MessageAnalysis, v *VisitRecord) {
-	if v.Result.Screenshot == nil {
+	shot := v.Result.RenderScreenshot()
+	if shot == nil {
 		return
 	}
-	sig := imaging.Sign(v.Result.Screenshot)
+	sig := imaging.Sign(shot)
 	for _, ref := range p.References {
 		if ok, _, _ := p.Matcher.Match(sig, ref.Sig); ok {
 			ma.SpearPhish = true

@@ -251,16 +251,19 @@ func indexFold(s, needle string) int {
 	return -1
 }
 
+// _entityDecoder maps the common named and numeric HTML entities back to
+// their characters.
+var _entityDecoder = strings.NewReplacer(
+	"&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`,
+	"&#39;", "'", "&apos;", "'", "&nbsp;", " ",
+)
+
 // DecodeEntities decodes the common named and numeric HTML entities.
 func DecodeEntities(s string) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
-	replacer := strings.NewReplacer(
-		"&amp;", "&", "&lt;", "<", "&gt;", ">", "&quot;", `"`,
-		"&#39;", "'", "&apos;", "'", "&nbsp;", " ",
-	)
-	return replacer.Replace(s)
+	return _entityDecoder.Replace(s)
 }
 
 // Walk visits every node depth-first.

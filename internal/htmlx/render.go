@@ -59,13 +59,16 @@ func renderNode(sb *strings.Builder, n *Node) {
 	}
 }
 
-func escapeText(s string) string {
-	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
-}
+// The escapers are built once: a strings.Replacer is immutable and safe for
+// concurrent use, and building one costs more than most replacements.
+var (
+	_textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	_attrEscaper = strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;")
+)
 
-func escapeAttr(s string) string {
-	return strings.NewReplacer("&", "&amp;", `"`, "&quot;", "<", "&lt;").Replace(s)
-}
+func escapeText(s string) string { return _textEscaper.Replace(s) }
+
+func escapeAttr(s string) string { return _attrEscaper.Replace(s) }
 
 // FindByID returns the first element with the given id attribute.
 func FindByID(root *Node, id string) *Node {

@@ -130,6 +130,10 @@ func TestHotAllocFixture(t *testing.T) {
 	checkFixture(t, HotAlloc{}, "hotfix", 1)
 }
 
+func TestHotAllocConstTableFixture(t *testing.T) {
+	checkFixture(t, HotAlloc{}, "constfix", 1)
+}
+
 // TestSuppressionDirective pins the directive semantics: a named directive
 // and the "all" wildcard silence the finding on the next line, and a
 // directive without a reason both fails to suppress and is itself reported.

@@ -30,6 +30,14 @@ const HotpathDirective = "cblint:hotpath"
 //     field): such maps grow one entry per message. Bounded-domain keys
 //     (hosts, outcome labels, cloak kinds) are fine; sanctioned identity-
 //     keyed sites carry an explicit //cblint:ignore with the reason.
+//
+// One rule holds in every function body, hot path or not:
+//
+//  4. strings.NewReplacer and regexp.MustCompile/Compile (and the POSIX
+//     variants) must not be called with all-constant arguments: the table
+//     they build is the same on every call, and building it costs more
+//     than most uses of it. Such tables are package-level variables. init
+//     functions run once and are exempt.
 type HotAlloc struct{}
 
 // Name implements Analyzer.
@@ -37,7 +45,7 @@ func (HotAlloc) Name() string { return "hotalloc" }
 
 // Doc implements Analyzer.
 func (HotAlloc) Doc() string {
-	return "//cblint:hotpath functions must not allocate proportionally to corpus size (captured-slice appends, Sprintf in loops, identity-keyed map growth)"
+	return "//cblint:hotpath functions must not allocate proportionally to corpus size (captured-slice appends, Sprintf in loops, identity-keyed map growth); no function rebuilds a constant replacer or regexp per call"
 }
 
 // Applies implements Analyzer: internal production code.
@@ -55,10 +63,13 @@ func (HotAlloc) Check(pkg *Package, _ *Facts) []Diagnostic {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpath(fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			diags = append(diags, checkHotFunc(pkg, fd)...)
+			diags = append(diags, checkConstTables(pkg, fd)...)
+			if isHotpath(fd) {
+				diags = append(diags, checkHotFunc(pkg, fd)...)
+			}
 		}
 	}
 	return diags
@@ -150,6 +161,52 @@ func checkHotCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, inLoop boo
 		}
 	}
 	return nil
+}
+
+// constTableBuilders are the constructors whose result depends on their
+// arguments alone (rule 4), by package path and function name.
+var constTableBuilders = map[[2]string]bool{
+	{"strings", "NewReplacer"}:     true,
+	{"regexp", "MustCompile"}:      true,
+	{"regexp", "Compile"}:          true,
+	{"regexp", "MustCompilePOSIX"}: true,
+	{"regexp", "CompilePOSIX"}:     true,
+}
+
+// checkConstTables flags rule-4 tables rebuilt from constants on every
+// call, including inside closures the function defines.
+func checkConstTables(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
+	if fd.Recv == nil && fd.Name.Name == "init" {
+		return nil
+	}
+	var diags []Diagnostic
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || !constTableBuilders[[2]string{fn.Pkg().Path(), fn.Name()}] {
+			return true
+		}
+		for _, arg := range call.Args {
+			if pkg.Info.Types[arg].Value == nil {
+				return true
+			}
+		}
+		diags = append(diags, Diagnostic{
+			Analyzer: "hotalloc",
+			Pos:      pkg.Fset.Position(call.Pos()),
+			Message: fmt.Sprintf("%s.%s with constant arguments inside %s rebuilds the same table on every call; hoist it to a package-level variable",
+				fn.Pkg().Name(), fn.Name(), fd.Name.Name),
+		})
+		return true
+	})
+	return diags
 }
 
 // identityKeyNames are the selector/identifier names that mark a map key as

@@ -42,7 +42,9 @@
 //   - hotalloc: a function annotated //cblint:hotpath (the per-message
 //     stream/census/evidence path) must not allocate proportionally to
 //     corpus size — no append into captured slices, no fmt.Sprintf-family
-//     calls in loops, no map growth keyed by per-message identity.
+//     calls in loops, no map growth keyed by per-message identity. And no
+//     function builds a strings.Replacer or regexp from constants on every
+//     call: such tables are package-level variables.
 //
 // Findings are suppressed, one line at a time, with an explicit
 //

@@ -123,3 +123,55 @@ func TestNestingBoundLeavesDeepNestingAlone(t *testing.T) {
 		t.Errorf("arrow without parameters = %q", v)
 	}
 }
+
+// An array that contains itself used to recurse through ToString until the
+// Go stack overflowed. Browsers render the inner occurrence as "".
+func TestCyclicArrayJoinsAsBrowsersDo(t *testing.T) {
+	for src, want := range map[string]string{
+		`var a = [1]; a.push(a); "" + a`:                           "1,",
+		`var a = [1]; a.push(a); a.join(",")`:                      "1,",
+		`var a = [1]; a.push(a); a.join("-")`:                      "1-",
+		`var a = [1]; a.push(a); String(a)`:                        "1,",
+		`var a = [1], b = [a, 2]; a.push(b); "" + a`:               "1,,2",
+		`var a = [1]; a.push([a, a]); a.join("|")`:                 "1|,",
+		`var a = [1]; a.push(a); ("" + a) + ("" + a)`:              "1,1,",
+		`var a = [1]; a.push(a); var s = "" + a; [a, a].join(";")`: "1,;1,",
+	} {
+		if got := evalStr(t, src); got != want {
+			t.Errorf("%s = %q, want %q", src, got, want)
+		}
+	}
+}
+
+// JSON.parse recursed once per nesting level without bound: two million
+// '[' overflowed the Go stack. The input is built in Go, since a script
+// could not build it under its fuel budget.
+func TestDeepJSONParseThrowsCatchableSyntaxError(t *testing.T) {
+	ip := New(0)
+	ip.SetGlobal("s", String(strings.Repeat("[", 2_000_000)))
+	v, err := ip.Eval(`var r; try { JSON.parse(s); r = "parsed" } catch (e) { r = e.name + ": " + e.message } r`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.ToString(); got != "SyntaxError: JSON.parse: nesting too deep" {
+		t.Errorf("JSON.parse of 2,000,000 '[' = %q", got)
+	}
+}
+
+func TestJSONParseDepthBoundLeavesDeepDocumentsAlone(t *testing.T) {
+	const n = maxJSONDepth
+	ip := New(0)
+	ip.SetGlobal("s", String(strings.Repeat("[", n-1)+"[7]"+strings.Repeat("]", n-1)))
+	v, err := ip.Eval(`var x = JSON.parse(s); var d = 0; while (typeof x === "object") { x = x[0]; d++ } d + ":" + x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := v.ToString(), fmt.Sprintf("%d:7", n); got != want {
+		t.Errorf("JSON.parse nested %d deep = %q, want %q", n, got, want)
+	}
+	// One level past the bound is refused, objects and arrays alike.
+	ip.SetGlobal("s", String(strings.Repeat(`{"a":`, n)+"[]"+strings.Repeat("}", n)))
+	if _, err := ip.Eval(`JSON.parse(s)`); err == nil || !strings.Contains(err.Error(), "nesting too deep") {
+		t.Errorf("JSON nested %d deep: err = %v, want the nesting SyntaxError", n+1, err)
+	}
+}

@@ -40,3 +40,39 @@ func FuzzMiniJS(f *testing.F) {
 		}
 	})
 }
+
+// FuzzProgramCache is the differential test of the program cache: for any
+// source, the cached parse and a fresh Parse both succeed or fail with the
+// same error text, and two fresh interpreters, one running the cached
+// program and one a freshly parsed program, return the same value or the
+// same error.
+func FuzzProgramCache(f *testing.F) {
+	f.Add(sharedProgramSrc)
+	f.Add(`var x = 1 + 2 * 3; x`)
+	f.Add(`function f(n) { return n < 2 ? 1 : f(n-1) + f(n-2); } f(10)`)
+	f.Add(`var a = [1]; a.push(a); a.join("-") + a`)
+	f.Add(`JSON.parse("[[[1]]]")[0][0]`)
+	f.Add(`throw "boom"`)
+	f.Add(`while (true) {}`)
+	f.Add(`}{ not javascript ((`)
+	f.Add(``)
+	f.Fuzz(func(t *testing.T, src string) {
+		cached, cerr := _programs.compile(src)
+		fresh, ferr := Parse(src)
+		if (cerr == nil) != (ferr == nil) || cerr != nil && cerr.Error() != ferr.Error() {
+			t.Fatalf("cached parse error %v, fresh parse error %v", cerr, ferr)
+		}
+		if ferr != nil {
+			return
+		}
+		cv, cerr := New(50_000).eval(cached)
+		fv, ferr := New(50_000).eval(fresh)
+		if (cerr == nil) != (ferr == nil) || cerr != nil && cerr.Error() != ferr.Error() {
+			t.Fatalf("cached program error %v, fresh program error %v", cerr, ferr)
+		}
+		if cv.TypeOf() != fv.TypeOf() || cv.ToString() != fv.ToString() {
+			t.Fatalf("cached program = %s %q, fresh program = %s %q",
+				cv.TypeOf(), cv.ToString(), fv.TypeOf(), fv.ToString())
+		}
+	})
+}

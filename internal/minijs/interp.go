@@ -119,20 +119,24 @@ func (ip *Interp) AddFuel(n int64) { ip.fuel += n }
 
 // Run executes a parsed program.
 func (ip *Interp) Run(prog *Program) error {
-	_, err := ip.runStmts(prog.stmts, ip.global)
-	if ts, ok := err.(*throwSignal); ok {
-		return fmt.Errorf("minijs: uncaught exception: %s", ts.value.ToString())
-	}
+	_, err := ip.eval(prog)
 	return err
 }
 
 // Eval parses and executes source, returning the value of the last
-// expression statement.
+// expression statement. The Program comes from the process-wide cache, so
+// a source seen before is not parsed again (see programCache).
 func (ip *Interp) Eval(src string) (Value, error) {
-	prog, err := Parse(src)
+	prog, err := _programs.compile(src)
 	if err != nil {
 		return Undefined, err
 	}
+	return ip.eval(prog)
+}
+
+// eval executes a parsed program, returning the value of the last
+// expression statement.
+func (ip *Interp) eval(prog *Program) (Value, error) {
 	v, err := ip.runStmts(prog.stmts, ip.global)
 	if ts, ok := err.(*throwSignal); ok {
 		return Undefined, fmt.Errorf("minijs: uncaught exception: %s", ts.value.ToString())

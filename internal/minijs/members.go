@@ -349,13 +349,7 @@ func (ip *Interp) arrayMember(o *Object, prop string) (Value, error, bool) {
 			if len(args) > 0 {
 				sep = args[0].ToString()
 			}
-			parts := make([]string, len(o.Elems))
-			for i, e := range o.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.ToString()
-				}
-			}
-			return String(strings.Join(parts, sep)), nil
+			return String(o.join(sep)), nil
 		}), nil, true
 	case "indexOf":
 		return NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {

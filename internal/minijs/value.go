@@ -99,6 +99,28 @@ type Object struct {
 	boundThis *Value
 	// HostData lets embedders attach arbitrary state (e.g. an XHR handle).
 	HostData any
+	// joining is set while the array's elements are being joined, see
+	// join.
+	joining bool
+}
+
+// join renders an array's elements separated by sep, nullish elements as
+// "". An array that is already being joined further up the same call
+// renders as "", as browsers do, so an array that contains itself joins
+// instead of recursing until the Go stack overflows.
+func (o *Object) join(sep string) string {
+	if o.joining {
+		return ""
+	}
+	o.joining = true
+	parts := make([]string, len(o.Elems))
+	for i, e := range o.Elems {
+		if !e.IsNullish() {
+			parts[i] = e.ToString()
+		}
+	}
+	o.joining = false
+	return strings.Join(parts, sep)
 }
 
 // NewObject returns an empty plain object.
@@ -229,13 +251,7 @@ func (v Value) ToString() string {
 	case KindObject:
 		switch v.obj.Class {
 		case ClassArray:
-			parts := make([]string, len(v.obj.Elems))
-			for i, e := range v.obj.Elems {
-				if !e.IsNullish() {
-					parts[i] = e.ToString()
-				}
-			}
-			return strings.Join(parts, ",")
+			return v.obj.join(",")
 		case ClassFunction:
 			return "function () { [native or script code] }"
 		case ClassError:

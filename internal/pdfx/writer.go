@@ -188,7 +188,7 @@ func buildContentStream(page Page, xobjects []placedRef) []byte {
 	return b.Bytes()
 }
 
-func escapePDFString(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "(", `\(`, ")", `\)`, "\n", `\n`, "\r", `\r`)
-	return r.Replace(s)
-}
+// _pdfStringEscaper escapes a PDF literal string's delimiters and line breaks.
+var _pdfStringEscaper = strings.NewReplacer(`\`, `\\`, "(", `\(`, ")", `\)`, "\n", `\n`, "\r", `\r`)
+
+func escapePDFString(s string) string { return _pdfStringEscaper.Replace(s) }

@@ -64,7 +64,7 @@ func TestBrandSiteAndCloneLookAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := imaging.DefaultMatcher()
-	ok, dp, dd := m.Match(imaging.Sign(legit.Screenshot), imaging.Sign(phish.Screenshot))
+	ok, dp, dd := m.Match(imaging.Sign(legit.RenderScreenshot()), imaging.Sign(phish.RenderScreenshot()))
 	if !ok {
 		t.Errorf("clone should fuzzy-match the brand page: pHash=%d dHash=%d", dp, dd)
 	}
@@ -75,7 +75,7 @@ func TestBrandSiteAndCloneLookAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _, _ := m.Match(imaging.Sign(legit.Screenshot), imaging.Sign(other.Screenshot)); ok {
+	if ok, _, _ := m.Match(imaging.Sign(legit.RenderScreenshot()), imaging.Sign(other.RenderScreenshot())); ok {
 		t.Error("different brands must not fuzzy-match")
 	}
 }
@@ -332,7 +332,7 @@ func TestHueRotateSiteStillMatchesFuzzyHashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := imaging.DefaultMatcher()
-	if ok, dp, dd := m.Match(imaging.Sign(legit.Screenshot), imaging.Sign(phish.Screenshot)); !ok {
+	if ok, dp, dd := m.Match(imaging.Sign(legit.RenderScreenshot()), imaging.Sign(phish.RenderScreenshot())); !ok {
 		t.Errorf("hue-rotate must not defeat the classifier: pHash=%d dHash=%d", dp, dd)
 	}
 }

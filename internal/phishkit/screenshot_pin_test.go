@@ -53,7 +53,7 @@ func screenshotPinPages(t *testing.T) map[string]*imaging.Image {
 			if err != nil {
 				t.Fatalf("%s: %v", page.name, err)
 			}
-			shots[page.name] = res.Screenshot
+			shots[page.name] = res.RenderScreenshot()
 		}
 	}
 	return shots
