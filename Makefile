@@ -6,18 +6,18 @@ BENCHTIME ?= 0.2s
 BENCHCOUNT ?= 5
 PR ?= 10
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve benchquick tracecheck triagecheck servecheck perfbench fuzz-smoke
+.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve perfsmoke tracecheck triagecheck servecheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, vet, the
 # cblint invariant linter in baseline and SARIF modes plus its own test
 # suite under the race detector (DESIGN.md §9, §13), the full test suite
 # (plain and under the race detector — the race run includes the
-# workers-1-vs-8 determinism tests and the concurrent-census test), one pass
-# of the pipeline-throughput benchmarks (serial + worker pool), the trace
-# golden check (DESIGN.md §10), the triage-index golden gate (DESIGN.md
-# §14), the ingest replay-determinism gate (DESIGN.md §15), and the
-# benchmark module's own vet and tests.
-check: build vet lint lint-sarif lint-test test race benchquick tracecheck triagecheck servecheck perfbench
+# workers-1-vs-8 determinism tests and the concurrent-census test), a
+# small-scale run of the repository benchmark, the trace golden check
+# (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
+# ingest replay-determinism gate (DESIGN.md §15), and the benchmark
+# module's own vet and tests.
+check: build vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck servecheck perfbench
 
 build:
 	$(GO) build ./...
@@ -51,9 +51,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# benchquick is the smoke-level benchmark pass used by check.
-benchquick:
-	$(GO) test -run='^$$' -bench=BenchmarkPipelineThroughput -benchtime=1x .
+# perfsmoke is the executed benchmark in check: the repository benchmark
+# (perfbench/, BENCHMARK.json) on the rereport and replay workloads at 5%
+# scale for one second each. Each run records ingest journals, replays
+# them, and fails on any of perfbench's correctness checks; build products
+# stay under .bench_build/.
+perfsmoke:
+	bash perfbench/run.sh --workload rereport --scale 0.05 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload replay --scale 0.05 --seconds 1 --trace 0
 
 # tracecheck replays the example corpus with tracing and 10% fault injection
 # on, and diffs both exports against the committed goldens

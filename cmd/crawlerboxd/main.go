@@ -27,7 +27,8 @@
 // outside -replay (a daemon's buffered traces would grow with its uptime).
 // -serve exposes the ingest API over HTTP:
 //
-//	POST /api/submit      — submit one spec {"id":N,"at":RFC3339,"raw":BASE64}
+//	POST /api/submit      — submit one spec {"id":N,"at":RFC3339,"raw":BASE64};
+//	                        409 if the ID was already submitted
 //	GET  /api/stats       — counters + pending depth (JSON)
 //	GET  /api/verdict?id=N — the emitted verdict for one message (JSON)
 package main
@@ -313,6 +314,8 @@ func daemonMux(svc *ingest.Service) *http.ServeMux {
 			climain.WriteJSON(w, map[string]int64{"accepted": spec.ID})
 		case errors.Is(err, ingest.ErrOverloaded), errors.Is(err, ingest.ErrDraining):
 			climain.HTTPError(w, http.StatusServiceUnavailable, err.Error())
+		case errors.Is(err, ingest.ErrDuplicateID):
+			climain.HTTPError(w, http.StatusConflict, err.Error())
 		default:
 			climain.HTTPError(w, http.StatusInternalServerError, err.Error())
 		}

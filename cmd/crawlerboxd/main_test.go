@@ -265,3 +265,70 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 		t.Fatalf("spec just under maxSubmitBytes: status %d, want 202", got)
 	}
 }
+
+// TestSubmitDuplicateIDConflict pins the duplicate-ID answer: a second
+// submission of an ID is answered 409 and not journaled, so the daemon
+// restarts on its journal, and the restarted daemon still answers 409
+// for the recovered ID.
+func TestSubmitDuplicateIDConflict(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.log")
+	keyer := func(raw []byte) string { return string(raw) }
+	ra := &releasableAnalyzer{release: make(chan struct{})}
+	ra.Release()
+	start := func(log *ingest.Log, state *ingest.LogState) (*ingest.Service, *httptest.Server) {
+		svc := ingest.NewService(ra, keyer, log, ingest.WithWorkers(1))
+		svc.Start(context.Background())
+		if state != nil {
+			if err := svc.Resume(context.Background(), state); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return svc, httptest.NewServer(daemonMux(svc))
+	}
+	post := func(ts *httptest.Server, body string) int {
+		resp, err := http.Post(ts.URL+"/api/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	log, err := ingest.CreateLog(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := start(log, nil)
+	if got := post(ts, `{"id":1,"raw":"YQ=="}`); got != http.StatusAccepted {
+		t.Fatalf("first submit of id 1: status %d, want 202", got)
+	}
+	if got := post(ts, `{"id":1,"raw":"Yg=="}`); got != http.StatusConflict {
+		t.Fatalf("second submit of id 1: status %d, want 409", got)
+	}
+	ts.Close()
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := ingest.ReadLog(journal)
+	if err != nil {
+		t.Fatalf("restart: reading the journal: %v", err)
+	}
+	if len(state.Specs) != 1 || len(state.Done) != 1 {
+		t.Fatalf("journal holds %d specs and %d done records, want 1 and 1", len(state.Specs), len(state.Done))
+	}
+	if log, err = ingest.OpenLog(journal); err != nil {
+		t.Fatal(err)
+	}
+	svc, ts = start(log, state)
+	defer ts.Close()
+	if got := post(ts, `{"id":1,"raw":"Yw=="}`); got != http.StatusConflict {
+		t.Fatalf("restarted daemon, submit of id 1: status %d, want 409", got)
+	}
+	if got := post(ts, `{"id":2,"raw":"Yw=="}`); got != http.StatusAccepted {
+		t.Fatalf("restarted daemon, submit of id 2: status %d, want 202", got)
+	}
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

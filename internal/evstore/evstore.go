@@ -79,7 +79,10 @@ const (
 	// and span records; always the final record of a finalized segment.
 	KindTraceIndex Kind = 6
 	// KindIngestSpec is one submitted message spec in a continuous-ingest
-	// log (ingest.Spec as JSON): the append-only record of accepted work.
+	// log: the append-only record of accepted work. The payload is either
+	// ingest's binary spec record (a version byte, then ID, analysis time
+	// and the raw message verbatim) or, in journals written before it,
+	// ingest.Spec as JSON; the first byte tells them apart.
 	KindIngestSpec Kind = 7
 	// KindIngestDone is one emitted verdict in a continuous-ingest log
 	// (ingest.Emitted as JSON); a spec with a matching done record is
@@ -182,8 +185,23 @@ func Open(path string) (*Store, error) {
 //
 //cblint:hotpath
 func (s *Store) Append(kind Kind, payload []byte) (Handle, error) {
-	if len(payload) > MaxRecordSize {
-		return Handle{}, fmt.Errorf("evstore: payload %d exceeds max %d", len(payload), MaxRecordSize)
+	return s.AppendParts(kind, payload)
+}
+
+// AppendParts writes one record whose payload is the concatenation of
+// parts, without first joining them into one buffer: a caller that frames
+// a large body behind a small header (the ingest journal's spec record)
+// appends both as they are. The record is identical to Append of the
+// joined payload.
+//
+//cblint:hotpath
+func (s *Store) AppendParts(kind Kind, parts ...[]byte) (Handle, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxRecordSize {
+		return Handle{}, fmt.Errorf("evstore: payload %d exceeds max %d", n, MaxRecordSize)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,18 +211,24 @@ func (s *Store) Append(kind Kind, payload []byte) (Handle, error) {
 	if s.w == nil {
 		return Handle{}, ErrReadOnly
 	}
+	var sum uint32
+	for _, p := range parts {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
 	var hdr [recordHeaderSize]byte
 	hdr[0] = byte(kind)
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	h := Handle{Offset: s.size, Len: uint32(len(payload))}
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(n))
+	binary.BigEndian.PutUint32(hdr[5:9], sum)
+	h := Handle{Offset: s.size, Len: uint32(n)}
 	if _, err := s.w.Write(hdr[:]); err != nil {
 		return Handle{}, err
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return Handle{}, err
+	for _, p := range parts {
+		if _, err := s.w.Write(p); err != nil {
+			return Handle{}, err
+		}
 	}
-	s.size += recordHeaderSize + int64(len(payload))
+	s.size += recordHeaderSize + int64(n)
 	return h, nil
 }
 

@@ -220,3 +220,59 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendPartsMatchesAppend pins that a record appended in parts is
+// byte-for-byte the record Append writes for the joined payload: same
+// framing, same checksum, same handle.
+func TestAppendPartsMatchesAppend(t *testing.T) {
+	dir := t.TempDir()
+	big := bytes.Repeat([]byte{0xCD}, 70_000) // spans the write buffer
+	cases := [][][]byte{
+		{[]byte("head"), []byte("body")},
+		{[]byte("only")},
+		{},
+		{nil, []byte("x"), {}},
+		{[]byte("hdr"), big},
+	}
+	joinedPath, partsPath := filepath.Join(dir, "joined.bin"), filepath.Join(dir, "parts.bin")
+	joined, err := Create(joinedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := Create(partsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		hj, err := joined.Append(KindIngestSpec, bytes.Join(c, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := parts.AppendParts(KindIngestSpec, c...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hj != hp {
+			t.Fatalf("case %d: handle %+v, want %+v", i, hp, hj)
+		}
+	}
+	if err := joined.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := parts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(joinedPath)
+	b, _ := os.ReadFile(partsPath)
+	if !bytes.Equal(a, b) {
+		t.Fatal("AppendParts wrote a different file than Append of the joined payloads")
+	}
+	over, err := Create(filepath.Join(dir, "over.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Close()
+	if _, err := over.AppendParts(KindIngestSpec, make([]byte, MaxRecordSize), []byte("x")); err == nil {
+		t.Fatal("AppendParts accepted a payload over MaxRecordSize")
+	}
+}

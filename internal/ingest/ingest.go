@@ -40,6 +40,12 @@ import (
 // the spec is NOT journaled, so a later resubmission is safe.
 var ErrOverloaded = errors.New("ingest: service overloaded")
 
+// ErrDuplicateID is returned by Submit for a message ID the service has
+// already accepted or recovered from its journal. The spec is not
+// journaled: a journal holding one ID twice cannot be read back, and the
+// ID keys the verdict.
+var ErrDuplicateID = errors.New("ingest: duplicate message id")
+
 // ErrDraining is returned by Submit after Drain has begun.
 var ErrDraining = errors.New("ingest: service draining")
 
@@ -206,6 +212,9 @@ type Service struct {
 	nextJob  int         // guarded by mu
 	draining bool        // read/written under admitMu (see submitLocked/Drain)
 	emitErr  error       // guarded by mu
+	// ids holds every accepted or resumed message ID; read/written under
+	// admitMu (see submitLocked/Resume).
+	ids map[int64]struct{}
 }
 
 // NewService assembles a service around an analyzer and a cache keyer.
@@ -224,6 +233,7 @@ func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
 		// blocks for backpressure.
 		jobs:     make(chan crawlerbox.IndexedSpec, 2*o.workers),
 		inflight: map[int]job{},
+		ids:      map[int64]struct{}{},
 	}
 	if !o.cacheOff {
 		s.cache = newVerdictCache()
@@ -256,7 +266,8 @@ func (s *Service) Start(ctx context.Context) {
 // Submit admits one reported message: journal, admission control, cache
 // consult, then either an immediate cached emission or a queued fresh
 // analysis. Submissions are totally ordered; a full work queue blocks
-// (backpressure) until a worker frees a slot or ctx is cancelled.
+// (backpressure) until a worker frees a slot or ctx is cancelled. An ID
+// already accepted fails with ErrDuplicateID before anything is journaled.
 func (s *Service) Submit(ctx context.Context, spec Spec) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
@@ -284,6 +295,9 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 	if s.draining {
 		return ErrDraining
 	}
+	if _, dup := s.ids[spec.ID]; dup {
+		return fmt.Errorf("%w %d", ErrDuplicateID, spec.ID)
+	}
 	s.mu.Lock()
 	if s.o.maxPending > 0 && s.pending >= s.o.maxPending {
 		s.counters.Rejected++
@@ -297,6 +311,7 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 			return fmt.Errorf("ingest: journaling spec %d: %w", spec.ID, err)
 		}
 	}
+	s.ids[spec.ID] = struct{}{}
 
 	key := s.keyer(spec.Raw)
 	if key == "" || s.cache == nil {
@@ -406,7 +421,8 @@ func (s *Service) emitError() error {
 // verbatim (their provenance preserved, no re-journaling), fresh done
 // records warm the cache, and the remaining specs re-enter admission in
 // log order. A daemon restarted on its own log therefore neither loses
-// nor re-analyzes work.
+// nor re-analyzes work. Every recovered ID counts as accepted, so a later
+// Submit of one fails with ErrDuplicateID.
 func (s *Service) Resume(ctx context.Context, state *LogState) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
@@ -415,6 +431,7 @@ func (s *Service) Resume(ctx context.Context, state *LogState) error {
 	}
 	for _, spec := range state.Specs {
 		if e, ok := state.Done[spec.ID]; ok {
+			s.ids[spec.ID] = struct{}{}
 			if s.cache != nil && e.Provenance == ProvenanceFresh && e.Key != "" {
 				s.cache.warm(e.Key, e.ID, e.Verdict)
 			}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -395,5 +396,63 @@ func TestLogRoundTrip(t *testing.T) {
 	got, ok := state.Done[1]
 	if !ok || got.Verdict.Outcome != "error-page" || got.Provenance != ProvenanceFresh {
 		t.Fatalf("done record round-trip = %+v (ok=%v)", got, ok)
+	}
+}
+
+// TestDuplicateIDRejected pins duplicate-ID admission: a repeated message
+// ID fails with ErrDuplicateID and is not journaled, so the journal still
+// reads back, and a service resumed from it rejects the recovered IDs.
+func TestDuplicateIDRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	keyer := func(raw []byte) string { return string(raw) }
+	ctx := context.Background()
+	log, err := CreateLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	svc := NewService(ba, keyer, log, WithWorkers(1))
+	svc.Start(ctx)
+	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("a")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("b")}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("second Submit of id 1 = %v, want ErrDuplicateID", err)
+	}
+	if counters, _ := svc.Stats(); counters.Submitted != 1 {
+		t.Fatalf("counters = %+v, want one submission", counters)
+	}
+	ba.Release()
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := ReadLog(path)
+	if err != nil {
+		t.Fatalf("journal unreadable after a duplicate submission: %v", err)
+	}
+	if len(state.Specs) != 1 || string(state.Specs[0].Raw) != "a" {
+		t.Fatalf("journal specs = %+v, want only the first submission", state.Specs)
+	}
+	log, err = OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc = NewService(ba, keyer, log, WithWorkers(1))
+	svc.Start(ctx)
+	if err := svc.Resume(ctx, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("c")}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("Submit of a resumed id = %v, want ErrDuplicateID", err)
+	}
+	if err := svc.Submit(ctx, Spec{ID: 2, Raw: []byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if state, err := ReadLog(path); err != nil || len(state.Specs) != 2 {
+		t.Fatalf("journal after resume: %v specs, err %v", state, err)
 	}
 }

@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,6 +21,68 @@ type Spec struct {
 	At time.Time `json:"at"`
 	// Raw is the RFC 5322 message bytes (base64 in the JSON encoding).
 	Raw []byte `json:"raw"`
+}
+
+// specRecordV1 is the first byte of a binary spec record. A JSON spec
+// record, the only form journals held before the binary one, always
+// starts with '{'.
+const specRecordV1 = 1
+
+// specHeaderMax bounds the binary record's fixed part: version, ID,
+// time-length byte, and the RFC 3339 time.
+const specHeaderMax = 1 + 8 + 1 + len(time.RFC3339Nano)
+
+// appendSpecHeader appends the binary spec record's header to b:
+//
+//	[1] version  specRecordV1
+//	[8] id       big-endian int64
+//	[1] n        length of the time text
+//	[n] at       s.At as RFC 3339 text (time.Time.MarshalText)
+//
+// The raw message follows the header verbatim, up to the end of the
+// payload. At is kept as the same RFC 3339 text the JSON record held, so
+// a decoded At equals the JSON round trip's, Location included: a zero
+// offset reads back as UTC and any other offset as Local when Local has
+// that offset at that instant, else as an unnamed fixed zone. An At that
+// JSON cannot encode (a year outside 0-9999) fails here too.
+func appendSpecHeader(b []byte, s Spec) ([]byte, error) {
+	at, err := s.At.MarshalText()
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, specRecordV1)
+	b = binary.BigEndian.AppendUint64(b, uint64(s.ID))
+	b = append(b, byte(len(at)))
+	return append(b, at...), nil
+}
+
+// errShortSpec reports a binary spec record cut short of its header.
+var errShortSpec = errors.New("binary spec record shorter than its header")
+
+// decodeSpec decodes one KindIngestSpec payload in either form. Raw is
+// copied out of payload, which may alias a mapping the caller unmaps.
+func decodeSpec(payload []byte) (Spec, error) {
+	var s Spec
+	if len(payload) == 0 || payload[0] != specRecordV1 {
+		err := json.Unmarshal(payload, &s)
+		return s, err
+	}
+	if len(payload) < 1+8+1 {
+		return Spec{}, errShortSpec
+	}
+	s.ID = int64(binary.BigEndian.Uint64(payload[1:9]))
+	n := int(payload[9])
+	rest := payload[10:]
+	if len(rest) < n {
+		return Spec{}, errShortSpec
+	}
+	if err := s.At.UnmarshalText(rest[:n]); err != nil {
+		return Spec{}, err
+	}
+	if raw := rest[n:]; len(raw) > 0 {
+		s.Raw = append([]byte(nil), raw...)
+	}
+	return s, nil
 }
 
 // Log is the service's append-only ingest journal: an evstore file holding
@@ -55,16 +119,19 @@ func OpenLog(path string) (*Log, error) {
 	return &Log{ev: ev}, nil
 }
 
-// AppendSpec journals one accepted submission.
+// AppendSpec journals one accepted submission as a binary spec record
+// (see appendSpecHeader). The raw message is written as it is, with no
+// copy into a payload buffer.
 func (l *Log) AppendSpec(s Spec) error {
 	if l == nil {
 		return nil
 	}
-	payload, err := json.Marshal(s)
+	var buf [specHeaderMax]byte
+	hdr, err := appendSpecHeader(buf[:0], s)
 	if err != nil {
 		return err
 	}
-	if _, err := l.ev.Append(evstore.KindIngestSpec, payload); err != nil {
+	if _, err := l.ev.AppendParts(evstore.KindIngestSpec, hdr, s.Raw); err != nil {
 		return err
 	}
 	return l.ev.Flush()
@@ -114,8 +181,8 @@ func ReadLog(path string) (*LogState, error) {
 	err = ev.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
 		switch kind {
 		case evstore.KindIngestSpec:
-			var s Spec
-			if err := json.Unmarshal(payload, &s); err != nil {
+			s, err := decodeSpec(payload)
+			if err != nil {
 				scanErr = fmt.Errorf("ingest: decoding spec record: %w", err)
 				return false
 			}

@@ -40,6 +40,9 @@ func FuzzParseMessage(f *testing.F) {
 	// uncopied by normalizeCRLF, and the header parse appended CRLF to it,
 	// writing into the caller's spare capacity.
 	f.Add([]byte("Subject: hi"))
+	// Multipart nested to the depth bound and past it (ErrTooDeep).
+	f.Add(nestedMultipart(MaxDepth))
+	f.Add(nestedMultipart(MaxDepth + 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const sentinel, spare = 0xA5, 8
 		buf := make([]byte, len(raw), len(raw)+spare)

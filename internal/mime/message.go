@@ -135,22 +135,28 @@ func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
 	// Normalize bare LF to CRLF for the textproto reader.
 	normalized := normalizeCRLF(raw)
 	idx := bytes.Index(normalized, []byte("\r\n\r\n"))
-	// headerBytes is capped with a full slice expression: normalized may be
-	// the caller's own bytes, and the append below must not write into
-	// their spare capacity.
-	var headerBytes, body []byte
+	// block is the header block with the blank line that ends it, the
+	// form the textproto reader wants. normalized may be the caller's own
+	// bytes: body is capped with a full slice expression so an append to
+	// it cannot write into their spare capacity, and a header-only entity
+	// gets its blank line on a copy.
+	var block, body []byte
 	if idx < 0 {
 		// Header-only entity (empty body) is legal.
-		headerBytes = normalized[:len(normalized):len(normalized)]
-		body = nil
+		if len(bytes.TrimSpace(normalized)) == 0 {
+			return nil, nil, ErrNoHeaders
+		}
+		block = append(normalized[:len(normalized):len(normalized)], '\r', '\n')
 	} else {
-		headerBytes = normalized[: idx+2 : idx+2]
-		body = normalized[idx+4:]
+		if len(bytes.TrimSpace(normalized[:idx+2])) == 0 {
+			return nil, nil, ErrNoHeaders
+		}
+		block = normalized[:idx+4]
+		body = normalized[idx+4 : len(normalized) : len(normalized)]
 	}
-	if len(bytes.TrimSpace(headerBytes)) == 0 {
-		return nil, nil, ErrNoHeaders
-	}
-	r := textproto.NewReader(bufio.NewReader(bytes.NewReader(append(headerBytes, '\r', '\n'))))
+	// The reader's buffer holds the whole block, not bufio's default
+	// 4 KiB: one entity's headers are read once and never refilled.
+	r := textproto.NewReader(bufio.NewReaderSize(bytes.NewReader(block), len(block)))
 	header, err := r.ReadMIMEHeader()
 	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, nil, fmt.Errorf("mime: parsing headers: %w", err)
@@ -186,42 +192,57 @@ func normalizeCRLF(raw []byte) []byte {
 	return append(out, rest...)
 }
 
-// splitMultipart splits a multipart body into its raw part chunks.
+// splitMultipart splits a multipart body into its raw part chunks. The
+// body is a sequence of lines, each ended by CRLF except the last; a line
+// that is the delimiter "--boundary" or the close delimiter
+// "--boundary--", either one followed by any spaces and tabs, ends the
+// part before it, and the delimiter opens the next. A part's chunk is its
+// lines without the CRLF that ends the last of them. Lines before the
+// first delimiter are preamble, and a missing close delimiter (seen in
+// real phishing mail) ends the last part at the end of the body.
+//
+// Each chunk is a subslice of body, capped at its own end, so an append
+// to a chunk reallocates instead of writing over the bytes after it.
+// Only lines that start with "--" can be delimiters, so the scan jumps
+// from one such line to the next.
 func splitMultipart(body []byte, boundary string) ([][]byte, error) {
-	delim := []byte("--" + boundary)
+	closeDelim := []byte("--" + boundary + "--")
+	delim := closeDelim[:len(closeDelim)-2]
 	var chunks [][]byte
-	lines := bytes.Split(body, []byte("\r\n"))
-	var current []byte
-	inPart := false
-	closed := false
-	for _, line := range lines {
+	start := -1 // offset of the open part's first line; -1 outside a part
+	for ls := 0; ls < len(body); {
+		// ls is the offset of a line start.
+		if !bytes.HasPrefix(body[ls:], delimPrefix) {
+			i := bytes.Index(body[ls:], lineDelimPrefix)
+			if i < 0 {
+				break
+			}
+			ls += i + 2
+		}
+		line, next := body[ls:], len(body)
+		if le := bytes.Index(line, crlf); le >= 0 {
+			line, next = line[:le], ls+le+2
+		}
 		trimmed := bytes.TrimRight(line, " \t")
-		switch {
-		case bytes.Equal(trimmed, delim):
-			if inPart {
-				chunks = append(chunks, trimTrailingCRLF(current))
+		isDelim := bytes.Equal(trimmed, delim)
+		if isDelim || bytes.Equal(trimmed, closeDelim) {
+			if start >= 0 {
+				end := ls - 2 // the CRLF that ends the part's last line
+				if end < start {
+					end = start // no lines between the delimiters
+				}
+				chunks = append(chunks, body[start:end:end])
 			}
-			current = nil
-			inPart = true
-		case bytes.Equal(trimmed, append(append([]byte{}, delim...), '-', '-')):
-			if inPart {
-				chunks = append(chunks, trimTrailingCRLF(current))
+			if !isDelim {
+				start = -1
+				break
 			}
-			inPart = false
-			closed = true
-		default:
-			if inPart {
-				current = append(current, line...)
-				current = append(current, '\r', '\n')
-			}
+			start = next
 		}
-		if closed {
-			break
-		}
+		ls = next
 	}
-	if !closed && inPart {
-		// Tolerate a missing closing delimiter (seen in real phishing mail).
-		chunks = append(chunks, trimTrailingCRLF(current))
+	if start >= 0 {
+		chunks = append(chunks, body[start:len(body):len(body)])
 	}
 	if len(chunks) == 0 {
 		return nil, fmt.Errorf("mime: no parts found for boundary %q", boundary)
@@ -229,9 +250,12 @@ func splitMultipart(body []byte, boundary string) ([][]byte, error) {
 	return chunks, nil
 }
 
-func trimTrailingCRLF(b []byte) []byte {
-	return bytes.TrimSuffix(b, []byte("\r\n"))
-}
+// The byte patterns splitMultipart scans for.
+var (
+	crlf            = []byte("\r\n")
+	delimPrefix     = []byte("--")
+	lineDelimPrefix = []byte("\r\n--")
+)
 
 // decodeTransfer decodes a Content-Transfer-Encoding.
 func decodeTransfer(body []byte, encoding string) ([]byte, error) {
@@ -239,16 +263,20 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 	case "", "7bit", "8bit", "binary":
 		return body, nil
 	case "base64":
-		cleaned := removeWhitespace(body)
-		out := make([]byte, base64.StdEncoding.DecodedLen(len(cleaned)))
-		n, err := base64.StdEncoding.Decode(out, cleaned)
+		// The decoder skips CR and LF itself, so a body without spaces or
+		// tabs decodes without a stripped copy. On an error the stripped
+		// copy is decoded anyway: its error text, whose offset counts the
+		// stripped input, is the one callers see.
+		if bytes.IndexByte(body, ' ') < 0 && bytes.IndexByte(body, '\t') < 0 {
+			if out, err := decodeBase64(body); err == nil {
+				return out, nil
+			}
+		}
+		out, err := decodeBase64(removeWhitespace(body))
 		if err != nil {
 			return nil, fmt.Errorf("mime: decoding base64 body: %w", err)
 		}
-		if n > len(out) {
-			n = len(out)
-		}
-		return out[:n], nil
+		return out, nil
 	case "quoted-printable":
 		out, err := io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
 		if err != nil {
@@ -258,6 +286,16 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("mime: unsupported transfer encoding %q", encoding)
 	}
+}
+
+// decodeBase64 decodes standard base64, skipping CR and LF.
+func decodeBase64(src []byte) ([]byte, error) {
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(out, src)
+	if n > len(out) {
+		n = len(out)
+	}
+	return out[:n], err
 }
 
 func removeWhitespace(b []byte) []byte {
