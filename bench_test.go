@@ -8,14 +8,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"crawlerbox/internal/crawler"
-	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/imaging"
-	"crawlerbox/internal/mime"
-	"crawlerbox/internal/phishkit"
 	"crawlerbox/internal/qrcode"
 	"crawlerbox/internal/report"
 	"crawlerbox/internal/tracestore"
@@ -173,65 +169,6 @@ func BenchmarkChallengeServiceShare(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Logf("Turnstile %.1f%% / reCAPTCHA %.1f%% (paper: 74.4%% / 24.8%%)", ts, rc)
-}
-
-// BenchmarkPipelineThroughput measures end-to-end message analysis
-// (Figure 1's pipeline): parse + crawl + classify + enrich per message.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	world := NewWorld(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
-	pipe, err := world.NewPipeline(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	raw := mime.NewBuilder("attacker@phish.ru", "victim@corp.example",
-		"Action required", time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC)).
-		Text("Please verify your account at https://nonexistent-host.example/login").
-		Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipe.AnalyzeMessage(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineThroughputParallel measures corpus-batch analysis through
-// AnalyzeCorpus at workers=1 (the serial baseline) and workers=8. The
-// sub-benchmarks analyze the same 128-message slice of a tenth-scale corpus;
-// their msgs/s delta is the worker pool's speedup (recorded in
-// EXPERIMENTS.md — on a single-CPU host the delta measures pool overhead
-// instead, and must stay near parity).
-func BenchmarkPipelineThroughputParallel(b *testing.B) {
-	c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe := crawlerbox.New(c.Net, c.Registry)
-	for _, br := range phishkit.StudyBrands {
-		if err := pipe.AddReference(context.Background(), br.Name, c.BrandURLs[br.Name]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	msgs := c.Messages
-	if len(msgs) > 128 {
-		msgs = msgs[:128]
-	}
-	specs := make([]crawlerbox.MessageSpec, len(msgs))
-	for i, m := range msgs {
-		specs[i] = crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, res := range pipe.AnalyzeCorpus(context.Background(), specs, workers) {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*len(specs))/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
 }
 
 // BenchmarkFaultyQRBug measures the faulty-QR extraction divergence: encode

@@ -95,12 +95,20 @@ type RequestRecord struct {
 	Err       string
 }
 
-// page is the per-document execution context.
+// page is the per-document execution context. Its script realm (interp and
+// the objects setupEnvironment builds) exists only once the page runs
+// script; body, head, html, start and cookie hold what the realm reads of
+// the document as it was created, so a realm built later sees the same.
 type page struct {
 	br           *Browser
 	ctx          context.Context
 	url          *neturl.URL
 	doc          *htmlx.Node
+	body         *htmlx.Node
+	head         *htmlx.Node
+	html         *htmlx.Node
+	start        time.Time // the virtual clock when the document was created
+	cookie       string    // the cookie header when the document was created
 	interp       *minijs.Interp
 	domCache     map[*htmlx.Node]*minijs.Object
 	handlers     map[string][]handlerEntry
@@ -295,13 +303,15 @@ func (b *Browser) processDocument(ctx context.Context, pageURL, referrer, html s
 		ctx:      ctx,
 		url:      u,
 		doc:      htmlx.Parse(html),
-		interp:   minijs.New(b.ScriptFuel),
-		domCache: map[*htmlx.Node]*minijs.Object{},
+		start:    b.clock().Now(),
 		referrer: referrer,
 		rec:      rec,
 		depth:    depth,
 	}
-	pg.setupEnvironment()
+	pg.body = pg.findOrCreate("body")
+	pg.head = pg.findOrCreate("head")
+	pg.html = pg.findOrCreate("html")
+	pg.cookie = pg.cookieHeader()
 
 	// Subresources in document order.
 	for _, link := range htmlx.ExtractLinks(pg.doc) {
@@ -349,9 +359,14 @@ func (b *Browser) processDocument(ctx context.Context, pageURL, referrer, html s
 	return pg, nil
 }
 
-// runScript executes one script, recording its source for the census.
+// runScript executes one script, recording its source for the census. It
+// is the only way into the interpreter, so the first script a page runs
+// builds its realm.
 func (pg *page) runScript(src, kind string) {
 	pg.scripts = append(pg.scripts, src)
+	if pg.interp == nil {
+		pg.setupEnvironment()
+	}
 	pg.interp.AddFuel(pg.br.ScriptFuel)
 	if _, err := pg.interp.Eval(src); err != nil {
 		pg.errors = append(pg.errors, kind+": "+err.Error())

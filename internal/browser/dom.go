@@ -19,11 +19,7 @@ func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 
 	obj.Set("tagName", minijs.String(strings.ToUpper(node.Tag)))
 	obj.Set("id", minijs.String(node.Attr("id")))
-	styleObj := minijs.NewObject()
-	for _, kv := range parseStyle(node.Attr("style")) {
-		styleObj.Set(cssToCamel(kv[0]), minijs.String(kv[1]))
-	}
-	obj.Set("style", minijs.ObjectValue(styleObj))
+	obj.Set("style", minijs.ObjectValue(styleObject(node)))
 
 	obj.Set("getAttribute", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) == 0 {
@@ -97,6 +93,16 @@ func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 	return obj
 }
 
+// styleObject returns the style object an element's wrapper starts with:
+// the declarations of its style attribute, keyed in camel case.
+func styleObject(node *htmlx.Node) *minijs.Object {
+	style := minijs.NewObject()
+	for _, kv := range parseStyle(node.Attr("style")) {
+		style.Set(cssToCamel(kv[0]), minijs.String(kv[1]))
+	}
+	return style
+}
+
 // elementGetDynamic resolves element properties that must read live state.
 // It is installed as explicit getter methods because the interpreter has no
 // property traps; scripts in the corpus use the method forms too.
@@ -141,9 +147,7 @@ func (pg *page) processNewNode(node *htmlx.Node, obj *minijs.Object) {
 // documentObject builds the document global.
 func (pg *page) documentObject() *minijs.Object {
 	doc := minijs.NewObject()
-	body := pg.findOrCreate("body")
-	head := pg.findOrCreate("head")
-	docEl := pg.findOrCreate("html")
+	body, head, docEl := pg.body, pg.head, pg.html
 
 	doc.Set("title", minijs.String(pg.docTitle()))
 	bodyObj := pg.elementObject(body)
@@ -208,8 +212,9 @@ func (pg *page) documentObject() *minijs.Object {
 		}
 		return minijs.Undefined, nil
 	}))
-	// document.cookie: reads join the jar; writes append if enabled.
-	doc.Set("cookie", minijs.String(pg.cookieHeader()))
+	// document.cookie starts as the jar read when the document was
+	// created; setCookie writes the jar, if enabled, and reads it again.
+	doc.Set("cookie", minijs.String(pg.cookie))
 	doc.Set("setCookie", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) > 0 && pg.br.Profile.CookiesEnabled {
 			pg.br.setCookie(pg.host(), args[0].ToString())

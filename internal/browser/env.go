@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/minijs"
 	"crawlerbox/internal/webnet"
 )
@@ -24,11 +25,17 @@ type handlerEntry struct {
 	fn      minijs.Value
 }
 
-// setupEnvironment installs the browser-shaped global environment for a
-// page: window, navigator, screen, location, document, timers, console,
-// performance, XMLHttpRequest, and Intl.
+// setupEnvironment builds the page's script realm: an interpreter with the
+// browser-shaped global environment (window, navigator, screen, location,
+// document, timers, console, performance, XMLHttpRequest, and Intl).
+// runScript calls it before the page's first script runs. Nothing a script
+// can observe has changed since the document was created: the DOM changes
+// only under script, and the clock and cookie jar readings come from the
+// page's creation.
 func (pg *page) setupEnvironment() {
-	ip := pg.interp
+	ip := minijs.New(pg.br.ScriptFuel)
+	pg.interp = ip
+	pg.domCache = map[*htmlx.Node]*minijs.Object{}
 	prof := pg.br.Profile
 
 	// Virtual clock feeds Date.now().
@@ -116,7 +123,7 @@ func (pg *page) setupEnvironment() {
 	// stretched — the red-pill timing channel.
 	perf := minijs.NewObject()
 	startFuel := ip.Fuel()
-	startWall := pg.br.clock().Now()
+	startWall := pg.start
 	perf.Set("now", minijs.NewHostFunc(func(interp *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
 		wallMs := float64(pg.br.clock().Now().Sub(startWall).Microseconds()) / 1000
 		cpuMs := float64(startFuel-interp.Fuel()) / 5000
@@ -325,21 +332,28 @@ func (pg *page) addHandler(nodeKey any, eventType string, fn minijs.Value) {
 }
 
 // dispatchEvent fires handlers for an event type: node-specific handlers
-// for the target plus document/window-level handlers (bubble phase).
+// for the target plus document/window-level handlers (bubble phase). The
+// pointer position is drawn whether or not a handler runs, so the
+// browser's random stream does not depend on the page's handlers; the
+// event object is built only for a handler.
 func (pg *page) dispatchEvent(nodeKey any, eventType string, trusted bool) {
 	eventType = strings.ToLower(eventType)
-	event := minijs.NewObject()
-	event.Set("type", minijs.String(eventType))
-	event.Set("isTrusted", minijs.Bool(trusted))
-	event.Set("clientX", minijs.Number(pg.br.random()*640))
-	event.Set("clientY", minijs.Number(pg.br.random()*480))
-	event.Set("preventDefault", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
-		return minijs.Undefined, nil
-	}))
+	x, y := pg.br.random()*640, pg.br.random()*480
+	var event *minijs.Object
 	entries := append([]handlerEntry{}, pg.handlers[eventType]...)
 	for _, h := range entries {
 		if h.nodeKey != nil && h.nodeKey != nodeKey {
 			continue
+		}
+		if event == nil {
+			event = minijs.NewObject()
+			event.Set("type", minijs.String(eventType))
+			event.Set("isTrusted", minijs.Bool(trusted))
+			event.Set("clientX", minijs.Number(x))
+			event.Set("clientY", minijs.Number(y))
+			event.Set("preventDefault", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
+				return minijs.Undefined, nil
+			}))
 		}
 		pg.interp.AddFuel(pg.br.ScriptFuel / 8)
 		if _, err := pg.interp.CallFunction(h.fn, minijs.Undefined, []minijs.Value{minijs.ObjectValue(event)}); err != nil {
@@ -351,8 +365,9 @@ func (pg *page) dispatchEvent(nodeKey any, eventType string, trusted bool) {
 
 // checkNavigation detects navigation requested through property writes:
 // location.href = ..., window.location = ..., document.location = ...
+// A page without a realm has run no script, so nothing to detect.
 func (pg *page) checkNavigation() {
-	if pg.pendingNav != "" {
+	if pg.pendingNav != "" || pg.interp == nil {
 		return
 	}
 	current := pg.url.String()

@@ -41,6 +41,21 @@ func newShotState(pg *page) *shotState {
 		}
 		st.styles[node] = style.Object()
 	}
+	// The realm wraps body, head and html when it is built. A page that
+	// ran no script has no realm, and each of them paints with the style
+	// its untouched wrapper would hold: a few style keys match only in the
+	// wrapper's camel case.
+	for _, node := range [...]*htmlx.Node{pg.body, pg.head, pg.html} {
+		if _, wrapped := pg.domCache[node]; wrapped || node.Attr("style") == "" {
+			continue
+		}
+		if style := styleObject(node); len(style.Props) > 0 {
+			if st.styles == nil {
+				st.styles = map[*htmlx.Node]*minijs.Object{}
+			}
+			st.styles[node] = style
+		}
+	}
 	return st
 }
 

@@ -34,7 +34,15 @@ func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
 			defer restore()
 			pipe, specs := corpusPipeline(t, 1_000)
 			pipe.Stages = tc.stages
-			results := pipe.AnalyzeCorpus(context.Background(), specs, 4)
+			results := make([]crawlerbox.CorpusResult, len(specs))
+			ch := make(chan crawlerbox.IndexedSpec, len(specs))
+			for i, spec := range specs {
+				ch <- crawlerbox.IndexedSpec{Index: i, Spec: spec}
+			}
+			close(ch)
+			crawlerbox.AnalyzeStream(context.Background(), pipe.Analyze, ch, 4, func(_ int, res crawlerbox.CorpusResult) {
+				results[res.Index] = res
+			})
 			restore()
 
 			var visits, rendered int

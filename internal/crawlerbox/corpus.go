@@ -39,9 +39,11 @@ type IndexedSpec struct {
 // sink is called concurrently from the pool, but calls that share a worker
 // index are serialized — a sink that only touches per-worker state (a
 // per-worker census shard, say) needs no locking. Results are bitwise
-// deterministic regardless of workers for the same reasons as
-// AnalyzeCorpus: per-spec RNG streams keyed by spec.ID and private clock
-// forks per analysis.
+// deterministic regardless of workers: each message's RNG stream is keyed
+// by its spec.ID (not a shared counter), each analysis runs on its own
+// fork of the virtual clock (so latency and event-loop time never cross
+// analyses), and enrichment reads only the immutable background
+// passive-DNS ledger.
 //
 // On cancellation the pool keeps draining the channel (so the producer
 // never blocks) and reports each unstarted spec as Skipped with a wrapped
@@ -72,32 +74,4 @@ func AnalyzeStream(ctx context.Context, analyze func(context.Context, MessageSpe
 		}(w)
 	}
 	wg.Wait()
-}
-
-// AnalyzeCorpus analyzes a batch of messages with a bounded worker pool and
-// returns the results in input order. It is the slice-backed convenience
-// wrapper over AnalyzeStream with p.Analyze.
-//
-// Results are bitwise deterministic regardless of workers: each message's
-// RNG stream is keyed by its spec.ID (not a shared counter), each analysis
-// runs on its own fork of the virtual clock (so latency and event-loop time
-// never cross analyses), and enrichment reads only the immutable background
-// passive-DNS ledger. workers=1 degenerates to the serial loop; workers<1
-// is treated as 1.
-func (p *Pipeline) AnalyzeCorpus(ctx context.Context, specs []MessageSpec, workers int) []CorpusResult {
-	results := make([]CorpusResult, len(specs))
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	ch := make(chan IndexedSpec, max(workers, 1))
-	go func() {
-		defer close(ch)
-		for i := range specs {
-			ch <- IndexedSpec{Index: i, Spec: specs[i]}
-		}
-	}()
-	AnalyzeStream(ctx, p.Analyze, ch, workers, func(_ int, res CorpusResult) {
-		results[res.Index] = res
-	})
-	return results
 }

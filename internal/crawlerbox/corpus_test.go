@@ -93,7 +93,7 @@ func corpusSummaries(t *testing.T, workers int) []analysisSummary {
 	for i, m := range msgs {
 		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
 	}
-	results := pipe.AnalyzeCorpus(context.Background(), specs, workers)
+	results := analyzeAll(context.Background(), pipe, specs, workers)
 	out := make([]analysisSummary, len(results))
 	for i, r := range results {
 		if r.Err != nil {
@@ -139,7 +139,7 @@ func TestAnalyzeCorpusCancellation(t *testing.T) {
 		{Raw: buildMsg(t, "Click https://taken-down.example/login now"), ID: 1},
 		{Raw: buildMsg(t, "Click https://taken-down.example/login again"), ID: 2},
 	}
-	results := env.pipe.AnalyzeCorpus(ctx, specs, 2)
+	results := analyzeAll(ctx, env.pipe, specs, 2)
 	if len(results) != len(specs) {
 		t.Fatalf("results = %d, want %d", len(results), len(specs))
 	}
@@ -214,4 +214,19 @@ func TestDiffProbeStageInsertion(t *testing.T) {
 	if !ma.Probes[0].Cloaked {
 		t.Error("fingerprint-gated site must be flagged by the staged probe")
 	}
+}
+
+// analyzeAll runs specs through AnalyzeStream with p.Analyze and collects
+// the results in input order.
+func analyzeAll(ctx context.Context, p *Pipeline, specs []MessageSpec, workers int) []CorpusResult {
+	results := make([]CorpusResult, len(specs))
+	ch := make(chan IndexedSpec, len(specs))
+	for i, spec := range specs {
+		ch <- IndexedSpec{Index: i, Spec: spec}
+	}
+	close(ch)
+	AnalyzeStream(ctx, p.Analyze, ch, workers, func(_ int, res CorpusResult) {
+		results[res.Index] = res
+	})
+	return results
 }

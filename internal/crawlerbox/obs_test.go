@@ -36,7 +36,7 @@ func observedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte) {
 	for i, m := range msgs {
 		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
 	}
-	for i, r := range pipe.AnalyzeCorpus(context.Background(), specs, workers) {
+	for i, r := range analyzeAll(context.Background(), pipe, specs, workers) {
 		if r.Err != nil {
 			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
 		}
@@ -208,7 +208,7 @@ func TestCorpusCancellationObserved(t *testing.T) {
 		{Raw: buildMsg(t, "Click https://taken-down.example/login again"), ID: 2},
 		{Raw: buildMsg(t, "Click https://taken-down.example/login later"), ID: 3},
 	}
-	results := env.pipe.AnalyzeCorpus(ctx, specs, 2)
+	results := analyzeAll(ctx, env.pipe, specs, 2)
 	skipped := 0
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {

@@ -318,7 +318,7 @@ type MessageSpec struct {
 
 // AnalyzeMessage runs the full pipeline for one raw message with a seed
 // drawn from the pipeline counter — the serial, order-dependent entry
-// point. Corpus runs use Analyze/AnalyzeCorpus with explicit MessageSpecs.
+// point. Corpus runs use Analyze/AnalyzeStream with explicit MessageSpecs.
 func (p *Pipeline) AnalyzeMessage(raw []byte) (*MessageAnalysis, error) {
 	//cblint:ignore ctxflow AnalyzeMessage is the documented no-cancellation serial wrapper around Analyze
 	return p.Analyze(context.Background(), MessageSpec{Raw: raw, ID: p.nextSeed()})

@@ -35,7 +35,7 @@ func faultedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte, outcomes
 		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
 	}
 	outcomes = map[Outcome]int{}
-	for i, r := range pipe.AnalyzeCorpus(context.Background(), specs, workers) {
+	for i, r := range analyzeAll(context.Background(), pipe, specs, workers) {
 		if r.Err != nil {
 			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
 		}

@@ -27,7 +27,7 @@ var ErrHalt = errors.New("crawlerbox: analysis complete")
 // can be reordered, replaced, or instrumented via Pipeline.Stages.
 //
 // A Stage must be safe for concurrent use: one Stage value is shared by
-// every worker of AnalyzeCorpus, so all per-message state belongs on the
+// every worker of AnalyzeStream, so all per-message state belongs on the
 // Execution, never on the Stage.
 type Stage interface {
 	// Name identifies the stage in logs and instrumentation.

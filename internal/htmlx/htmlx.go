@@ -46,6 +46,13 @@ var _rawTextElements = map[string]bool{"script": true, "style": true, "textarea"
 func Parse(src string) *Node {
 	root := &Node{Kind: KindElement, Tag: "#document", Attrs: map[string]string{}}
 	cur := root
+	// depth counts the open elements below root. Once it passes
+	// walkDepth, open counts them by tag, root included, so a closing tag
+	// that matches none is skipped without walking up: a hostile page that
+	// nests deep and closes what it never opened would make a walk per
+	// closing tag quadratic. A shallow document never builds the map.
+	depth := 0
+	var open map[string]int
 	i := 0
 	n := len(src)
 	for i < n {
@@ -54,11 +61,10 @@ func Parse(src string) *Node {
 			if j < 0 {
 				j = n - i
 			}
-			text := src[i : i+j]
-			if strings.TrimSpace(text) != "" {
-				cur.Children = append(cur.Children, &Node{
-					Kind: KindText, Text: DecodeEntities(text), Parent: cur,
-				})
+			// Blank text is dropped once decoded: "&nbsp;" decodes to a
+			// space, which a render would write back as blank text.
+			if text := DecodeEntities(src[i : i+j]); strings.TrimSpace(text) != "" {
+				cur.Children = append(cur.Children, &Node{Kind: KindText, Text: text, Parent: cur})
 			}
 			i += j
 			continue
@@ -89,16 +95,26 @@ func Parse(src string) *Node {
 			if end < 0 {
 				break
 			}
-			name := strings.ToLower(strings.TrimSpace(src[i+2 : i+end]))
-			// Pop up to the matching open element, if present.
-			for p := cur; p != nil && p != root.Parent; p = p.Parent {
-				if p.Tag == name {
-					cur = p.Parent
-					break
+			name := strings.ToLower(trimSpace(src[i+2 : i+end]))
+			if open == nil && depth > walkDepth {
+				open = map[string]int{}
+				for p := cur; p != nil; p = p.Parent {
+					open[p.Tag]++
 				}
 			}
-			if cur == nil {
-				cur = root
+			// Pop up to the matching open element, if present.
+			p := cur
+			if open != nil && open[name] == 0 {
+				p = nil // nothing open to close
+			}
+			for p != nil && p.Tag != name {
+				p = p.Parent
+			}
+			for ; p != nil && cur != root && cur != p.Parent; cur = cur.Parent {
+				depth--
+				if open != nil {
+					open[cur.Tag]--
+				}
 			}
 			i += end + 1
 			continue
@@ -109,13 +125,15 @@ func Parse(src string) *Node {
 			break
 		}
 		raw := src[i+1 : tagEnd]
-		selfClose := strings.HasSuffix(strings.TrimSpace(raw), "/")
+		selfClose := strings.HasSuffix(trimSpace(raw), "/")
 		if selfClose {
-			raw = strings.TrimSuffix(strings.TrimSpace(raw), "/")
+			raw = strings.TrimSuffix(trimSpace(raw), "/")
 		}
 		name, attrs := parseTag(raw)
 		i = tagEnd + 1
-		if name == "" {
+		if name == "" || name[0] == '!' || name[0] == '?' || name[0] == '/' {
+			// "< !x>" and "< /x>" name no element: written back without
+			// the space, they would read as a doctype or a closing tag.
 			continue
 		}
 		el := &Node{Kind: KindElement, Tag: name, Attrs: attrs, Parent: cur}
@@ -143,34 +161,88 @@ func Parse(src string) *Node {
 		}
 		if !selfClose && !_voidElements[name] {
 			cur = el
+			depth++
+			if open != nil {
+				open[name]++
+			}
 		}
 	}
 	return root
 }
 
+// walkDepth is the nesting depth up to which Parse finds the element a
+// closing tag closes by walking up the open elements.
+const walkDepth = 64
+
 // findTagEnd returns the index of the '>' closing the tag that starts at
-// src[start] == '<', honoring quoted attribute values.
+// src[start] == '<', or -1. It reads the tag as parseTag does: a quote
+// opens a quoted value only right after an attribute's '=', and a '>'
+// anywhere else ends the tag. Quotes in a name quote nothing, so a tag
+// rendered back from the tree ends where the parsed one did.
 func findTagEnd(src string, start int) int {
-	var quote byte
-	for i := start + 1; i < len(src); i++ {
+	const (
+		name    = iota // the tag name
+		between        // spaces before an attribute name or after one
+		key            // an attribute name
+		equals         // after '=', before the value
+		value          // an unquoted value
+	)
+	i := start + 1
+	for i < len(src) && isSpace(src[i]) {
+		i++
+	}
+	state := name
+	for ; i < len(src); i++ {
 		c := src[i]
-		switch {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '"' || c == '\'':
-			quote = c
-		case c == '>':
+		if c == '>' {
 			return i
+		}
+		switch space := isSpace(c); state {
+		case name, value:
+			if space {
+				state = between
+			}
+		case between, key:
+			switch {
+			case c == '=':
+				state = equals
+			case space:
+				state = between
+			default:
+				state = key
+			}
+		case equals:
+			switch {
+			case c == '"' || c == '\'':
+				j := strings.IndexByte(src[i+1:], c)
+				if j < 0 {
+					return -1
+				}
+				i += j + 1
+				state = between
+			case !space:
+				state = value
+			}
 		}
 	}
 	return -1
 }
 
+// trimSpace trims the ASCII spaces the tag reader splits on, and no
+// others, so a name never loses a byte the reader would keep.
+func trimSpace(s string) string {
+	for len(s) > 0 && isSpace(s[0]) {
+		s = s[1:]
+	}
+	for len(s) > 0 && isSpace(s[len(s)-1]) {
+		s = s[:len(s)-1]
+	}
+	return s
+}
+
 // parseTag splits a raw tag body into its name and attribute map.
 func parseTag(raw string) (string, map[string]string) {
-	raw = strings.TrimSpace(raw)
+	raw = trimSpace(raw)
 	if raw == "" {
 		return "", nil
 	}
@@ -181,7 +253,9 @@ func parseTag(raw string) (string, map[string]string) {
 			break
 		}
 	}
-	name := strings.ToLower(raw[:nameEnd])
+	// A name keeps no trailing '/': "<a//>" is a self-closed "a", which
+	// renders back as "<a></a>".
+	name := strings.ToLower(strings.TrimRight(raw[:nameEnd], "/"))
 	attrs := map[string]string{}
 	i := nameEnd
 	for i < len(raw) {

@@ -292,3 +292,33 @@ func TestReplaceChildrenAndAppendChild(t *testing.T) {
 		t.Error("AppendChild failed")
 	}
 }
+
+// Past walkDepth, Parse finds the element a closing tag closes through
+// per-tag counts instead of a walk; the tree must be the one the walk
+// builds at any depth, and closing tags that match nothing must cost no
+// walk at all.
+func TestParseDeepClosingTagsMatchShallow(t *testing.T) {
+	doc := func(d int) string {
+		return strings.Repeat("<div>", d) + "<b><i>x</b></nope></div></div><p>y</p></#document><span>z</span>"
+	}
+	want := func(d int) string {
+		return strings.Repeat("<div>", d) + "<b><i>x</i></b>" + "</div></div><p>y</p>" +
+			strings.Repeat("</div>", d-2) + "<span>z</span>"
+	}
+	for _, d := range []int{3, walkDepth, walkDepth + 1, 10 * walkDepth} {
+		if got := Render(Parse(doc(d))); got != want(d) {
+			t.Errorf("depth %d:\n got %q\nwant %q", d, got, want(d))
+		}
+	}
+	// 100,000 unmatched closing tags under 100,000 open elements: a walk
+	// per closing tag would take 10^10 steps.
+	const n = 100_000
+	root := Parse(strings.Repeat("<div>", n) + strings.Repeat("</x>", n) + "<p>deep</p>")
+	depth := 0
+	for node := Find(root, "p")[0]; node.Parent != nil; node = node.Parent {
+		depth++
+	}
+	if depth != n+1 {
+		t.Errorf("the paragraph sits %d levels deep, want %d", depth, n+1)
+	}
+}

@@ -131,13 +131,13 @@ func (b *Builder) Build() []byte {
 	case len(bodies) == 1 && len(b.parts) == 0:
 		writePart(&buf, bodies[0], true)
 	default:
-		boundary := fmt.Sprintf("=_cbx_%x", b.date.UnixNano())
-		writeHeader("Content-Type", fmt.Sprintf("multipart/mixed; boundary=%q", boundary))
-		buf.WriteString("\r\n")
+		base := fmt.Sprintf("=_cbx_%x", b.date.UnixNano())
 		all := append(bodies, b.parts...)
 		if b.textBody != "" && b.htmlBody != "" {
-			// Wrap the two bodies in multipart/alternative.
-			altBoundary := boundary + "_alt"
+			// Wrap the two bodies in multipart/alternative. They are
+			// quoted-printable, which writes the boundary's leading '=' as
+			// "=3D", so no line of theirs can match it.
+			altBoundary := base + "_alt"
 			var alt bytes.Buffer
 			for _, p := range bodies {
 				fmt.Fprintf(&alt, "--%s\r\n", altBoundary)
@@ -150,13 +150,60 @@ func (b *Builder) Build() []byte {
 				body:        alt.Bytes(),
 			}}, b.parts...)
 		}
-		for _, p := range all {
-			fmt.Fprintf(&buf, "--%s\r\n", boundary)
-			writePart(&buf, p, false)
+		// The boundary is base unless a part carries a line the parser
+		// would take for one of its delimiters, as an attached message
+		// built at the same date does; then the first free base_N.
+		mark := buf.Len()
+		for n := 1; writeMultipart(&buf, base, all); n++ {
+			buf.Truncate(mark)
+			base = fmt.Sprintf("=_cbx_%x_%d", b.date.UnixNano(), n)
 		}
-		fmt.Fprintf(&buf, "--%s--\r\n", boundary)
 	}
 	return buf.Bytes()
+}
+
+// writeMultipart writes the Content-Type header and body of a
+// multipart/mixed message holding parts, delimited by boundary. It reports
+// whether a line of some part would read as a delimiter of boundary, in
+// which case the caller discards the output and picks another boundary.
+func writeMultipart(buf *bytes.Buffer, boundary string, parts []builtPart) (collides bool) {
+	fmt.Fprintf(buf, "Content-Type: multipart/mixed; boundary=%q\r\n\r\n", boundary)
+	for _, p := range parts {
+		fmt.Fprintf(buf, "--%s\r\n", boundary)
+		start := buf.Len()
+		writePart(buf, p, false)
+		if hasDelimiterLine(buf.Bytes()[start:], boundary) {
+			return true
+		}
+	}
+	fmt.Fprintf(buf, "--%s--\r\n", boundary)
+	return false
+}
+
+// hasDelimiterLine reports whether a line of part reads as a delimiter of
+// boundary the way splitMultipart reads one: once trailing spaces and tabs
+// are trimmed, the line is "--boundary" or "--boundary--". Lines end at LF,
+// with any CR before it dropped, since the parser turns a lone LF into CRLF
+// before it splits.
+func hasDelimiterLine(part []byte, boundary string) bool {
+	for len(part) > 0 {
+		line := part
+		if i := bytes.IndexByte(part, '\n'); i >= 0 {
+			line, part = part[:i], part[i+1:]
+		} else {
+			part = nil
+		}
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		line = bytes.TrimRight(line, " \t")
+		rest, ok := bytes.CutPrefix(line, []byte("--"))
+		if !ok || !bytes.HasPrefix(rest, []byte(boundary)) {
+			continue
+		}
+		if rest = rest[len(boundary):]; len(rest) == 0 || string(rest) == "--" {
+			return true
+		}
+	}
+	return false
 }
 
 func (b *Builder) bodyParts() []builtPart {

@@ -2,6 +2,7 @@ package mime
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,62 @@ func TestParseMultipartNoBoundaryFails(t *testing.T) {
 	raw := []byte("Content-Type: multipart/mixed\r\n\r\nbody\r\n")
 	if _, err := Parse(raw); err == nil {
 		t.Error("multipart without boundary should fail")
+	}
+}
+
+// A multipart message attached to one built at the same Date once shared
+// the outer boundary, so the outer split cut the attachment at its own
+// delimiter lines and it degraded to an opaque body. The outer boundary now
+// steps aside; a message without such a line keeps the date's boundary.
+func TestAttachEMLBuiltAtSameDateKeepsItsParts(t *testing.T) {
+	inner := NewBuilder("evil@phish.ru", "victim@corp.example", "inner lure", _testDate).
+		Text("visit https://evil-site.com/x").
+		HTML(`<a href="https://evil-site.com/x">verify</a>`).
+		Attach("application/pdf", "invoice.pdf", []byte("%PDF-1.4 invoice")).
+		Build()
+	outer := NewBuilder("fwd@corp.example", "soc@corp.example", "FW: suspicious", _testDate).
+		Text("see attached").
+		AttachEML("reported.eml", inner).Build()
+	p, err := Parse(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fmt.Sprintf("=_cbx_%x", _testDate.UnixNano())
+	if got := p.Params["boundary"]; got == base || !strings.HasPrefix(got, base) {
+		t.Errorf("outer boundary = %q, want one derived from but unlike the inner's %q", got, base)
+	}
+	var eml *Part
+	_ = Walk(p, func(q *Part) error {
+		if q.ContentType == "message/rfc822" {
+			eml = q
+		}
+		return nil
+	})
+	if eml == nil || len(eml.Children) != 1 {
+		t.Fatal("the attached message did not parse to a message of its own")
+	}
+	msg := eml.Children[0]
+	if msg.Subject() != "inner lure" || msg.Params["boundary"] != base {
+		t.Errorf("inner subject %q, boundary %q", msg.Subject(), msg.Params["boundary"])
+	}
+	var pdf, html bool
+	_ = Walk(msg, func(q *Part) error {
+		pdf = pdf || q.Filename == "invoice.pdf" && string(q.Body) == "%PDF-1.4 invoice"
+		html = html || q.ContentType == "text/html" && bytes.Contains(q.Body, []byte("evil-site.com"))
+		return nil
+	})
+	if !pdf || !html {
+		t.Errorf("inner parts: pdf attachment %v, html body %v", pdf, html)
+	}
+
+	// Without a colliding line, the boundary is the date's.
+	plain, err := Parse(NewBuilder("a@b.example", "c@d.example", "s", _testDate).
+		Text("t").Attach("text/plain", "a.txt", []byte("--"+base+"\r\n")).Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plain.Params["boundary"]; got != base {
+		t.Errorf("boundary without a collision = %q, want %q", got, base)
 	}
 }
 

@@ -9,181 +9,222 @@ import (
 	"strings"
 )
 
-// installBuiltins defines the standard global objects and functions. The
-// repertoire is chosen to cover what the cloaking scripts in the corpus
+// _builtins maps each standard global to the constructor of its value.
+// The repertoire is chosen to cover what the cloaking scripts in the corpus
 // actually use: atob/btoa for payload obfuscation, Math and JSON, parseInt,
 // RegExp for victim email validation, Error, Object.keys, Array.isArray,
 // String/Number/Boolean converters, and URI encoding helpers.
-func (ip *Interp) installBuiltins() {
-	ip.SetGlobal("NaN", Number(math.NaN()))
-	ip.SetGlobal("Infinity", Number(math.Inf(1)))
-	ip.SetGlobal("globalThis", Undefined) // patched by embedders with a window
+//
+// No interpreter installs them up front. A lookup that reaches the global
+// scope unbound builds the value into that interpreter's own globals (see
+// environment.lookup), so a realm pays only for the builtins its scripts
+// name, and no value is shared between interpreters. It is filled by init
+// because the Date builtin reads globals through the lookup that reads it.
+var _builtins map[string]func() Value
 
-	ip.SetGlobal("isNaN", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		return Bool(len(args) == 0 || math.IsNaN(args[0].ToNumber())), nil
-	}))
-	ip.SetGlobal("isFinite", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return False, nil
-		}
-		n := args[0].ToNumber()
-		return Bool(!math.IsNaN(n) && !math.IsInf(n, 0)), nil
-	}))
-	ip.SetGlobal("parseInt", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(math.NaN()), nil
-		}
-		s := strings.TrimSpace(args[0].ToString())
-		base := 10
-		if len(args) > 1 && !args[1].IsUndefined() {
-			base = int(args[1].ToNumber())
-		}
-		if base == 0 {
-			base = 10
-		}
-		neg := false
-		if strings.HasPrefix(s, "-") {
-			neg = true
-			s = s[1:]
-		} else {
-			s = strings.TrimPrefix(s, "+")
-		}
-		if base == 16 {
-			s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
-		}
-		end := 0
-		for end < len(s) {
-			d := digitVal(s[end])
-			if d < 0 || d >= base {
-				break
-			}
-			end++
-		}
-		if end == 0 {
-			return Number(math.NaN()), nil
-		}
-		n, err := strconv.ParseInt(s[:end], base, 64)
-		if err != nil {
-			return Number(math.NaN()), nil
-		}
-		if neg {
-			n = -n
-		}
-		return Number(float64(n)), nil
-	}))
-	ip.SetGlobal("parseFloat", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(math.NaN()), nil
-		}
-		s := strings.TrimSpace(args[0].ToString())
-		end := 0
-		seenDot, seenE := false, false
-		for end < len(s) {
-			c := s[end]
-			switch {
-			case c >= '0' && c <= '9':
-			case c == '.' && !seenDot && !seenE:
-				seenDot = true
-			case (c == 'e' || c == 'E') && !seenE && end > 0:
-				seenE = true
-			case (c == '+' || c == '-') && (end == 0 || s[end-1] == 'e' || s[end-1] == 'E'):
-			default:
-				goto done
-			}
-			end++
-		}
-	done:
-		if end == 0 {
-			return Number(math.NaN()), nil
-		}
-		n, err := strconv.ParseFloat(s[:end], 64)
-		if err != nil {
-			return Number(math.NaN()), nil
-		}
-		return Number(n), nil
-	}))
+func init() {
+	_builtins = map[string]func() Value{
+		"NaN":        func() Value { return Number(math.NaN()) },
+		"Infinity":   func() Value { return Number(math.Inf(1)) },
+		"globalThis": func() Value { return Undefined }, // embedders with a window may define it
 
-	stringGlobal := NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
+		"isNaN":              hostFunc(isNaNBuiltin),
+		"isFinite":           hostFunc(isFiniteBuiltin),
+		"parseInt":           hostFunc(parseIntBuiltin),
+		"parseFloat":         hostFunc(parseFloatBuiltin),
+		"String":             stringBuiltin,
+		"Number":             hostFunc(numberBuiltin),
+		"Boolean":            hostFunc(booleanBuiltin),
+		"atob":               hostFunc(atobBuiltin),
+		"btoa":               hostFunc(btoaBuiltin),
+		"encodeURIComponent": hostFunc(encodeURIComponentBuiltin),
+		"decodeURIComponent": hostFunc(decodeURIComponentBuiltin),
+
+		"Math":   mathBuiltin,
+		"JSON":   jsonBuiltin,
+		"Object": objectBuiltin,
+		"Array":  arrayBuiltin,
+		"Date":   dateBuiltin,
+		"RegExp": regexpBuiltin,
+	}
+	for _, name := range []string{"Error", "TypeError", "RangeError", "SyntaxError", "ReferenceError"} {
+		_builtins[name] = hostFunc(errorConstructor(name))
+	}
+}
+
+// hostFunc returns a constructor of fresh host function objects around fn.
+func hostFunc(fn HostFunc) func() Value {
+	return func() Value { return NewHostFunc(fn) }
+}
+
+func isNaNBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	return Bool(len(args) == 0 || math.IsNaN(args[0].ToNumber())), nil
+}
+
+func isFiniteBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return False, nil
+	}
+	n := args[0].ToNumber()
+	return Bool(!math.IsNaN(n) && !math.IsInf(n, 0)), nil
+}
+
+func parseIntBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(math.NaN()), nil
+	}
+	s := strings.TrimSpace(args[0].ToString())
+	base := 10
+	if len(args) > 1 && !args[1].IsUndefined() {
+		base = int(args[1].ToNumber())
+	}
+	if base == 0 {
+		base = 10
+	}
+	neg := false
+	if strings.HasPrefix(s, "-") {
+		neg = true
+		s = s[1:]
+	} else {
+		s = strings.TrimPrefix(s, "+")
+	}
+	if base == 16 {
+		s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
+	}
+	end := 0
+	for end < len(s) {
+		d := digitVal(s[end])
+		if d < 0 || d >= base {
+			break
+		}
+		end++
+	}
+	if end == 0 {
+		return Number(math.NaN()), nil
+	}
+	n, err := strconv.ParseInt(s[:end], base, 64)
+	if err != nil {
+		return Number(math.NaN()), nil
+	}
+	if neg {
+		n = -n
+	}
+	return Number(float64(n)), nil
+}
+
+func parseFloatBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(math.NaN()), nil
+	}
+	s := strings.TrimSpace(args[0].ToString())
+	end := 0
+	seenDot, seenE := false, false
+	for end < len(s) {
+		c := s[end]
+		switch {
+		case c >= '0' && c <= '9':
+		case c == '.' && !seenDot && !seenE:
+			seenDot = true
+		case (c == 'e' || c == 'E') && !seenE && end > 0:
+			seenE = true
+		case (c == '+' || c == '-') && (end == 0 || s[end-1] == 'e' || s[end-1] == 'E'):
+		default:
+			goto done
+		}
+		end++
+	}
+done:
+	if end == 0 {
+		return Number(math.NaN()), nil
+	}
+	n, err := strconv.ParseFloat(s[:end], 64)
+	if err != nil {
+		return Number(math.NaN()), nil
+	}
+	return Number(n), nil
+}
+
+// stringBuiltin builds the String converter with String.fromCharCode, the
+// workhorse of obfuscated kit payloads.
+func stringBuiltin() Value {
+	s := NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return String(""), nil
 		}
 		return String(args[0].ToString()), nil
 	})
-	// String.fromCharCode: the workhorse of obfuscated kit payloads.
-	stringGlobal.Object().Set("fromCharCode", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
+	s.Object().Set("fromCharCode", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		var sb strings.Builder
 		for _, a := range args {
 			sb.WriteRune(rune(int(a.ToNumber()) & 0x10FFFF))
 		}
 		return String(sb.String()), nil
 	}))
-	ip.SetGlobal("String", stringGlobal)
-	ip.SetGlobal("Number", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(0), nil
-		}
-		return Number(args[0].ToNumber()), nil
-	}))
-	ip.SetGlobal("Boolean", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		return Bool(len(args) > 0 && args[0].Truthy()), nil
-	}))
+	return s
+}
 
-	ip.SetGlobal("atob", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Undefined, Throw("InvalidCharacterError", "atob: missing argument")
-		}
-		decoded, err := base64.StdEncoding.DecodeString(strings.TrimSpace(args[0].ToString()))
-		if err != nil {
-			return Undefined, Throw("InvalidCharacterError", "atob: invalid base64")
-		}
-		return String(string(decoded)), nil
-	}))
-	ip.SetGlobal("btoa", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Undefined, Throw("InvalidCharacterError", "btoa: missing argument")
-		}
-		return String(base64.StdEncoding.EncodeToString([]byte(args[0].ToString()))), nil
-	}))
-	ip.SetGlobal("encodeURIComponent", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return String("undefined"), nil
-		}
-		return String(url.QueryEscape(args[0].ToString())), nil
-	}))
-	ip.SetGlobal("decodeURIComponent", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return String("undefined"), nil
-		}
-		out, err := url.QueryUnescape(args[0].ToString())
-		if err != nil {
-			return Undefined, Throw("URIError", "malformed URI sequence")
-		}
-		return String(out), nil
-	}))
+func numberBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(0), nil
+	}
+	return Number(args[0].ToNumber()), nil
+}
 
-	ip.SetGlobal("Math", ObjectValue(ip.mathObject()))
-	ip.SetGlobal("JSON", ObjectValue(ip.jsonObject()))
-	ip.SetGlobal("Object", ObjectValue(ip.objectBuiltin()))
-	ip.SetGlobal("Array", ObjectValue(ip.arrayBuiltin()))
-	ip.SetGlobal("Date", ip.dateBuiltin())
-	ip.SetGlobal("RegExp", ip.regexpBuiltin())
+func booleanBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	return Bool(len(args) > 0 && args[0].Truthy()), nil
+}
 
-	for _, name := range []string{"Error", "TypeError", "RangeError", "SyntaxError", "ReferenceError"} {
-		errName := name
-		ip.SetGlobal(errName, NewHostFunc(func(_ *Interp, this Value, args []Value) (Value, error) {
-			obj := this.Object()
-			if obj == nil {
-				obj = NewObject()
-			}
-			obj.Class = ClassError
-			obj.Set("name", String(errName))
-			msg := ""
-			if len(args) > 0 {
-				msg = args[0].ToString()
-			}
-			obj.Set("message", String(msg))
-			return ObjectValue(obj), nil
-		}))
+func atobBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Undefined, Throw("InvalidCharacterError", "atob: missing argument")
+	}
+	decoded, err := base64.StdEncoding.DecodeString(strings.TrimSpace(args[0].ToString()))
+	if err != nil {
+		return Undefined, Throw("InvalidCharacterError", "atob: invalid base64")
+	}
+	return String(string(decoded)), nil
+}
+
+func btoaBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Undefined, Throw("InvalidCharacterError", "btoa: missing argument")
+	}
+	return String(base64.StdEncoding.EncodeToString([]byte(args[0].ToString()))), nil
+}
+
+func encodeURIComponentBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return String("undefined"), nil
+	}
+	return String(url.QueryEscape(args[0].ToString())), nil
+}
+
+func decodeURIComponentBuiltin(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return String("undefined"), nil
+	}
+	out, err := url.QueryUnescape(args[0].ToString())
+	if err != nil {
+		return Undefined, Throw("URIError", "malformed URI sequence")
+	}
+	return String(out), nil
+}
+
+// errorConstructor builds the constructor of the named error class.
+func errorConstructor(name string) HostFunc {
+	return func(_ *Interp, this Value, args []Value) (Value, error) {
+		obj := this.Object()
+		if obj == nil {
+			obj = NewObject()
+		}
+		obj.Class = ClassError
+		obj.Set("name", String(name))
+		msg := ""
+		if len(args) > 0 {
+			msg = args[0].ToString()
+		}
+		obj.Set("message", String(msg))
+		return ObjectValue(obj), nil
 	}
 }
 
@@ -200,7 +241,7 @@ func digitVal(c byte) int {
 	}
 }
 
-func (ip *Interp) mathObject() *Object {
+func mathBuiltin() Value {
 	m := NewObject()
 	pure := func(fn func(float64) float64) Value {
 		return NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
@@ -255,10 +296,10 @@ func (ip *Interp) mathObject() *Object {
 	}))
 	m.Set("PI", Number(math.Pi))
 	m.Set("E", Number(math.E))
-	return m
+	return ObjectValue(m)
 }
 
-func (ip *Interp) jsonObject() *Object {
+func jsonBuiltin() Value {
 	j := NewObject()
 	j.Set("stringify", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
@@ -279,10 +320,10 @@ func (ip *Interp) jsonObject() *Object {
 		}
 		return v, nil
 	}))
-	return j
+	return ObjectValue(j)
 }
 
-func (ip *Interp) objectBuiltin() *Object {
+func objectBuiltin() Value {
 	o := NewObject()
 	o.Set("keys", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		arr := NewArray()
@@ -322,10 +363,10 @@ func (ip *Interp) objectBuiltin() *Object {
 		}
 		return args[0], nil
 	}))
-	return o
+	return ObjectValue(o)
 }
 
-func (ip *Interp) arrayBuiltin() *Object {
+func arrayBuiltin() Value {
 	a := NewObject()
 	a.Class = ClassFunction
 	a.host = func(_ *Interp, _ Value, args []Value) (Value, error) {
@@ -356,14 +397,14 @@ func (ip *Interp) arrayBuiltin() *Object {
 		}
 		return ObjectValue(arr), nil
 	}))
-	return a
+	return ObjectValue(a)
 }
 
 // dateBuiltin provides a Date constructor whose clock is the interpreter's
 // Now hook, so the simulated browser's virtual time drives it. Supports:
 // Date.now(), new Date().getTime(), and getTimezoneOffset (a fingerprint
 // probe in the corpus).
-func (ip *Interp) dateBuiltin() Value {
+func dateBuiltin() Value {
 	dateObj := &Object{Class: ClassFunction, Props: map[string]Value{}}
 	dateObj.host = func(interp *Interp, this Value, _ []Value) (Value, error) {
 		obj := this.Object()
@@ -397,7 +438,7 @@ func (ip *Interp) dateBuiltin() Value {
 // regexpBuiltin provides `new RegExp(pattern, flags)` backed by Go's regexp
 // package, supporting .test and .exec — enough for the victim-email
 // validation patterns in the corpus.
-func (ip *Interp) regexpBuiltin() Value {
+func regexpBuiltin() Value {
 	re := &Object{Class: ClassFunction, Props: map[string]Value{}}
 	re.host = func(_ *Interp, this Value, args []Value) (Value, error) {
 		pattern := ""

@@ -45,13 +45,33 @@ func newEnvironment(parent *environment) *environment {
 	return &environment{vars: map[string]Value{}, parent: parent}
 }
 
+// lookup resolves name from e outwards. A name that reaches the global
+// scope unbound and names a standard builtin is built into that scope
+// there, so it reads, compares and shadows exactly as if it had been
+// installed when the interpreter was made.
 func (e *environment) lookup(name string) (Value, bool) {
-	for env := e; env != nil; env = env.parent {
+	env := e
+	for {
 		if v, ok := env.vars[name]; ok {
 			return v, true
 		}
+		if env.parent == nil {
+			return env.builtin(name)
+		}
+		env = env.parent
 	}
-	return Undefined, false
+}
+
+// builtin builds the standard global name into the global scope e, or
+// reports false when no builtin has that name.
+func (e *environment) builtin(name string) (Value, bool) {
+	mk, ok := _builtins[name]
+	if !ok {
+		return Undefined, false
+	}
+	v := mk()
+	e.vars[name] = v
+	return v, true
 }
 
 func (e *environment) assign(name string, v Value) bool {
@@ -84,8 +104,8 @@ type Interp struct {
 	Now func() float64
 }
 
-// New returns an interpreter with the standard builtins installed and the
-// given fuel budget (DefaultFuel if <= 0).
+// New returns an interpreter with the given fuel budget (DefaultFuel if
+// <= 0). Its standard builtins are built on first use (see _builtins).
 func New(fuel int64) *Interp {
 	if fuel <= 0 {
 		fuel = DefaultFuel
@@ -96,7 +116,6 @@ func New(fuel int64) *Interp {
 		Random: func() float64 { return 0.5 },
 		Now:    func() float64 { return 1704067200000 }, // 2024-01-01T00:00:00Z
 	}
-	ip.installBuiltins()
 	return ip
 }
 

@@ -2,6 +2,7 @@ package pdfx
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -25,10 +26,23 @@ func FuzzParsePDF(f *testing.F) {
 	f.Add([]byte("%PDF-1.4\n1 0 obj\n<< /Length 99999 >>\nstream\nshort\nendstream\nendobj\n"))
 	f.Add([]byte("not a pdf at all"))
 	f.Add([]byte{})
+	// Deep nesting: dictionaries and arrays nested 17 and 10,000 levels,
+	// with a link action at the bottom.
+	for _, depth := range []int{17, 10_000} {
+		f.Add(pdfObject(strings.Repeat("<< /Next ", depth) +
+			"<< /Type /Action /URI (https://deep.example/d) >>" + strings.Repeat(" >>", depth)))
+		f.Add(pdfObject(strings.Repeat("[ ", depth) +
+			"<< /URI (https://deep.example/a) >>" + strings.Repeat(" ]", depth)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Parse(data)
 		if err == nil && p == nil {
 			t.Fatal("Parse returned nil *Parsed with nil error")
 		}
 	})
+}
+
+// pdfObject wraps body as the one object of a minimal PDF.
+func pdfObject(body string) []byte {
+	return []byte("%PDF-1.4\n1 0 obj\n" + body + "\nendobj\n")
 }
