@@ -1,26 +1,26 @@
 GO ?= go
 
-# Benchmark-trajectory knobs: the full suite runs BENCHCOUNT times per
-# benchmark so BENCH_$(PR).json carries mean/min/max per metric.
-BENCHTIME ?= 0.2s
-BENCHCOUNT ?= 5
-PR ?= 10
+.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck servecheck perfbench fuzz-smoke
 
-.PHONY: check build vet lint lint-sarif lint-test test race bench bench-scale bench-serve perfsmoke tracecheck triagecheck servecheck perfbench fuzz-smoke
-
-# check is the repository's quality gate (DESIGN.md §7): compile, vet, the
-# cblint invariant linter in baseline and SARIF modes plus its own test
-# suite under the race detector (DESIGN.md §9, §13), the full test suite
+# check is the repository's quality gate (DESIGN.md §7): compile, gofmt,
+# vet, the cblint invariant linter in baseline and SARIF modes plus its own
+# test suite under the race detector (DESIGN.md §9, §13), the full test suite
 # (plain and under the race detector — the race run includes the
 # workers-1-vs-8 determinism tests and the concurrent-census test), a
 # small-scale run of the repository benchmark, the trace golden check
 # (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
 # ingest replay-determinism gate (DESIGN.md §15), and the benchmark
 # module's own vet and tests.
-check: build vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck servecheck perfbench
+check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck servecheck perfbench
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree is not gofmt-formatted, and lists
+# those files.
+fmt:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -145,33 +145,10 @@ fuzz-smoke:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-serve runs the continuous-ingest benchmarks (replay throughput over
-# the canned corpus log, verdict-cache hit path) and folds the results into
-# BENCH_$(PR).json alongside the regular suite; run make bench first so the
-# merge has a document to augment.
-bench-serve:
-	$(GO) test -run='^$$' -bench='BenchmarkIngestThroughput|BenchmarkVerdictCacheHit' \
-		-benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/ingest \
-		| $(GO) run ./cmd/benchjson -o BENCH_$(PR).json -merge BENCH_$(PR).json
-
-# bench runs the full bench_test.go suite with allocation reporting and
-# BENCHCOUNT repetitions, then distills the output into BENCH_$(PR).json —
-# the perf trajectory future PRs regress-check against. An observed example
-# run contributes its metrics dump (span counts, bytes observed, cloak
-# verdicts) to the same JSON via benchjson -metrics.
-bench:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/crawlerbox -n 8 -workers 4 -metrics $$tmp/metrics.prom > /dev/null && \
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . \
-		| $(GO) run ./cmd/benchjson -o BENCH_$(PR).json -metrics $$tmp/metrics.prom && \
-	rm -rf $$tmp
-
 # bench-scale runs the streamed-analysis scaling probe at n=1k/10k/100k
-# (workers 1/4/8, evidence store armed) and folds the results into
-# BENCH_$(PR).json alongside the regular suite: benchjson -merge carries the
-# existing document's entries and overwrites only the re-measured ones. The
-# 100k rungs take a minute or two each; run make bench first, then this.
+# (workers 1/4/8, evidence store armed) and prints go test's benchmark
+# lines: msgs/s and the live heap the analysis leaves resident. The 100k
+# rungs take a minute or two each.
 bench-scale:
 	CRAWLERBOX_BENCH_SCALE=1 $(GO) test -run='^$$' \
-		-bench=BenchmarkAnalyzeThroughputAtN -benchtime=1x -count=1 -timeout=60m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_$(PR).json -merge BENCH_$(PR).json
+		-bench=BenchmarkAnalyzeThroughputAtN -benchtime=1x -count=1 -timeout=60m .

@@ -19,8 +19,8 @@ import (
 )
 
 // The benchmark corpus is generated and analyzed once (a tenth-scale run,
-// ~520 messages) and shared across every table/figure benchmark; each bench
-// then re-times its own aggregation or workload.
+// ~520 messages) and shared by the benchmarks that time work done on the
+// analyzed run: Figure 2's t-tests and the referral scan over the ledger.
 var (
 	_benchOnce sync.Once
 	_benchRun  *report.Run
@@ -30,7 +30,7 @@ var (
 func benchRun(b *testing.B) *report.Run {
 	b.Helper()
 	_benchOnce.Do(func() {
-		c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.1})
+		c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
 		if err != nil {
 			_benchErr = err
 			return
@@ -60,21 +60,6 @@ func BenchmarkTable1CrawlerAssessment(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2TLDDistribution regenerates Table II from the analyzed
-// corpus's landing domains.
-func BenchmarkTable2TLDDistribution(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var rows []urlx.TLDCount
-	for i := 0; i < b.N; i++ {
-		rows = run.Table2()
-	}
-	b.StopTimer()
-	if len(rows) > 0 {
-		b.Log("\n" + run.RenderTable2())
-	}
-}
-
 // BenchmarkFigure2MonthlyVolume regenerates Figure 2: monthly counts, the
 // 2023 baseline comparison, and the paired t-tests.
 func BenchmarkFigure2MonthlyVolume(b *testing.B) {
@@ -87,88 +72,6 @@ func BenchmarkFigure2MonthlyVolume(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Log("\n" + run.RenderFigure2())
-}
-
-// BenchmarkFigure3DeploymentTimeline regenerates Figure 3: the
-// registration-to-delivery and certificate-to-delivery histograms.
-func BenchmarkFigure3DeploymentTimeline(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run.Figure3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderFigure3())
-}
-
-// BenchmarkDispositionBreakdown regenerates the Section V message
-// disposition table.
-func BenchmarkDispositionBreakdown(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.Disposition()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderDisposition())
-}
-
-// BenchmarkSpearPhishClassification regenerates the Section V-A
-// spear-phishing shares (73.3% spear, 29.8% hot-loading).
-func BenchmarkSpearPhishClassification(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.Spear()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderSpear())
-}
-
-// BenchmarkDNSQueryVolumes regenerates the Umbrella-style passive-DNS
-// medians for single- vs multi-message landing domains.
-func BenchmarkDNSQueryVolumes(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.DNSVolumes()
-	}
-}
-
-// BenchmarkDomainSyntaxAnalysis regenerates the deceptive-syntax census
-// (15.7% of landing domains in the paper).
-func BenchmarkDomainSyntaxAnalysis(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.DomainSyntax()
-	}
-}
-
-// BenchmarkCloakingPrevalence regenerates the Section V-C evasion census.
-func BenchmarkCloakingPrevalence(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = run.CloakPrevalence()
-	}
-	b.StopTimer()
-	b.Log("\n" + run.RenderCloaks())
-}
-
-// BenchmarkChallengeServiceShare regenerates the Turnstile (74.4%) and
-// reCAPTCHA (24.8%) shares over credential-harvesting messages.
-func BenchmarkChallengeServiceShare(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var ts, rc float64
-	for i := 0; i < b.N; i++ {
-		ts, rc = run.TurnstileShare()
-	}
-	b.StopTimer()
-	b.Logf("Turnstile %.1f%% / reCAPTCHA %.1f%% (paper: 74.4%% / 24.8%%)", ts, rc)
 }
 
 // BenchmarkFaultyQRBug measures the faulty-QR extraction divergence: encode
@@ -205,8 +108,7 @@ func BenchmarkFaultyQRBug(b *testing.B) {
 
 // BenchmarkHotLinkedResources measures referral-trail detection over the
 // analyzed corpus (the Section V-A early-warning signal), reading the
-// exchange ledger through the zero-copy EachTraffic view instead of the
-// copying Traffic() snapshot.
+// exchange ledger through the zero-copy EachTraffic view.
 func BenchmarkHotLinkedResources(b *testing.B) {
 	run := benchRun(b)
 	b.ResetTimer()
@@ -216,24 +118,6 @@ func BenchmarkHotLinkedResources(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Logf("hot-load referral requests observed: %d", count)
-}
-
-// BenchmarkNonTargetedBrands regenerates the Section V-B non-targeted brand
-// breakdown from corpus ground truth.
-func BenchmarkNonTargetedBrands(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var byBrand map[string]int
-	for i := 0; i < b.N; i++ {
-		byBrand = map[string]int{}
-		for _, d := range run.Corpus.Domains {
-			if !d.Spear {
-				byBrand[d.Brand]++
-			}
-		}
-	}
-	b.StopTimer()
-	b.Logf("non-targeted brand domains: %v", byBrand)
 }
 
 // BenchmarkAblationCrawlerChoice compares pipeline effectiveness across
@@ -277,33 +161,18 @@ func BenchmarkPerceptualHashing(b *testing.B) {
 	})
 }
 
-// BenchmarkCorpusGeneration measures tenth-scale corpus generation.
+// BenchmarkCorpusGeneration measures tenth-scale corpus generation: the
+// world deployment and message plans, then every message rendered once.
 func BenchmarkCorpusGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.Generate(dataset.Config{Seed: int64(i + 1), Scale: 0.1}); err != nil {
+		c, err := dataset.Stream(dataset.Config{Seed: int64(i + 1), Scale: 0.1})
+		if err != nil {
 			b.Fatal(err)
 		}
+		c.Each(func(int, *dataset.Message) bool { return true })
 	}
 }
 
-// BenchmarkAnalyzeThroughputAtN is the million-message-scale probe: it
-// streams an n-message corpus through Analyze with the on-disk evidence
-// store armed, reporting throughput (msgs/s) and the live heap the
-// analysis leaves resident (live-heap-MB: HeapAlloc after back-to-back
-// forced GCs, above a post-generation baseline measured the same way).
-// Quiescent live heap is the right memory metric here, for two reasons.
-// First, sampling raw HeapAlloc mid-run measures collector slack — the
-// heap rides up to GOGC percent above the live set, and since the live
-// set includes the O(corpus) hosted world, the slack grows with n no
-// matter what the analysis retains. Second, everything the analysis
-// keeps resident (spill counters, census shards, DNS aggregates) only
-// grows during the run, so the quiescent end-state IS its high-water
-// mark; what it excludes is the in-flight transient, bounded by
-// workers × one message, not by n. With streaming + shard folds +
-// evidence spilling the metric stays near-flat from n=1k to n=100k
-// while the in-RAM path grows linearly. Only n=1000 runs by default;
-// set CRAWLERBOX_BENCH_SCALE=1 (make bench-scale) for the 10k/100k
-// rungs.
 // settledHeap returns HeapAlloc after two back-to-back collections, i.e.
 // the truly live heap with the first cycle's floating garbage reclaimed.
 func settledHeap() uint64 {
@@ -406,6 +275,24 @@ func BenchmarkTraceStoreQuery(b *testing.B) {
 	b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
 }
 
+// BenchmarkAnalyzeThroughputAtN is the million-message-scale probe: it
+// streams an n-message corpus through Analyze with the on-disk evidence
+// store armed, reporting throughput (msgs/s) and the live heap the
+// analysis leaves resident (live-heap-MB: HeapAlloc after back-to-back
+// forced GCs, above a post-generation baseline measured the same way).
+// Quiescent live heap is the right memory metric here, for two reasons.
+// First, sampling raw HeapAlloc mid-run measures collector slack — the
+// heap rides up to GOGC percent above the live set, and since the live
+// set includes the O(corpus) hosted world, the slack grows with n no
+// matter what the analysis retains. Second, everything the analysis
+// keeps resident (spill counters, census shards, DNS aggregates) only
+// grows during the run, so the quiescent end-state IS its high-water
+// mark; what it excludes is the in-flight transient, bounded by
+// workers × one message, not by n. With streaming + shard folds +
+// evidence spilling the metric stays near-flat from n=1k to n=100k
+// while the in-RAM path grows linearly. Only n=1000 runs by default;
+// set CRAWLERBOX_BENCH_SCALE=1 (make bench-scale) for the 10k/100k
+// rungs.
 func BenchmarkAnalyzeThroughputAtN(b *testing.B) {
 	sizes := []int{1000}
 	if os.Getenv("CRAWLERBOX_BENCH_SCALE") != "" {

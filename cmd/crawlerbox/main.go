@@ -55,9 +55,9 @@ func run() error {
 	shared := climain.Register(flag.CommandLine)
 	flag.Parse()
 
-	// Stream, not Generate: the world (sites, DNS, brand pages) deploys
-	// either way, but message bytes render lazily one at a time, so the
-	// corpus never sits fully materialized in RAM.
+	// The world (sites, DNS, brand pages) deploys up front, but message
+	// bytes render lazily one at a time, so the corpus never sits fully
+	// materialized in RAM.
 	corpus, err := dataset.Stream(dataset.Config{Seed: *seed, Scale: *scale})
 	if err != nil {
 		return err

@@ -72,12 +72,12 @@ func TestCorruptTraceInputFails(t *testing.T) {
 	}{
 		{"empty", write("empty.jsonl", ""), "empty trace file"},
 		{"no-newline", write("cut.jsonl", strings.TrimSuffix(valid, "\n")), "truncated"},
-		{"bad-json", write("garbage.jsonl", valid + `{"trace":2,"span":` + "\n"), "corrupt"},
+		{"bad-json", write("garbage.jsonl", valid+`{"trace":2,"span":`+"\n"), "corrupt"},
 		{"orphan-parent", write("orphan.jsonl",
-			valid + `{"trace":1,"span":5,"parent":9,"kind":"stage","name":"s","start":0,"end":1,"status":"ok"}` + "\n"),
+			valid+`{"trace":1,"span":5,"parent":9,"kind":"stage","name":"s","start":0,"end":1,"status":"ok"}`+"\n"),
 			"missing parent"},
 		{"two-roots", write("roots.jsonl",
-			valid + `{"trace":1,"span":2,"kind":"stage","name":"s","start":0,"end":1,"status":"ok"}` + "\n"),
+			valid+`{"trace":1,"span":2,"kind":"stage","name":"s","start":0,"end":1,"status":"ok"}`+"\n"),
 			"root spans"},
 	} {
 		var buf bytes.Buffer

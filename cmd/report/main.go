@@ -61,9 +61,9 @@ func run() error {
 	}
 
 	fmt.Printf("Generating corpus (seed=%d scale=%.2f)...\n", *seed, *scale)
-	// Stream, not Generate: specs render lazily into the worker pool and
-	// aggregates fold through per-worker census shards, so peak memory is
-	// O(workers) however large -scale makes the corpus.
+	// Specs render lazily into the worker pool and aggregates fold through
+	// per-worker census shards, so peak memory is O(workers) however large
+	// -scale makes the corpus.
 	c, err := dataset.Stream(dataset.Config{Seed: *seed, Scale: *scale})
 	if err != nil {
 		return err

@@ -3,7 +3,7 @@
 // infrastructure and experiments from "A Closer Look At Modern Evasive
 // Phishing Emails" (DSN 2025).
 //
-// The facade wires the three things a downstream user needs:
+// The facade wires the two things a downstream user needs:
 //
 //   - World: a simulated internet (virtual clock, DNS with a passive-DNS
 //     ledger, TLS/CT log, HTTP), a WHOIS registry, the bot-detection
@@ -13,10 +13,10 @@
 //     with QR/OCR/PDF/ZIP extraction, evasive crawling with the NotABot
 //     browser profile, screenshot classification by perceptual hashing,
 //     cloaking census, and WHOIS/certificate/passive-DNS enrichment.
-//   - The Table I crawler assessment harness.
 //
-// Deeper control lives in the internal packages; this package exposes the
-// workflows the paper's evaluation runs end to end.
+// Deeper control lives in the internal packages: the synthetic corpus in
+// dataset, the corpus run and its tables and figures in report, and the
+// Table I crawler assessment in crawler.
 package crawlerboxgo
 
 import (
@@ -24,10 +24,7 @@ import (
 	"time"
 
 	"crawlerbox/internal/botdetect"
-	"crawlerbox/internal/browser"
-	"crawlerbox/internal/crawler"
 	"crawlerbox/internal/crawlerbox"
-	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/phishkit"
 	"crawlerbox/internal/webnet"
 	"crawlerbox/internal/whois"
@@ -72,20 +69,4 @@ func (w *World) NewPipeline(ctx context.Context) (*crawlerbox.Pipeline, error) {
 		return nil, err
 	}
 	return pipe, nil
-}
-
-// NotABotBrowser returns a fresh NotABot crawler on a mobile egress IP.
-func (w *World) NotABotBrowser(seed int64) *browser.Browser {
-	return browser.New(w.Net, browser.NotABot(), w.Net.AllocateIP(webnet.IPMobile), seed)
-}
-
-// GenerateCorpus builds the calibrated synthetic ten-month corpus
-// (scale 1.0 reproduces the paper's 5,181 messages).
-func GenerateCorpus(seed int64, scale float64) (*dataset.Corpus, error) {
-	return dataset.Generate(dataset.Config{Seed: seed, Scale: scale})
-}
-
-// RunTable1 reproduces the Table I crawler-vs-detector assessment.
-func RunTable1(ctx context.Context) (*crawler.Assessment, error) {
-	return crawler.RunAssessment(ctx)
 }

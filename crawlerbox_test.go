@@ -8,6 +8,7 @@ import (
 	"crawlerbox/internal/browser"
 	"crawlerbox/internal/crawler"
 	"crawlerbox/internal/crawlerbox"
+	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/mime"
 	"crawlerbox/internal/phishkit"
 	"crawlerbox/internal/report"
@@ -63,7 +64,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestGenerateAndAnalyzeCorpusTiny(t *testing.T) {
-	c, err := GenerateCorpus(3, 0.02)
+	c, err := dataset.Stream(dataset.Config{Seed: 3, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +80,8 @@ func TestGenerateAndAnalyzeCorpusTiny(t *testing.T) {
 	for _, r := range rows {
 		total += r.Count
 	}
-	if total != len(c.Messages) {
-		t.Errorf("disposition total = %d, messages = %d", total, len(c.Messages))
-	}
-}
-
-func TestRunTable1Facade(t *testing.T) {
-	a, err := RunTable1(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.PassesAll(crawler.NotABot) {
-		t.Error("NotABot must pass every detector")
-	}
-	if a.PassesAll(crawler.Kangooroo) {
-		t.Error("Kangooroo must be detected")
+	if total != c.Len() {
+		t.Errorf("disposition total = %d, messages = %d", total, c.Len())
 	}
 }
 

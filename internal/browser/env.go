@@ -118,15 +118,16 @@ func (pg *page) setupEnvironment() {
 	ip.SetGlobal("location", minijs.ObjectValue(pg.locationObj))
 
 	// performance.now(): virtual wall-clock plus CPU time derived from
-	// interpreter fuel, scaled by the VM timing skew. On physical hardware
-	// (skew 1.0) the readings look organic; in a VM they are coarse and
-	// stretched — the red-pill timing channel.
+	// the interpreter fuel spent so far, scaled by the VM timing skew. On
+	// physical hardware (skew 1.0) the readings look organic; in a VM they
+	// are coarse and stretched — the red-pill timing channel. Counting fuel
+	// spent rather than fuel left keeps the fuel granted to each script,
+	// timer and handler out of the reading, so readings never decrease.
 	perf := minijs.NewObject()
-	startFuel := ip.Fuel()
 	startWall := pg.start
 	perf.Set("now", minijs.NewHostFunc(func(interp *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
 		wallMs := float64(pg.br.clock().Now().Sub(startWall).Microseconds()) / 1000
-		cpuMs := float64(startFuel-interp.Fuel()) / 5000
+		cpuMs := float64(interp.FuelSpent()) / 5000
 		skew := prof.VMTimingSkew
 		if skew <= 0 {
 			skew = 1

@@ -162,3 +162,40 @@ func TestPerformanceNowCountsFromDocumentCreation(t *testing.T) {
 		t.Errorf("two 2 s image fetches moved performance.now() by %v ms, want 4000", d)
 	}
 }
+
+// performance.now() counts the fuel a page's scripts spent, not the fuel
+// they have left, so the fuel granted to each script and timer does not
+// move it: the first reading is not negative and no reading is below the
+// one before it.
+func TestPerformanceNowNeverRunsBackwards(t *testing.T) {
+	_, br := testWorld(t, `<html><body>
+	<script>console.log("now:" + performance.now());</script>
+	<script>console.log("now:" + performance.now());</script>
+	<script>setTimeout(function() { console.log("now:" + performance.now()); }, 5);</script>
+	</body></html>`)
+	res, err := br.Visit(context.Background(), "https://phish.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readings []float64
+	for _, line := range res.Console {
+		if v, ok := strings.CutPrefix(line, "log: now:"); ok {
+			ms, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("performance.now() = %q: %v", v, err)
+			}
+			readings = append(readings, ms)
+		}
+	}
+	if len(readings) != 3 {
+		t.Fatalf("got %d readings, want 3: %v", len(readings), res.Console)
+	}
+	if readings[0] < 0 {
+		t.Errorf("first reading %v ms is negative", readings[0])
+	}
+	for i := 1; i < len(readings); i++ {
+		if readings[i] < readings[i-1] {
+			t.Errorf("reading %d (%v ms) is below reading %d (%v ms)", i, readings[i], i-1, readings[i-1])
+		}
+	}
+}

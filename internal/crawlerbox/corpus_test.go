@@ -77,7 +77,7 @@ func summarize(ma *MessageAnalysis) analysisSummary {
 // runs under comparison must not share one.
 func corpusSummaries(t *testing.T, workers int) []analysisSummary {
 	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
+	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +85,7 @@ func corpusSummaries(t *testing.T, workers int) []analysisSummary {
 	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
 		t.Fatal(err)
 	}
-	msgs := c.Messages
-	if len(msgs) > 120 {
-		msgs = msgs[:120]
-	}
-	specs := make([]MessageSpec, len(msgs))
-	for i, m := range msgs {
-		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
-	results := analyzeAll(context.Background(), pipe, specs, workers)
+	results := analyzeAll(context.Background(), pipe, corpusSpecs(c, 120), workers)
 	out := make([]analysisSummary, len(results))
 	for i, r := range results {
 		if r.Err != nil {
@@ -214,6 +206,18 @@ func TestDiffProbeStageInsertion(t *testing.T) {
 	if !ma.Probes[0].Cloaked {
 		t.Error("fingerprint-gated site must be flagged by the staged probe")
 	}
+}
+
+// corpusSpecs renders the first n messages of c (all of them when n is 0)
+// as specs the way the corpus runners do: sequential IDs, analyzed two
+// hours after delivery.
+func corpusSpecs(c *dataset.Corpus, n int) []MessageSpec {
+	var specs []MessageSpec
+	c.Each(func(i int, m *dataset.Message) bool {
+		specs = append(specs, MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)})
+		return n == 0 || len(specs) < n
+	})
+	return specs
 }
 
 // analyzeAll runs specs through AnalyzeStream with p.Analyze and collects

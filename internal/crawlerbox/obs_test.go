@@ -17,7 +17,7 @@ import (
 // the JSONL trace dump and the Prometheus metrics dump.
 func observedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte) {
 	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
+	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +28,7 @@ func observedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte) {
 	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
 		t.Fatal(err)
 	}
-	msgs := c.Messages
-	if len(msgs) > 120 {
-		msgs = msgs[:120]
-	}
-	specs := make([]MessageSpec, len(msgs))
-	for i, m := range msgs {
-		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
-	for i, r := range analyzeAll(context.Background(), pipe, specs, workers) {
+	for i, r := range analyzeAll(context.Background(), pipe, corpusSpecs(c, 120), workers) {
 		if r.Err != nil {
 			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
 		}

@@ -26,7 +26,7 @@ var _memoEpoch = time.Date(2024, 4, 10, 9, 0, 0, 0, time.UTC)
 // the first n corpus messages as specs.
 func corpusPipeline(t *testing.T, n int) (*crawlerbox.Pipeline, []crawlerbox.MessageSpec) {
 	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
+	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func corpusPipeline(t *testing.T, n int) (*crawlerbox.Pipeline, []crawlerbox.Mes
 	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]crawlerbox.MessageSpec, min(n, len(c.Messages)))
-	for i := range specs {
-		m := c.Messages[i]
-		specs[i] = crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
+	var specs []crawlerbox.MessageSpec
+	c.Each(func(i int, m *dataset.Message) bool {
+		specs = append(specs, crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)})
+		return len(specs) < n
+	})
 	return pipe, specs
 }
 

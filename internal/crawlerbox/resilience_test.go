@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/obs"
@@ -18,7 +17,7 @@ import (
 // per-outcome message counts.
 func faultedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte, outcomes map[Outcome]int) {
 	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.1})
+	c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +29,8 @@ func faultedCorpusDumps(t *testing.T, workers int) (jsonl, prom []byte, outcomes
 	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]MessageSpec, len(c.Messages))
-	for i, m := range c.Messages {
-		specs[i] = MessageSpec{Raw: m.Raw, ID: int64(i + 1), At: m.Delivered.Add(2 * time.Hour)}
-	}
 	outcomes = map[Outcome]int{}
-	for i, r := range analyzeAll(context.Background(), pipe, specs, workers) {
+	for i, r := range analyzeAll(context.Background(), pipe, corpusSpecs(c, 0), workers) {
 		if r.Err != nil {
 			t.Fatalf("workers=%d message %d: %v", workers, i, r.Err)
 		}

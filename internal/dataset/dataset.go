@@ -82,8 +82,8 @@ const (
 )
 
 // Message is one generated corpus message with its ground truth. Raw is
-// populated by Generate; a streamed corpus (Stream) leaves it nil and
-// Each renders it on the fly, so the MIME payloads never accumulate.
+// nil in Corpus.Messages: Each renders it on the fly, so the MIME payloads
+// never accumulate.
 type Message struct {
 	Raw       []byte
 	Delivered time.Time
@@ -157,44 +157,16 @@ type Corpus struct {
 	// Monthly counts actually generated (scaled).
 	Monthly [10]int
 	cfg     Config
-	// streaming marks a corpus built by Stream: Messages holds only the
-	// lightweight plans (Raw nil); Each renders bytes one at a time.
-	streaming bool
 }
 
 var _startTime = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// Generate builds a fully materialized corpus: every message carries its
-// rendered Raw bytes. Scale defaults to 1.0 and Seed to 1. For large runs
-// prefer Stream, which defers rendering to Each.
-func Generate(cfg Config) (*Corpus, error) {
-	c, err := newCorpus(cfg)
-	if err != nil {
-		return nil, err
-	}
-	//cblint:ignore streamsafe Generate is the sanctioned materialization site
-	for i := range c.Messages {
-		c.Messages[i].Raw = c.render(&c.Messages[i])
-	}
-	return c, nil
-}
-
 // Stream builds a corpus whose messages are *plans only*: the world
 // (network, domains, victims) is fully deployed, but no MIME bytes are
-// rendered. Consume it with Each, which renders one message at a time so
-// peak memory stays O(1) in the corpus size. Same cfg, same bytes as
-// Generate.
+// rendered. Scale defaults to 1.0 and Seed to 1. Consume it with Each,
+// which renders one message at a time so peak memory stays O(1) in the
+// corpus size.
 func Stream(cfg Config) (*Corpus, error) {
-	c, err := newCorpus(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.streaming = true
-	return c, nil
-}
-
-// newCorpus deploys the world and plans every message without rendering.
-func newCorpus(cfg Config) (*Corpus, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
 	}
@@ -241,21 +213,14 @@ func newCorpus(cfg Config) (*Corpus, error) {
 	return c, nil
 }
 
-// Each visits every message in delivery order, rendering Raw on demand for
-// streamed corpora. The *Message handed to fn is only valid for the call:
-// for a streamed corpus it points at a stack copy whose Raw is discarded
-// afterwards, which is what keeps peak memory flat. Return false to stop.
+// Each visits every message in delivery order, rendering its Raw bytes on
+// demand. The *Message handed to fn is only valid for the call: it points
+// at a stack copy whose Raw is discarded afterwards, which is what keeps
+// peak memory flat. Return false to stop.
 func (c *Corpus) Each(fn func(i int, m *Message) bool) {
 	//cblint:ignore streamsafe Each is the sanctioned streaming iterator
 	for i := range c.Messages {
-		m := &c.Messages[i]
-		if m.Raw != nil {
-			if !fn(i, m) {
-				return
-			}
-			continue
-		}
-		tmp := *m
+		tmp := c.Messages[i]
 		tmp.Raw = c.render(&tmp)
 		if !fn(i, &tmp) {
 			return
@@ -265,9 +230,6 @@ func (c *Corpus) Each(fn func(i int, m *Message) bool) {
 
 // Len reports the number of messages without touching their payloads.
 func (c *Corpus) Len() int { return len(c.Messages) }
-
-// Streamed reports whether the corpus was built by Stream (plans only).
-func (c *Corpus) Streamed() bool { return c.streaming }
 
 // dispositionCounts holds all scaled quotas.
 type dispositionCounts struct {

@@ -15,7 +15,7 @@ var _smallCorpus *Corpus
 func smallCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	if _smallCorpus == nil {
-		c, err := Generate(Config{Seed: 11, Scale: 0.1})
+		c, err := Stream(Config{Seed: 11, Scale: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,31 +24,37 @@ func smallCorpus(t *testing.T) *Corpus {
 	return _smallCorpus
 }
 
+// rendered returns the bytes of every message of a fresh corpus of cfg.
+func rendered(t *testing.T, cfg Config) (*Corpus, [][]byte) {
+	t.Helper()
+	c, err := Stream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raws [][]byte
+	c.Each(func(_ int, m *Message) bool {
+		raws = append(raws, m.Raw)
+		return true
+	})
+	return c, raws
+}
+
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(Config{Seed: 5, Scale: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(Config{Seed: 5, Scale: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Messages) != len(b.Messages) || len(a.Domains) != len(b.Domains) {
+	a, araws := rendered(t, Config{Seed: 5, Scale: 0.02})
+	b, braws := rendered(t, Config{Seed: 5, Scale: 0.02})
+	if len(araws) != len(braws) || len(a.Domains) != len(b.Domains) {
 		t.Fatalf("sizes differ: %d/%d vs %d/%d",
-			len(a.Messages), len(a.Domains), len(b.Messages), len(b.Domains))
+			len(araws), len(a.Domains), len(braws), len(b.Domains))
 	}
-	for i := range a.Messages {
-		if string(a.Messages[i].Raw) != string(b.Messages[i].Raw) {
+	for i := range araws {
+		if string(araws[i]) != string(braws[i]) {
 			t.Fatalf("message %d differs between equal-seed runs", i)
 		}
 	}
-	c, err := Generate(Config{Seed: 6, Scale: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, craws := rendered(t, Config{Seed: 6, Scale: 0.02})
 	same := true
-	for i := range a.Messages {
-		if i < len(c.Messages) && string(a.Messages[i].Raw) != string(c.Messages[i].Raw) {
+	for i := range araws {
+		if i < len(craws) && string(araws[i]) != string(craws[i]) {
 			same = false
 			break
 		}
@@ -169,11 +175,12 @@ func TestTimelineShape(t *testing.T) {
 
 func TestMessagesParseable(t *testing.T) {
 	c := smallCorpus(t)
-	for i, m := range c.Messages {
+	c.Each(func(i int, m *Message) bool {
 		if _, err := mime.Parse(m.Raw); err != nil {
 			t.Fatalf("message %d unparseable: %v", i, err)
 		}
-	}
+		return true
+	})
 }
 
 func TestMessagesSortedByDelivery(t *testing.T) {

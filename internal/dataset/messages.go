@@ -42,8 +42,7 @@ var _lureTemplates = []string{
 // attached: all quota, carrier, and noise decisions are made here (mutating
 // the shared quota state and performing world side effects like victim
 // registration), but no MIME bytes are rendered. render turns a plan into
-// its exact message bytes on demand, so the split keeps generation
-// byte-identical while letting the streaming path defer the heavy payloads
+// its exact message bytes on demand, so Each defers the heavy payloads
 // (QR rasters, PDFs, ZIP archives) to one message at a time.
 func (c *Corpus) planMessages(counts dispositionCounts) {
 	scale := c.cfg.Scale
@@ -229,8 +228,8 @@ func wrapURL(m *Message, url string) string {
 
 // render rebuilds a message's MIME bytes from its plan. It is a pure
 // function of the plan fields and the immutable domain records — no quota
-// state, no world mutation — so Generate (materialize everything) and the
-// streaming Each path (render one at a time) produce identical bytes.
+// state, no world mutation — so every Each pass over a corpus, and over
+// any corpus of the same Config, produces identical bytes.
 func (c *Corpus) render(m *Message) []byte {
 	switch m.Category {
 	case CatActivePhish:

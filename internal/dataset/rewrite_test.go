@@ -17,11 +17,10 @@ import (
 func TestRewriteScenario(t *testing.T) {
 	c := smallCorpus(t)
 	counts := map[RewriteWrap]int{}
-	for i := range c.Messages {
-		m := &c.Messages[i]
+	c.Each(func(i int, m *Message) bool {
 		counts[m.Rewrite]++
 		if m.Rewrite == RewriteNone {
-			continue
+			return true
 		}
 		if m.Category != CatActivePhish ||
 			(m.Carrier != CarrierTextLink && m.Carrier != CarrierHTMLLink) {
@@ -47,7 +46,8 @@ func TestRewriteScenario(t *testing.T) {
 		if decoded != canonicalOf(t, m.URL) {
 			t.Errorf("message %d: decoded %q, want canonical %q", i, decoded, m.URL)
 		}
-	}
+		return true
+	})
 	for _, kind := range []RewriteWrap{RewriteSafeLinks, RewriteURLDefense, RewriteDouble} {
 		if counts[kind] == 0 {
 			t.Errorf("corpus has no messages with rewrite variant %d", kind)

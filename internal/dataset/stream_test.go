@@ -5,32 +5,29 @@ import (
 	"testing"
 )
 
-// TestStreamMatchesGenerate pins the plan/render split: a streamed corpus
-// must yield exactly the bytes (and ground truth) of a materialized one for
-// the same seed, in the same order.
-func TestStreamMatchesGenerate(t *testing.T) {
+// TestEachRendersDeterministically pins the plan/render split: rendering
+// is a pure function of the plan, so a second Each pass over a corpus, and
+// a pass over a second corpus of the same Config, yield exactly the same
+// bytes and ground truth in the same order, and no pass leaves a rendered
+// payload behind.
+func TestEachRendersDeterministically(t *testing.T) {
 	cfg := Config{Seed: 42, Scale: 0.1}
-	full, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := Stream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamed.Streamed() || full.Streamed() {
-		t.Fatal("Streamed flag wrong way around")
-	}
-	if streamed.Len() != full.Len() {
-		t.Fatalf("lengths differ: streamed %d, generated %d", streamed.Len(), full.Len())
+	c, first := rendered(t, cfg)
+	other, otherRaws := rendered(t, cfg)
+	if len(first) != c.Len() || len(otherRaws) != other.Len() || c.Len() != other.Len() {
+		t.Fatalf("lengths differ: %d rendered of %d, %d rendered of %d",
+			len(first), c.Len(), len(otherRaws), other.Len())
 	}
 
 	seen := 0
-	streamed.Each(func(i int, m *Message) bool {
-		want := &full.Messages[i]
-		if !bytes.Equal(m.Raw, want.Raw) {
-			t.Fatalf("message %d: streamed bytes differ from generated", i)
+	c.Each(func(i int, m *Message) bool {
+		if !bytes.Equal(m.Raw, first[i]) {
+			t.Fatalf("message %d: second Each pass renders different bytes", i)
 		}
+		if !bytes.Equal(m.Raw, otherRaws[i]) {
+			t.Fatalf("message %d: a second corpus of the same Config renders different bytes", i)
+		}
+		want := &other.Messages[i]
 		if m.Delivered != want.Delivered || m.Category != want.Category ||
 			m.Carrier != want.Carrier || m.DomainIdx != want.DomainIdx ||
 			m.Spear != want.Spear || m.Brand != want.Brand ||
@@ -40,14 +37,14 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		seen++
 		return true
 	})
-	if seen != full.Len() {
-		t.Fatalf("Each visited %d of %d messages", seen, full.Len())
+	if seen != c.Len() {
+		t.Fatalf("Each visited %d of %d messages", seen, c.Len())
 	}
 
-	// The streamed corpus must not have retained any rendered payloads.
-	for i := range streamed.Messages {
-		if streamed.Messages[i].Raw != nil {
-			t.Fatalf("message %d: Raw retained after Each on streamed corpus", i)
+	// The corpus must not have retained any rendered payloads.
+	for i := range c.Messages {
+		if c.Messages[i].Raw != nil {
+			t.Fatalf("message %d: Raw retained after Each", i)
 		}
 	}
 }

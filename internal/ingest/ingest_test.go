@@ -21,7 +21,7 @@ import (
 // one.
 func buildWorld(t testing.TB) (*dataset.Corpus, *crawlerbox.Pipeline) {
 	t.Helper()
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.1})
+	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,13 @@ const specWindowStart = 450
 // way the corpus runners do: sequential IDs, analyzed two hours after
 // delivery.
 func corpusSpecs(c *dataset.Corpus) []Spec {
-	msgs := c.Messages[specWindowStart:]
-	specs := make([]Spec, len(msgs))
-	for i := range msgs {
-		specs[i] = Spec{ID: int64(i + 1), At: msgs[i].Delivered.Add(2 * time.Hour), Raw: msgs[i].Raw}
-	}
+	var specs []Spec
+	c.Each(func(i int, m *dataset.Message) bool {
+		if i >= specWindowStart {
+			specs = append(specs, Spec{ID: int64(len(specs) + 1), At: m.Delivered.Add(2 * time.Hour), Raw: m.Raw})
+		}
+		return true
+	})
 	return specs
 }
 

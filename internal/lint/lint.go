@@ -19,10 +19,9 @@
 //     code — backoff and budgets are charged to the virtual clock through
 //     resilience.Session.
 //   - streamsafe: ranging over (or allocating proportionally to) the whole
-//     in-RAM corpus ledger — dataset.Corpus.Messages, report.Run.Analyses —
-//     is banned outside the sanctioned streaming sites; corpus processing
-//     goes through Corpus.Each and per-worker census shards so peak memory
-//     stays O(workers).
+//     corpus message ledger, dataset.Corpus.Messages, is banned outside the
+//     sanctioned streaming site; corpus processing goes through Corpus.Each
+//     and per-worker census shards so peak memory stays O(workers).
 //
 // and three multi-pass analyzers built on the cross-package Facts engine
 // (facts.go), which computes per-package function summaries once, caches

@@ -10,16 +10,14 @@ import (
 // StreamSafe guards the million-message memory contract (DESIGN.md §12):
 // corpus processing must stream — Corpus.Each renders one message at a
 // time and Analyze folds per-worker census shards — so peak memory is
-// O(workers), not O(corpus). Code that ranges over the whole in-RAM ledger
-// (dataset.Corpus.Messages, report.Run.Analyses) or preallocates a slice
-// sized by one reintroduces the O(corpus) footprint the streaming API
-// exists to eliminate, and silently breaks on corpora built by
-// dataset.Stream, whose Messages carry no rendered bytes and whose Runs
-// keep Analyses nil.
+// O(workers), not O(corpus). Code that ranges over the whole message
+// ledger (dataset.Corpus.Messages) or preallocates a slice sized by it
+// reintroduces the O(corpus) footprint the streaming API exists to
+// eliminate, and silently sees no message bytes: the ledger holds plans
+// whose Raw stays nil.
 //
-// The sanctioned sites — Generate's materialization loop, Each's own
-// iterator, the census fallback for manually assembled Runs — carry an
-// explicit "//cblint:ignore streamsafe <reason>" each.
+// The sanctioned site — Each's own iterator — carries an explicit
+// "//cblint:ignore streamsafe <reason>".
 type StreamSafe struct{}
 
 // streamLedgers maps the guarded field selectors to the owning type: a
@@ -31,7 +29,6 @@ var streamLedgers = map[string]struct {
 	advice    string
 }{
 	"Messages": {"internal/dataset", "Corpus", "stream with Corpus.Each/Len instead"},
-	"Analyses": {"internal/report", "Run", "fold aggregates through CensusShard instead (streamed runs keep Analyses nil)"},
 }
 
 // Name implements Analyzer.
@@ -39,7 +36,7 @@ func (StreamSafe) Name() string { return "streamsafe" }
 
 // Doc implements Analyzer.
 func (StreamSafe) Doc() string {
-	return "forbid whole-corpus materialization (ranging over or sizing by Corpus.Messages / Run.Analyses) outside the sanctioned streaming sites"
+	return "forbid whole-corpus materialization (ranging over or sizing by Corpus.Messages) outside the sanctioned streaming site"
 }
 
 // Applies implements Analyzer: internal production packages and the CLIs.

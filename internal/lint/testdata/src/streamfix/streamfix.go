@@ -1,12 +1,9 @@
 // Package streamfix is the streamsafe-analyzer fixture. It imports the
-// real dataset and report packages so the type-driven ledger detection is
-// exercised against the genuine Corpus and Run types.
+// real dataset package so the type-driven ledger detection is exercised
+// against the genuine Corpus type.
 package streamfix
 
-import (
-	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/report"
-)
+import "crawlerbox/internal/dataset"
 
 func CountRawBytes(c *dataset.Corpus) int {
 	total := 0
@@ -23,16 +20,6 @@ func CollectRaw(c *dataset.Corpus) [][]byte {
 		return true
 	})
 	return out
-}
-
-func CountAnalyses(r *report.Run) int {
-	n := 0
-	for _, ma := range r.Analyses { // want "materializes the whole corpus"
-		if ma != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Streamed is the clean shape: iterate through Each, size by Len.

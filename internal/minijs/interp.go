@@ -92,7 +92,10 @@ func (e *environment) define(name string, v Value) {
 type Interp struct {
 	global *environment
 	fuel   int64
-	depth  int // statements and expressions under evaluation, see maxEvalDepth
+	// granted is the fuel handed out so far: the initial budget plus every
+	// AddFuel grant.
+	granted int64
+	depth   int // statements and expressions under evaluation, see maxEvalDepth
 	// OnDebugger, when set, is invoked for every debugger statement — the
 	// hook the anti-debugging timer checks in the corpus rely on.
 	OnDebugger func()
@@ -111,10 +114,11 @@ func New(fuel int64) *Interp {
 		fuel = DefaultFuel
 	}
 	ip := &Interp{
-		global: newEnvironment(nil),
-		fuel:   fuel,
-		Random: func() float64 { return 0.5 },
-		Now:    func() float64 { return 1704067200000 }, // 2024-01-01T00:00:00Z
+		global:  newEnvironment(nil),
+		fuel:    fuel,
+		granted: fuel,
+		Random:  func() float64 { return 0.5 },
+		Now:     func() float64 { return 1704067200000 }, // 2024-01-01T00:00:00Z
 	}
 	return ip
 }
@@ -132,9 +136,16 @@ func (ip *Interp) Global(name string) (Value, bool) {
 // Fuel returns the remaining execution budget.
 func (ip *Interp) Fuel() int64 { return ip.fuel }
 
+// FuelSpent returns the execution budget consumed so far. Unlike Fuel, it
+// never decreases: an AddFuel grant raises Fuel and leaves it unchanged.
+func (ip *Interp) FuelSpent() int64 { return ip.granted - ip.fuel }
+
 // AddFuel extends the execution budget (used by event-loop embedders that
 // grant each timer callback its own slice).
-func (ip *Interp) AddFuel(n int64) { ip.fuel += n }
+func (ip *Interp) AddFuel(n int64) {
+	ip.fuel += n
+	ip.granted += n
+}
 
 // Run executes a parsed program.
 func (ip *Interp) Run(prog *Program) error {

@@ -322,6 +322,26 @@ func TestFuelExhaustionNotCatchableByScript(t *testing.T) {
 	}
 }
 
+// FuelSpent counts what evaluation consumed: it starts at zero, grows
+// with every step and is not moved by an AddFuel grant.
+func TestFuelSpentIgnoresGrants(t *testing.T) {
+	ip := New(1_000)
+	if got := ip.FuelSpent(); got != 0 {
+		t.Fatalf("fresh interpreter spent %d", got)
+	}
+	if _, err := ip.Eval(`var x = 1; x = x + 1;`); err != nil {
+		t.Fatal(err)
+	}
+	spent := ip.FuelSpent()
+	if spent <= 0 || spent != 1_000-ip.Fuel() {
+		t.Fatalf("spent %d with %d of 1000 left", spent, ip.Fuel())
+	}
+	ip.AddFuel(500)
+	if got := ip.FuelSpent(); got != spent {
+		t.Errorf("AddFuel moved FuelSpent from %d to %d", spent, got)
+	}
+}
+
 func TestDebuggerHook(t *testing.T) {
 	ip := New(0)
 	var hits int

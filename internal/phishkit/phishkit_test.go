@@ -222,12 +222,11 @@ func TestHotLoadedBrandAssetsLeaveReferralTrail(t *testing.T) {
 	// The brand's own traffic logs now show a request for its logo with a
 	// foreign referer — the early-warning signal of Section V-A.
 	var flagged bool
-	for _, e := range net.TrafficTo(BrandAcmeTravelTech.Domain) {
-		if strings.Contains(e.Request.Path, "logo") &&
-			strings.Contains(e.Request.Header("Referer"), "hotload.buzz") {
-			flagged = true
-		}
-	}
+	net.EachTrafficTo(BrandAcmeTravelTech.Domain, func(e *webnet.LoggedExchange) bool {
+		flagged = strings.Contains(e.Request.Path, "logo") &&
+			strings.Contains(e.Request.Header("Referer"), "hotload.buzz")
+		return !flagged
+	})
 	if !flagged {
 		t.Error("brand asset referral trail missing")
 	}

@@ -36,19 +36,16 @@ import (
 	"crawlerbox/internal/webnet"
 )
 
-// Run couples a corpus with its per-message pipeline analyses.
+// Run couples a corpus with the census of its pipeline analyses. The
+// analyses themselves are folded into the census as they complete and
+// never accumulate in memory.
 type Run struct {
 	Corpus *dataset.Corpus
-	// Analyses holds the per-message analyses in corpus order (nil entries
-	// for failed messages). A streamed run (dataset.Stream) leaves it nil —
-	// the census is served from the merged shard instead, so analyses never
-	// accumulate in memory.
-	Analyses []*crawlerbox.MessageAnalysis
 	// Errors counts messages whose analysis failed outright.
 	Errors int
 
-	// shard is the merged census partial folded during Analyze. When nil
-	// (manually assembled Runs), buildCensus folds Analyses on demand.
+	// shard is the merged census partial folded during Analyze; nil for a
+	// zero Run, whose aggregates are those of an empty corpus.
 	shard *CensusShard
 
 	// censusOnce guards the lazily built census index. The index is
@@ -252,22 +249,14 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 //
 // Messages stream through AnalyzeSpecs one at a time — the producer renders
 // specs on demand (Corpus.Each) and each worker folds its results into a
-// private CensusShard — so peak memory is O(workers), not O(corpus). For a
-// corpus built by dataset.Stream, Run.Analyses stays nil and every
-// aggregate is served from the merged shard; a corpus built by
-// dataset.Generate additionally retains the analyses for callers that
-// inspect them directly.
+// private CensusShard — so peak memory is O(workers), not O(corpus), and
+// every aggregate is served from the merged shard.
 //
 // Concurrency, observability, fault injection, and the on-disk stores are
 // all opt-in through the Option values.
 func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, error) {
 	workers := resolve(opts).workers
 	run := &Run{Corpus: c}
-	retain := !c.Streamed()
-	var analyses []*crawlerbox.MessageAnalysis
-	if retain {
-		analyses = make([]*crawlerbox.MessageAnalysis, c.Len())
-	}
 
 	// The producer folds the monthly series as plans flow past; each worker
 	// folds its own shard.
@@ -298,9 +287,6 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 			return
 		}
 		shards[w].AddAnalysis(res.Index, res.Analysis)
-		if retain {
-			analyses[res.Index] = res.Analysis
-		}
 	}
 	if err := AnalyzeSpecs(ctx, c, produce, sink, opts...); err != nil {
 		return nil, err
@@ -330,16 +316,13 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 		msgShard.Merge(s)
 	}
 	run.shard = msgShard
-	if retain {
-		run.Analyses = analyses
-	}
 	return run, nil
 }
 
-// census is the memoized index behind every Run aggregate. It is computed
-// lazily exactly once (Run.index), in one pass over Run.Analyses plus one
-// pass over the corpus message list, and never mutated afterwards; methods
-// that return slices hand out copies so callers can't corrupt it.
+// census is the memoized index behind every Run aggregate. It is derived
+// lazily exactly once (Run.index) from the run's merged shard and never
+// mutated afterwards; methods that return slices hand out copies so
+// callers can't corrupt it.
 type census struct {
 	disposition []DispositionRow
 	monthly     [10]int
@@ -362,27 +345,14 @@ func (r *Run) index() *census {
 	return r.census
 }
 
-// buildCensus derives the census from the run's merged shard. A streamed
-// Analyze supplies the shard directly; a manually assembled Run (Corpus +
-// Analyses, no shard) folds its retained analyses into a fresh shard first.
-// Either way the derivations replicate the legacy single-pass census
-// byte-for-byte (asserted by the equivalence tests in report_equiv_test.go).
+// buildCensus finalizes the run's merged shard. The derivations replicate
+// the legacy per-call scans byte-for-byte (asserted by the equivalence
+// tests in report_equiv_test.go).
 func (r *Run) buildCensus() *census {
-	s := r.shard
-	if s == nil {
-		s = NewCensusShard()
-		if r.Corpus != nil {
-			//cblint:ignore streamsafe fallback fold for manually assembled slice-backed Runs
-			for i := range r.Corpus.Messages {
-				s.AddMessage(&r.Corpus.Messages[i])
-			}
-		}
-		//cblint:ignore streamsafe fallback fold for manually assembled slice-backed Runs
-		for i, ma := range r.Analyses {
-			s.AddAnalysis(i, ma)
-		}
+	if r.shard == nil {
+		return NewCensusShard().finalize()
 	}
-	return s.finalize()
+	return r.shard.finalize()
 }
 
 // DispositionRow is one row of the Section V breakdown.

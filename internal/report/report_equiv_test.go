@@ -1,27 +1,83 @@
 package report
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"crawlerbox/internal/crawlerbox"
+	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/stats"
 	"crawlerbox/internal/urlx"
+	"crawlerbox/internal/webnet"
 	"crawlerbox/internal/whois"
 )
 
 // This file pins the memoized census to the original per-call aggregation
 // semantics: every legacy* function below is a verbatim transplant of the
-// pre-census Run method (each one a full scan over r.Analyses), and the
+// pre-census Run method (each one a full scan over the analyses), and the
 // tests assert that the census-backed methods render byte-identical output.
+
+// _shared caches the analyses of a second corpus of _sharedConfig, the
+// input of the legacy scans.
+var _shared struct {
+	once     sync.Once
+	corpus   *dataset.Corpus
+	analyses []*crawlerbox.MessageAnalysis
+	err      error
+}
+
+// sharedAnalyses returns the analyses of a fresh corpus of the shared Run's
+// Config, in corpus order, and that corpus, whose Net holds the traffic
+// ledger they left. Analysis is deterministic per Config, so they are the
+// analyses the shared Run folded into its census.
+func sharedAnalyses(t *testing.T) (*dataset.Corpus, []*crawlerbox.MessageAnalysis) {
+	t.Helper()
+	_shared.once.Do(func() {
+		_shared.corpus, _shared.analyses, _shared.err = collectAnalyses(_sharedConfig)
+	})
+	if _shared.err != nil {
+		t.Fatal(_shared.err)
+	}
+	return _shared.corpus, _shared.analyses
+}
+
+// collectAnalyses analyzes a fresh corpus of cfg through AnalyzeSpecs with
+// the specs Analyze sends and a sink that keeps every analysis, indexed by
+// message (nil for a failed one).
+func collectAnalyses(cfg dataset.Config, opts ...Option) (*dataset.Corpus, []*crawlerbox.MessageAnalysis, error) {
+	c, err := dataset.Stream(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	analyses := make([]*crawlerbox.MessageAnalysis, c.Len())
+	produce := func(send func(crawlerbox.IndexedSpec) bool) {
+		c.Each(func(i int, m *dataset.Message) bool {
+			return send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{
+				Raw: m.Raw,
+				ID:  int64(i + 1),
+				At:  m.Delivered.Add(2 * time.Hour),
+			}})
+		})
+	}
+	sink := func(_ int, res crawlerbox.CorpusResult) {
+		if res.Err == nil {
+			analyses[res.Index] = res.Analysis
+		}
+	}
+	if err := AnalyzeSpecs(context.Background(), c, produce, sink, opts...); err != nil {
+		return nil, nil, err
+	}
+	return c, analyses, nil
+}
 
 // legacyLandingDomains groups active-phish analyses by registrable landing
 // domain (the original Run.landingDomains).
-func legacyLandingDomains(r *Run) map[string][]*crawlerbox.MessageAnalysis {
+func legacyLandingDomains(analyses []*crawlerbox.MessageAnalysis) map[string][]*crawlerbox.MessageAnalysis {
 	out := map[string][]*crawlerbox.MessageAnalysis{}
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Outcome != crawlerbox.OutcomeActivePhish || ma.Landing == nil {
 			continue
 		}
@@ -30,10 +86,10 @@ func legacyLandingDomains(r *Run) map[string][]*crawlerbox.MessageAnalysis {
 	return out
 }
 
-func legacyDisposition(r *Run) []DispositionRow {
+func legacyDisposition(analyses []*crawlerbox.MessageAnalysis) []DispositionRow {
 	counts := map[string]int{}
 	total := 0
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil {
 			continue
 		}
@@ -47,9 +103,9 @@ func legacyDisposition(r *Run) []DispositionRow {
 	return dispositionRows(counts, total)
 }
 
-func legacyMonthlySeries(r *Run) [10]int {
+func legacyMonthlySeries(c *dataset.Corpus) [10]int {
 	var out [10]int
-	for _, m := range r.Corpus.Messages {
+	for _, m := range c.Messages {
 		if m.Month >= 0 && m.Month < 10 {
 			out[m.Month]++
 		}
@@ -57,9 +113,9 @@ func legacyMonthlySeries(r *Run) [10]int {
 	return out
 }
 
-func legacyTable2(r *Run) []urlx.TLDCount {
+func legacyTable2(analyses []*crawlerbox.MessageAnalysis) []urlx.TLDCount {
 	var hosts []string
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Landing == nil {
 			continue
 		}
@@ -69,8 +125,8 @@ func legacyTable2(r *Run) []urlx.TLDCount {
 	return urlx.TLDDistribution(hosts)
 }
 
-func legacyFigure3(r *Run) (TimelineStats, error) {
-	groups := legacyLandingDomains(r)
+func legacyFigure3(analyses []*crawlerbox.MessageAnalysis) (TimelineStats, error) {
+	groups := legacyLandingDomains(analyses)
 	var deltaA, deltaB []float64
 	for _, analyses := range groups {
 		var sumUnix int64
@@ -131,10 +187,10 @@ func legacyFigure3(r *Run) (TimelineStats, error) {
 	return out, nil
 }
 
-func legacySpear(r *Run) SpearStats {
+func legacySpear(analyses []*crawlerbox.MessageAnalysis) SpearStats {
 	out := SpearStats{}
 	urls := map[string]bool{}
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Outcome != crawlerbox.OutcomeActivePhish {
 			continue
 		}
@@ -149,7 +205,7 @@ func legacySpear(r *Run) SpearStats {
 			urls[ma.Landing.URL] = true
 		}
 	}
-	groups := legacyLandingDomains(r)
+	groups := legacyLandingDomains(analyses)
 	out.DistinctDomains = len(groups)
 	out.DistinctURLs = len(urls)
 	if out.Active > 0 {
@@ -172,8 +228,8 @@ func legacySpear(r *Run) SpearStats {
 	return out
 }
 
-func legacyDNSVolumes(r *Run) DNSStats {
-	groups := legacyLandingDomains(r)
+func legacyDNSVolumes(analyses []*crawlerbox.MessageAnalysis) DNSStats {
+	groups := legacyLandingDomains(analyses)
 	var st, sm, mt, mm []float64
 	var totals []int
 	for _, analyses := range groups {
@@ -204,14 +260,14 @@ func legacyDNSVolumes(r *Run) DNSStats {
 	return out
 }
 
-func legacyDomainSyntax(r *Run) SyntaxStats {
+func legacyDomainSyntax(analyses []*crawlerbox.MessageAnalysis) SyntaxStats {
 	analyzer := urlx.NewDeceptionAnalyzer([]string{
 		"acme", "acmetraveltech", "skybooker", "farewell", "transitgo",
 		"payroute", "microsoft", "onedrive", "office", "docusign", "excel",
 	})
 	seen := map[string]bool{}
 	out := SyntaxStats{}
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Landing == nil || seen[ma.Landing.Host] {
 			continue
 		}
@@ -233,9 +289,9 @@ func legacyDomainSyntax(r *Run) SyntaxStats {
 	return out
 }
 
-func legacyCloakPrevalence(r *Run) []CloakRow {
+func legacyCloakPrevalence(analyses []*crawlerbox.MessageAnalysis) []CloakRow {
 	counts := map[string]int{}
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil {
 			continue
 		}
@@ -244,10 +300,10 @@ func legacyCloakPrevalence(r *Run) []CloakRow {
 	return cloakRows(counts)
 }
 
-func legacyNonTargetedBrands(r *Run) []BrandRow {
+func legacyNonTargetedBrands(analyses []*crawlerbox.MessageAnalysis) []BrandRow {
 	counts := map[string]int{}
 	seen := map[string]bool{}
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Outcome != crawlerbox.OutcomeActivePhish ||
 			ma.SpearPhish || ma.Landing == nil || seen[ma.Landing.Registrable] {
 			continue
@@ -258,9 +314,9 @@ func legacyNonTargetedBrands(r *Run) []BrandRow {
 	return brandRows(counts)
 }
 
-func legacyTurnstileShare(r *Run) (turnstilePct, recaptchaPct float64) {
+func legacyTurnstileShare(analyses []*crawlerbox.MessageAnalysis) (turnstilePct, recaptchaPct float64) {
 	var cred, ts, rc int
-	for _, ma := range r.Analyses {
+	for _, ma := range analyses {
 		if ma == nil || ma.Outcome != crawlerbox.OutcomeActivePhish {
 			continue
 		}
@@ -283,23 +339,24 @@ func legacyTurnstileShare(r *Run) (turnstilePct, recaptchaPct float64) {
 // bytes are identical.
 func TestCensusMatchesLegacyAggregates(t *testing.T) {
 	run := sharedRun(t)
-	legacyTS, legacyRC := legacyTurnstileShare(run)
-	legacyF3, legacyF3Err := legacyFigure3(run)
+	c, analyses := sharedAnalyses(t)
+	legacyTS, legacyRC := legacyTurnstileShare(analyses)
+	legacyF3, legacyF3Err := legacyFigure3(analyses)
 	for name, pair := range map[string][2]string{
-		"disposition": {run.RenderDisposition(), formatDisposition(legacyDisposition(run))},
-		"table2":      {run.RenderTable2(), formatTable2(legacyTable2(run))},
+		"disposition": {run.RenderDisposition(), formatDisposition(legacyDisposition(analyses))},
+		"table2":      {run.RenderTable2(), formatTable2(legacyTable2(analyses))},
 		"figure3":     {run.RenderFigure3(), formatFigure3(legacyF3, legacyF3Err)},
 		"spear": {run.RenderSpear(),
-			formatSpear(legacySpear(run), legacyDNSVolumes(run), legacyDomainSyntax(run))},
-		"cloaks":      {run.RenderCloaks(), formatCloaks(legacyCloakPrevalence(run), legacyTS, legacyRC)},
-		"nontargeted": {run.RenderNonTargeted(), formatNonTargeted(legacyNonTargetedBrands(run))},
+			formatSpear(legacySpear(analyses), legacyDNSVolumes(analyses), legacyDomainSyntax(analyses))},
+		"cloaks":      {run.RenderCloaks(), formatCloaks(legacyCloakPrevalence(analyses), legacyTS, legacyRC)},
+		"nontargeted": {run.RenderNonTargeted(), formatNonTargeted(legacyNonTargetedBrands(analyses))},
 	} {
 		if pair[0] != pair[1] {
 			t.Errorf("%s: census and legacy aggregates render differently\ncensus:\n%s\nlegacy:\n%s",
 				name, pair[0], pair[1])
 		}
 	}
-	if got, want := run.MonthlySeries(), legacyMonthlySeries(run); got != want {
+	if got, want := run.MonthlySeries(), legacyMonthlySeries(c); got != want {
 		t.Errorf("monthly series: census %v, legacy %v", got, want)
 	}
 }
@@ -331,7 +388,7 @@ func TestCensusRepeatedCallsStable(t *testing.T) {
 func TestCensusConcurrentAccess(t *testing.T) {
 	run := sharedRun(t)
 	// Reset memoization on a shallow copy so the goroutines race to build.
-	fresh := &Run{Corpus: run.Corpus, Analyses: run.Analyses, Errors: run.Errors}
+	fresh := &Run{Corpus: run.Corpus, shard: run.shard, Errors: run.Errors}
 	want := run.RenderDisposition() + run.RenderSpear() + run.RenderCloaks()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -365,16 +422,18 @@ func TestCensusConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestHotLoadReferralsMatchesLedgerScan pins the zero-copy iterator count
-// to a full Traffic() copy scan.
+// TestHotLoadReferralsMatchesLedgerScan pins the run's referral count to a
+// scan of the ledger that a second corpus of the same Config was left with.
 func TestHotLoadReferralsMatchesLedgerScan(t *testing.T) {
 	run := sharedRun(t)
+	c, _ := sharedAnalyses(t)
 	want := 0
-	for _, e := range run.Corpus.Net.Traffic() {
+	c.Net.EachTraffic(func(e *webnet.LoggedExchange) bool {
 		if e.Request.Path == "/assets/logo.png" && e.Request.Header("Referer") != "" {
 			want++
 		}
-	}
+		return true
+	})
 	if got := run.HotLoadReferrals(); got != want {
 		t.Errorf("HotLoadReferrals = %d, ledger scan = %d", got, want)
 	}

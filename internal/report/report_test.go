@@ -11,12 +11,15 @@ import (
 
 // _sharedRun caches one analyzed corpus for all report tests (analysis over
 // a quarter-scale corpus takes ~1s; regenerating per test would dominate).
-var _sharedRun *Run
+var (
+	_sharedConfig = dataset.Config{Seed: 42, Scale: 0.25}
+	_sharedRun    *Run
+)
 
 func sharedRun(t *testing.T) *Run {
 	t.Helper()
 	if _sharedRun == nil {
-		c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.25})
+		c, err := dataset.Stream(_sharedConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,8 +37,12 @@ func TestAnalyzeNoHardErrors(t *testing.T) {
 	if run.Errors != 0 {
 		t.Errorf("analysis errors = %d", run.Errors)
 	}
-	if len(run.Analyses) != len(run.Corpus.Messages) {
-		t.Errorf("analyses = %d, messages = %d", len(run.Analyses), len(run.Corpus.Messages))
+	total := 0
+	for _, row := range run.Disposition() {
+		total += row.Count
+	}
+	if total != run.Corpus.Len() {
+		t.Errorf("analyses = %d, messages = %d", total, run.Corpus.Len())
 	}
 }
 
@@ -244,14 +251,15 @@ func TestRenderTable1(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelAggregatesBitwiseIdentical is the PR's acceptance
-// criterion: running the corpus through the worker pool must yield rendered
-// aggregates byte-identical to the serial run. Each run gets a fresh
-// same-seed corpus because analysis mutates world state (harvested
-// credentials, challenge tokens).
+// TestAnalyzeParallelAggregatesBitwiseIdentical pins the determinism
+// contract: running the corpus through the worker pool must yield rendered
+// aggregates byte-identical to the serial run, every one served from the
+// merged per-worker shards. Each run gets a fresh same-seed corpus because
+// analysis mutates world state (harvested credentials, challenge tokens).
+// Run under -race this also exercises the producer/worker-shard handoff.
 func TestAnalyzeParallelAggregatesBitwiseIdentical(t *testing.T) {
 	render := func(workers int) string {
-		c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.1})
+		c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}

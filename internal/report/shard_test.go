@@ -1,49 +1,51 @@
 package report
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
 
+	"crawlerbox/internal/crawlerbox"
 	"crawlerbox/internal/dataset"
 )
 
-// shardFixture analyzes a small corpus once and exposes per-message folds so
-// the property tests can rebuild shards any way they like.
+// shardInput is a corpus with its analyses, indexed by message.
+type shardInput struct {
+	corpus   *dataset.Corpus
+	analyses []*crawlerbox.MessageAnalysis
+}
+
+// shardFixture analyzes a small corpus once and keeps its analyses so the
+// property tests can rebuild shards any way they like.
 var shardFixture struct {
 	once sync.Once
-	run  *Run
+	in   shardInput
 	err  error
 }
 
-func shardRun(t *testing.T) *Run {
+func shardRun(t *testing.T) shardInput {
 	t.Helper()
 	shardFixture.once.Do(func() {
-		c, err := dataset.Generate(dataset.Config{Seed: 42, Scale: 0.1})
-		if err != nil {
-			shardFixture.err = err
-			return
-		}
-		shardFixture.run, shardFixture.err = Analyze(context.Background(), c, WithWorkers(1))
+		shardFixture.in.corpus, shardFixture.in.analyses, shardFixture.err =
+			collectAnalyses(dataset.Config{Seed: 42, Scale: 0.1}, WithWorkers(1))
 	})
 	if shardFixture.err != nil {
 		t.Fatal(shardFixture.err)
 	}
-	return shardFixture.run
+	return shardFixture.in
 }
 
 // foldShard builds a fresh shard from the messages/analyses whose index
 // satisfies pick. Message folds and analysis folds travel together, the way
 // Analyze's producer and workers split them.
-func foldShard(r *Run, pick func(i int) bool) *CensusShard {
+func foldShard(r shardInput, pick func(i int) bool) *CensusShard {
 	s := NewCensusShard()
-	for i := range r.Corpus.Messages {
+	for i := range r.corpus.Messages {
 		if pick(i) {
-			s.AddMessage(&r.Corpus.Messages[i])
+			s.AddMessage(&r.corpus.Messages[i])
 		}
 	}
-	for i, ma := range r.Analyses {
+	for i, ma := range r.analyses {
 		if pick(i) {
 			s.AddAnalysis(i, ma)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStreamedAnalyzeWorkerIndependent pins the streamed half of the
-// determinism contract: a corpus built by dataset.Stream (no retained
-// Analyses, aggregates served purely from merged shards) renders every
+// determinism contract: a corpus built by dataset.Stream (aggregates served
+// purely from merged shards, no rendered message kept) renders every
 // artifact byte-identically at workers=1 and workers=8. Run under -race
 // this also exercises the producer/worker-shard handoff for data races.
 func TestStreamedAnalyzeWorkerIndependent(t *testing.T) {
@@ -36,8 +36,10 @@ func TestStreamedAnalyzeWorkerIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Analyses != nil {
-			t.Fatalf("streamed run retained %d analyses", len(run.Analyses))
+		for i := range c.Messages {
+			if c.Messages[i].Raw != nil {
+				t.Fatalf("workers=%d: message %d: streamed run retained its rendered bytes", workers, i)
+			}
 		}
 		return renderAll(run)
 	}
@@ -57,18 +59,16 @@ func TestStreamedAnalyzeWorkerIndependent(t *testing.T) {
 // sink marked Skipped, and their count lands in the observer's
 // crawlerbox_corpus_skipped_total counter.
 func TestAnalyzeSpecsCountsSkipped(t *testing.T) {
-	c, err := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.02})
+	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	produce := func(send func(crawlerbox.IndexedSpec) bool) {
-		for i := 0; i < 4; i++ {
-			if !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: c.Messages[i].Raw, ID: int64(i + 1)}}) {
-				return
-			}
-		}
+		c.Each(func(i int, m *dataset.Message) bool {
+			return i < 4 && send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1)}})
+		})
 	}
 	skipped := 0
 	sink := func(_ int, res crawlerbox.CorpusResult) {

@@ -298,8 +298,8 @@ func annotateFromTrace(v *Verdict, t *obs.Trace) {
 // facts — no crawl, no live pipeline, just crawlerbox.Adjudicate over the
 // evidence the Classify stage persisted.
 type Readjudication struct {
-	ID          int64  `json:"id"`
-	Adjudicable bool   `json:"adjudicable"`
+	ID          int64 `json:"id"`
+	Adjudicable bool  `json:"adjudicable"`
 	// StoredOutcome / StoredErrorKind are what the live pipeline recorded.
 	StoredOutcome   string `json:"stored_outcome"`
 	StoredErrorKind string `json:"stored_error_kind,omitempty"`

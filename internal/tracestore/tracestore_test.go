@@ -85,13 +85,13 @@ func TestQueryRoundTrip(t *testing.T) {
 
 func TestParseQueryErrors(t *testing.T) {
 	for _, bad := range []string{
-		"outcome",            // no =
-		"=value",             // empty key
-		"outcome=",           // empty value
-		"color=red",          // unknown key
-		"id=zero",            // non-numeric id
-		"id=-4",              // non-positive id
-		"limit=0",            // non-positive limit
+		"outcome",   // no =
+		"=value",    // empty key
+		"outcome=",  // empty value
+		"color=red", // unknown key
+		"id=zero",   // non-numeric id
+		"id=-4",     // non-positive id
+		"limit=0",   // non-positive limit
 		"outcome=x color=red",
 	} {
 		if _, err := ParseQuery(bad); err == nil {

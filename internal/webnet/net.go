@@ -195,9 +195,9 @@ type Internet struct {
 	// scanning (or copying) the whole ledger.
 	trafficByHost map[string][]int // guarded by mu
 	// spill, when set via SpillTrafficTo, replaces the in-RAM ledgers:
-	// exchanges append to the store and only their count stays resident.
-	spill   *evstore.Store // guarded by mu
-	spilled int            // guarded by mu
+	// exchanges append to the store and nothing per exchange stays
+	// resident.
+	spill *evstore.Store // guarded by mu
 }
 
 // LoggedExchange pairs a request with its response for traffic analysis.
@@ -708,42 +708,6 @@ func (n *Internet) logExchange(req *Request, status int, at time.Time) {
 	n.trafficByHost[req.Host] = append(n.trafficByHost[req.Host], len(n.trafficLog)-1)
 }
 
-// Traffic returns a copy of the exchange log. Aggregation paths that only
-// read the ledger should prefer EachTraffic, which avoids the copy.
-func (n *Internet) Traffic() []LoggedExchange {
-	n.mu.Lock()
-	if n.spill != nil {
-		store := n.spill
-		count := n.spilled
-		n.mu.Unlock()
-		out := make([]LoggedExchange, 0, count)
-		_ = store.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
-			if kind != evstore.KindExchange {
-				return true
-			}
-			if e, err := decodeExchange(payload); err == nil {
-				out = append(out, e)
-			}
-			return true
-		})
-		return out
-	}
-	defer n.mu.Unlock()
-	out := make([]LoggedExchange, len(n.trafficLog))
-	copy(out, n.trafficLog)
-	return out
-}
-
-// TrafficLen returns the number of logged exchanges.
-func (n *Internet) TrafficLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.spill != nil {
-		return n.spilled
-	}
-	return len(n.trafficLog)
-}
-
 // EachTraffic calls fn for every logged exchange in log order, without
 // copying the ledger, until fn returns false. The entry pointer is valid
 // only for the duration of the call and must not be retained or mutated.
@@ -816,32 +780,4 @@ func (n *Internet) EachTrafficTo(host string, fn func(e *LoggedExchange) bool) {
 			return
 		}
 	}
-}
-
-// TrafficTo returns a copy of the exchanges addressed to a host. In RAM
-// mode it is built on the by-host index, so it never scans unrelated
-// traffic; in spill mode it filters a store scan, like EachTrafficTo.
-func (n *Internet) TrafficTo(host string) []LoggedExchange {
-	host = strings.ToLower(host)
-	n.mu.Lock()
-	if n.spill != nil {
-		n.mu.Unlock()
-		var out []LoggedExchange
-		n.EachTrafficTo(host, func(e *LoggedExchange) bool {
-			out = append(out, *e)
-			return true
-		})
-		return out
-	}
-	log := n.trafficLog
-	idx := n.trafficByHost[host]
-	n.mu.Unlock()
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]LoggedExchange, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, log[i])
-	}
-	return out
 }

@@ -12,17 +12,17 @@ import (
 // SpillTrafficTo switches the Internet's exchange ledger to an on-disk
 // evidence store: every logged exchange is encoded as one KindExchange
 // record instead of growing the in-RAM traffic log, so a million-message
-// run keeps O(1) traffic state in memory — only a count stays resident.
+// run keeps O(1) traffic state in memory.
 // Resolve likewise folds live passive-DNS observations into per-host-day
 // aggregates instead of appending one QueryRecord per lookup.
 //
 // Call it before traffic flows; exchanges already logged in RAM stay
 // there and keep being served alongside the spilled ones is NOT supported —
-// the switch must happen on an empty ledger. The traffic accessors
-// (Traffic, EachTraffic, TrafficTo, ...) work unchanged, decoding records
-// on demand; the per-host views scan the store rather than consult an
-// in-RAM index, trading read speed (they are post-run reporting paths)
-// for a resident footprint independent of traffic volume.
+// the switch must happen on an empty ledger. The traffic views
+// (EachTraffic, EachTrafficTo) work unchanged, decoding records on demand;
+// the per-host view scans the store rather than consult an in-RAM index,
+// trading read speed (it is a post-run reporting path) for a resident
+// footprint independent of traffic volume.
 func (n *Internet) SpillTrafficTo(store *evstore.Store) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -40,10 +40,7 @@ func (n *Internet) spillExchangeLocked(e *LoggedExchange) {
 		// the ledger but must not take the simulated network down with it;
 		// surface the loss on the metrics stream instead.
 		n.Metrics.Inc("webnet_traffic_spill_errors_total")
-		return
 	}
-	//cblint:ignore guarded the sole caller (logExchange) holds n.mu across the call
-	n.spilled++
 }
 
 // encodeExchange flattens one exchange for the evidence store. Only the

@@ -213,7 +213,11 @@ func TestTrafficLogAndReferralAnalysis(t *testing.T) {
 	if _, err := n.Do(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	exchanges := n.TrafficTo("brand.example")
+	var exchanges []LoggedExchange
+	n.EachTrafficTo("brand.example", func(e *LoggedExchange) bool {
+		exchanges = append(exchanges, *e)
+		return true
+	})
 	if len(exchanges) != 1 {
 		t.Fatalf("traffic = %d", len(exchanges))
 	}
