@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck servecheck perfbench fuzz-smoke
+.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, gofmt,
 # vet, the cblint invariant linter in baseline and SARIF modes plus its own
@@ -9,9 +9,9 @@ GO ?= go
 # workers-1-vs-8 determinism tests and the concurrent-census test), a
 # small-scale run of the repository benchmark, the trace golden check
 # (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
-# ingest replay-determinism gate (DESIGN.md §15), and the benchmark
-# module's own vet and tests.
-check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck servecheck perfbench
+# evidence-store pin (DESIGN.md §8), the ingest replay-determinism gate
+# (DESIGN.md §15), and the benchmark module's own vet and tests.
+check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck perfbench
 
 build:
 	$(GO) build ./...
@@ -52,13 +52,15 @@ race:
 	$(GO) test -race ./...
 
 # perfsmoke is the executed benchmark in check: the repository benchmark
-# (perfbench/, BENCHMARK.json) on the rereport and replay workloads at 5%
-# scale for one second each. Each run records ingest journals, replays
-# them, and fails on any of perfbench's correctness checks; build products
-# stay under .bench_build/.
+# (perfbench/, BENCHMARK.json) on the rereport, replay and batch workloads
+# at 5% scale for one second each. The ingest runs record journals, replay
+# them, and fail on any of perfbench's correctness checks; the batch run
+# spills evidence and checks its triage segment against a replay. Build
+# products stay under .bench_build/.
 perfsmoke:
 	bash perfbench/run.sh --workload rereport --scale 0.05 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload replay --scale 0.05 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload batch --scale 0.05 --seconds 1 --trace 0
 
 # tracecheck replays the example corpus with tracing and 10% fault injection
 # on, and diffs both exports against the committed goldens
@@ -105,6 +107,21 @@ triagecheck:
 	  $(GO) run ./cmd/obsreport -store testdata/triagecheck.store -adjudicate 4 ; } > $$tmp/triage.txt && \
 	diff -u testdata/triagecheck.golden.txt $$tmp/triage.txt && \
 	rm -rf $$tmp && echo "triagecheck: triage index, compaction, and renders match goldens"
+
+# evidencecheck pins the evidence store's bytes (DESIGN.md §8), which the
+# trace-store gates do not read: the example corpus with 10% fault
+# injection, spilled at one worker, must hash to the committed sha256.
+# Records are appended in completion order, so only -workers 1 gives a
+# schedule-independent store. Regenerate after a deliberate format change
+# by running the same command and writing its sha256sum line (file name
+# evidence.store) to testdata/evidencecheck.sha256.
+evidencecheck:
+	@tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/crawlerbox -n 40 -workers 1 -faults 0.1 \
+		-evidence $$tmp/evidence.store > /dev/null && \
+	sum=$$(cat testdata/evidencecheck.sha256) && \
+	(cd $$tmp && echo "$$sum" | sha256sum -c --quiet -) && \
+	rm -rf $$tmp && echo "evidencecheck: evidence store matches testdata/evidencecheck.sha256"
 
 # servecheck is the continuous-ingest golden gate (DESIGN.md §15): record
 # the example corpus into a canned ingest log, replay it through the daemon

@@ -223,6 +223,28 @@ func (r *Result) RenderScreenshot() *imaging.Image {
 	return r.Screenshot
 }
 
+// PaintScreenshot returns the screenshot of the final page, or nil when no
+// page loaded, and stores nothing on r. When RenderScreenshot already ran,
+// it returns the stored image. Otherwise it paints the page over every
+// pixel of canvas and returns canvas, or paints a new image when canvas is
+// nil. A canvas must be an image an earlier PaintScreenshot painted; it
+// holds this screenshot until the caller paints another one into it. A
+// caller that only encodes screenshots (the evidence spill) reuses one
+// canvas across results this way, and a later RenderScreenshot still
+// renders the same pixels.
+func (r *Result) PaintScreenshot(canvas *imaging.Image) *imaging.Image {
+	switch {
+	case r.shot == nil:
+		return r.Screenshot
+	case canvas == nil:
+		return renderScreenshot(r.shot)
+	case canvas.W != shotW || canvas.H != shotH:
+		panic(fmt.Sprintf("browser: %dx%d canvas, want %dx%d", canvas.W, canvas.H, shotW, shotH))
+	}
+	r.shot.paint(canvas)
+	return canvas
+}
+
 func (b *Browser) navigate(ctx context.Context, rawURL, referrer string, rec *recorder, depth int) (*Result, error) {
 	current := rawURL
 	var navigations []string

@@ -59,20 +59,29 @@ func newShotState(pg *page) *shotState {
 	return st
 }
 
-// renderScreenshot rasterizes the page like the original pipeline's
+// renderScreenshot rasterizes the page into a new image.
+func renderScreenshot(st *shotState) *imaging.Image {
+	// paint sets every pixel, so the canvas starts unfilled.
+	img := imaging.MustNew(shotW, shotH, imaging.RGB{})
+	st.paint(img)
+	return img
+}
+
+// paint rasterizes the page onto img like the original pipeline's
 // screenshot step: block elements stack vertically, inline styles set
 // backgrounds and ink colors, text renders in the bitmap font, and a
 // document-level hue-rotate filter (the Section V-C2d evasion) is applied
-// last when a script installed one. It only reads the page: a document
-// without a body paints the background alone.
-func renderScreenshot(st *shotState) *imaging.Image {
+// last when a script installed one. It first fills all of img with the
+// body background, so nothing img held before shows through, and it only
+// reads the page: a document without a body paints the background alone.
+func (st *shotState) paint(img *imaging.Image) {
 	body := firstElement(st.doc, "body")
 	// The canvas starts in the body background, white by default.
 	bg := imaging.White
 	if c, ok := st.styleColor(body, "background"); ok {
 		bg = c
 	}
-	img := imaging.MustNew(shotW, shotH, bg)
+	img.FillRect(0, 0, img.W, img.H, bg)
 	if body != nil {
 		y := 2
 		st.renderBlock(img, body, &y)
@@ -81,7 +90,6 @@ func renderScreenshot(st *shotState) *imaging.Image {
 	if deg, ok := st.hueRotation(); ok {
 		img.HueRotate(deg)
 	}
-	return img
 }
 
 // firstElement returns the first element with the tag, or nil.

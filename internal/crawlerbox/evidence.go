@@ -42,18 +42,36 @@ const evidenceVersion = 1
 // EncodeEvidence serializes a message's visit records into one evidence
 // payload. The encoding is varint-framed and self-contained: no field
 // references anything outside the payload, so a record decodes without the
-// run that produced it. It renders each visit's screenshot that nothing
-// has read yet (browser.Result.RenderScreenshot).
+// run that produced it. A screenshot that nothing has read yet is painted
+// for the record and not kept (browser.Result.PaintScreenshot).
 func EncodeEvidence(visits []VisitRecord) []byte {
-	buf := []byte{evidenceVersion}
+	var e EvidenceEncoder
+	return e.encode(visits)
+}
+
+// EvidenceEncoder encodes evidence records into a record buffer and a
+// screenshot canvas it keeps from one record to the next, so an encoder
+// that serves many messages (one per spilling worker) allocates neither
+// per record. The zero value is ready to use. An encoder is not safe for
+// concurrent use.
+type EvidenceEncoder struct {
+	buf    []byte
+	canvas *imaging.Image
+}
+
+// encode serializes visits as EncodeEvidence does. The result aliases the
+// encoder's buffer: it is valid until the next encode.
+func (e *EvidenceEncoder) encode(visits []VisitRecord) []byte {
+	buf := append(e.buf[:0], evidenceVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(visits)))
 	for i := range visits {
-		buf = appendVisit(buf, &visits[i])
+		buf = e.appendVisit(buf, &visits[i])
 	}
+	e.buf = buf
 	return buf
 }
 
-func appendVisit(buf []byte, v *VisitRecord) []byte {
+func (e *EvidenceEncoder) appendVisit(buf []byte, v *VisitRecord) []byte {
 	buf = appendString(buf, v.URL)
 	errText := ""
 	if v.Err != nil {
@@ -69,11 +87,15 @@ func appendVisit(buf []byte, v *VisitRecord) []byte {
 	buf = appendString(buf, res.FinalURL)
 	buf = binary.AppendUvarint(buf, uint64(res.Status))
 	buf = appendString(buf, res.HTML)
-	var shot []byte
-	if img := res.RenderScreenshot(); img != nil {
-		shot = imaging.EncodeCBI(img)
+	if img := res.PaintScreenshot(e.canvas); img != nil {
+		if img != res.Screenshot {
+			e.canvas = img // painted, not stored: the next paint reuses it
+		}
+		buf = binary.AppendUvarint(buf, uint64(imaging.CBILen(img)))
+		buf = imaging.AppendCBI(buf, img)
+	} else {
+		buf = binary.AppendUvarint(buf, 0)
 	}
-	buf = appendBytes(buf, shot)
 	buf = appendStrings(buf, res.Console)
 	buf = appendStrings(buf, res.Scripts)
 	buf = appendStrings(buf, res.ScriptErrors)
@@ -143,17 +165,17 @@ func DecodeEvidence(payload []byte) ([]VisitEvidence, error) {
 	return out, nil
 }
 
-// SpillEvidence encodes ma's visit records, appends them to the store as
-// one KindAnalysis record, stamps the returned handle on ma.Evidence, and
-// drops ma.Visits so the bulky evidence no longer pins RAM. Callers that
-// still need the visit data (hot-load detection, landing titles) must
-// consume it before spilling. A nil store or an analysis with no visits is
-// a no-op.
-func SpillEvidence(store *evstore.Store, ma *MessageAnalysis) error {
+// SpillEvidence encodes ma's visit records with enc, appends them to the
+// store as one KindAnalysis record, stamps the returned handle on
+// ma.Evidence, and drops ma.Visits so the bulky evidence no longer pins
+// RAM. Callers that still need the visit data (hot-load detection, landing
+// titles) must consume it before spilling. A nil store or an analysis with
+// no visits is a no-op.
+func SpillEvidence(store *evstore.Store, enc *EvidenceEncoder, ma *MessageAnalysis) error {
 	if store == nil || ma == nil || len(ma.Visits) == 0 {
 		return nil
 	}
-	h, err := store.Append(evstore.KindAnalysis, EncodeEvidence(ma.Visits))
+	h, err := store.Append(evstore.KindAnalysis, enc.encode(ma.Visits))
 	if err != nil {
 		return err
 	}
@@ -179,11 +201,6 @@ func LoadEvidence(store *evstore.Store, h evstore.Handle) ([]VisitEvidence, erro
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 func appendStrings(buf []byte, ss []string) []byte {

@@ -124,7 +124,7 @@ func TestSpillEvidence(t *testing.T) {
 
 	ma := &MessageAnalysis{Visits: sampleVisits(), Outcome: OutcomeActivePhish}
 	wantPayload := EncodeEvidence(ma.Visits)
-	if err := SpillEvidence(store, ma); err != nil {
+	if err := SpillEvidence(store, &EvidenceEncoder{}, ma); err != nil {
 		t.Fatal(err)
 	}
 	if ma.Visits != nil {
@@ -150,7 +150,7 @@ func TestSpillEvidence(t *testing.T) {
 
 	// Spilling an analysis without visits is a no-op.
 	empty := &MessageAnalysis{}
-	if err := SpillEvidence(store, empty); err != nil {
+	if err := SpillEvidence(store, &EvidenceEncoder{}, empty); err != nil {
 		t.Fatal(err)
 	}
 	if empty.Evidence.Valid() {
@@ -158,7 +158,7 @@ func TestSpillEvidence(t *testing.T) {
 	}
 	// So is spilling to a nil store.
 	withVisits := &MessageAnalysis{Visits: sampleVisits()}
-	if err := SpillEvidence(nil, withVisits); err != nil {
+	if err := SpillEvidence(nil, &EvidenceEncoder{}, withVisits); err != nil {
 		t.Fatal(err)
 	}
 	if withVisits.Visits == nil {

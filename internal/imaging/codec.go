@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // The CBI ("CrawlerBox Image") format is a trivial uncompressed raster
@@ -21,16 +22,28 @@ var ErrNotCBI = errors.New("imaging: not a CBI image")
 
 // EncodeCBI serializes an image to the CBI byte format.
 func EncodeCBI(img *Image) []byte {
-	out := make([]byte, 0, 12+3*len(img.Pix))
-	out = append(out, CBIMagic...)
-	var dims [8]byte
-	binary.BigEndian.PutUint32(dims[0:4], uint32(img.W))
-	binary.BigEndian.PutUint32(dims[4:8], uint32(img.H))
-	out = append(out, dims[:]...)
-	for _, p := range img.Pix {
-		out = append(out, p.R, p.G, p.B)
+	return AppendCBI(make([]byte, 0, CBILen(img)), img)
+}
+
+// CBILen is the length of img's CBI encoding.
+func CBILen(img *Image) int { return 12 + 3*len(img.Pix) }
+
+// AppendCBI appends img's CBI encoding to dst and returns the extended
+// slice. It writes straight into dst's spare capacity, so a caller that
+// reuses one buffer encodes without an intermediate copy.
+func AppendCBI(dst []byte, img *Image) []byte {
+	n, size := len(dst), CBILen(img)
+	dst = slices.Grow(dst, size)[:n+size]
+	out := dst[n:]
+	copy(out, CBIMagic)
+	binary.BigEndian.PutUint32(out[4:8], uint32(img.W))
+	binary.BigEndian.PutUint32(out[8:12], uint32(img.H))
+	px := out[12:size]
+	for i, p := range img.Pix {
+		q := px[3*i : 3*i+3 : 3*i+3]
+		q[0], q[1], q[2] = p.R, p.G, p.B
 	}
-	return out
+	return dst
 }
 
 // DecodeCBI parses CBI bytes back into an image.

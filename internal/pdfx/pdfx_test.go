@@ -2,6 +2,7 @@ package pdfx
 
 import (
 	"bytes"
+	"compress/zlib"
 	"strings"
 	"testing"
 
@@ -50,6 +51,23 @@ func TestBuildParseRoundTripCompressed(t *testing.T) {
 	}
 	if len(parsed.LinkURIs) != 1 {
 		t.Errorf("LinkURIs = %v", parsed.LinkURIs)
+	}
+}
+
+// A content stream compressed by a pooled zlib writer is the stream a new
+// writer makes, whatever the writer compressed before.
+func TestCompressedStreamIndependentOfWriterReuse(t *testing.T) {
+	doc := buildSimpleDoc()
+	var want bytes.Buffer
+	zw := zlib.NewWriter(&want)
+	_, _ = zw.Write(buildContentStream(doc.Pages[0], nil))
+	_ = zw.Close()
+	other := &Document{Pages: []Page{{TextLines: []string{strings.Repeat("a much longer page of other text ", 200)}}}}
+	for i := 0; i < 3; i++ {
+		Build(other, true)
+		if got := Build(doc, true); !bytes.Contains(got, want.Bytes()) {
+			t.Fatalf("build %d: the compressed content stream differs from a new zlib writer's", i)
+		}
 	}
 }
 

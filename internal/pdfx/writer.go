@@ -12,9 +12,15 @@ import (
 	"compress/zlib"
 	"fmt"
 	"strings"
+	"sync"
 
 	"crawlerbox/internal/imaging"
 )
+
+// zlibWriters holds zlib writers between content streams. Reset makes a
+// writer equivalent to a new one, so the compressed bytes do not depend on
+// reuse; the pool spares each stream the compressor's large tables.
+var zlibWriters = sync.Pool{New: func() any { return zlib.NewWriter(nil) }}
 
 // PlacedImage is a raster placed at a position on a page. Coordinates are
 // in PDF points from the top-left of the page (the writer converts to PDF's
@@ -91,9 +97,11 @@ func Build(doc *Document, compress bool) []byte {
 		filter := ""
 		if compress {
 			var zbuf bytes.Buffer
-			zw := zlib.NewWriter(&zbuf)
+			zw := zlibWriters.Get().(*zlib.Writer)
+			zw.Reset(&zbuf)
 			_, _ = zw.Write(content)
 			_ = zw.Close()
+			zlibWriters.Put(zw)
 			stream = zbuf.Bytes()
 			filter = " /Filter /FlateDecode"
 		} else {

@@ -208,6 +208,10 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 		})
 	}()
 	spillErrs := make([]error, op.workers)
+	// Each worker spills through its own encoder, whose record buffer and
+	// screenshot canvas outlive every record (a sync.Pool would drop them
+	// at each GC).
+	encoders := make([]crawlerbox.EvidenceEncoder, op.workers)
 	crawlerbox.AnalyzeStream(ctx, pipe.Analyze, specs, op.workers, func(w int, res crawlerbox.CorpusResult) {
 		if res.Skipped && op.observer != nil {
 			op.observer.Metrics.Inc("crawlerbox_corpus_skipped_total")
@@ -218,7 +222,7 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 		tstore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, res.Err))
 		// Spill AFTER the sink: hot-load detection and landing titles read
 		// the visit records the spill strips.
-		if err := crawlerbox.SpillEvidence(evidence, res.Analysis); err != nil && spillErrs[w] == nil {
+		if err := crawlerbox.SpillEvidence(evidence, &encoders[w], res.Analysis); err != nil && spillErrs[w] == nil {
 			spillErrs[w] = err
 		}
 	})
