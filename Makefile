@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck perfbench fuzz-smoke
+.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, gofmt,
 # vet, the cblint invariant linter in baseline and SARIF modes plus its own
@@ -10,8 +10,9 @@ GO ?= go
 # small-scale run of the repository benchmark, the trace golden check
 # (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
 # evidence-store pin (DESIGN.md §8), the ingest replay-determinism gate
-# (DESIGN.md §15), and the benchmark module's own vet and tests.
-check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck perfbench
+# (DESIGN.md §15), the verdict-stream pin of the full seed-42 corpus, and
+# the benchmark module's own vet and tests.
+check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck perfbench
 
 build:
 	$(GO) build ./...
@@ -141,6 +142,24 @@ servecheck:
 	diff -u $$tmp/counters1.txt $$tmp/counters8.txt && \
 	grep -q '"cache_hits":27' $$tmp/counters1.txt && \
 	rm -rf $$tmp && echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
+
+# verdictcheck pins the verdicts of the whole seed-42 corpus at scale 1
+# (5,181 submissions, DESIGN.md §15): record its ingest journal, replay it
+# at one worker, and require the verdict stream to hash to the committed
+# sha256. servecheck proves the stream does not depend on the worker
+# count; this gate proves a change to the analysis left every verdict, its
+# provenance and its evidence fields byte-identical. Regenerate after a
+# deliberate verdict change by running the same commands and writing the
+# stream's sha256sum line (file name stream.jsonl) to
+# testdata/verdictcheck.sha256.
+verdictcheck:
+	@tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/crawlerboxd -record $$tmp/seed42.ingestlog -seed 42 -scale 1 > /dev/null && \
+	$(GO) run ./cmd/crawlerboxd -replay $$tmp/seed42.ingestlog -seed 42 -scale 1 \
+		-workers 1 -out $$tmp/stream.jsonl > /dev/null && \
+	sum=$$(cat testdata/verdictcheck.sha256) && \
+	(cd $$tmp && echo "$$sum" | sha256sum -c --quiet -) && \
+	rm -rf $$tmp && echo "verdictcheck: seed-42 verdict stream matches testdata/verdictcheck.sha256"
 
 # fuzz-smoke gives every Fuzz* target in the tree a fixed 5 s of
 # coverage-guided fuzzing, one target at a time (go test -fuzz takes one

@@ -95,10 +95,11 @@ type RequestRecord struct {
 	Err       string
 }
 
-// page is the per-document execution context. Its script realm (interp and
-// the objects setupEnvironment builds) exists only once the page runs
-// script; body, head, html, start and cookie hold what the realm reads of
-// the document as it was created, so a realm built later sees the same.
+// page is the per-document execution context. Its script realm (interp)
+// exists only once the page runs script, and each browser global and the
+// document's wrappers only once a script reaches them; body, head, html,
+// start and cookie hold what the realm reads of the document as it was
+// created, so a realm built later sees the same.
 type page struct {
 	br           *Browser
 	ctx          context.Context
@@ -119,12 +120,19 @@ type page struct {
 	errors       []string
 	debuggerHits int
 	pendingNav   string
-	locationObj  *minijs.Object
-	windowObj    *minijs.Object
-	referrer     string
-	frames       []*htmlx.Node
-	rec          *recorder
-	depth        int
+	// The browser globals that other globals alias, each built when a
+	// script first reaches it (see global).
+	navObj      *minijs.Object
+	screenObj   *minijs.Object
+	locationObj *minijs.Object
+	docObj      *minijs.Object
+	windowObj   *minijs.Object
+	chromeObj   *minijs.Object
+	cancelFn    minijs.Value
+	referrer    string
+	frames      []*htmlx.Node
+	rec         *recorder
+	depth       int
 }
 
 // recorder accumulates request records across the whole visit, plus the

@@ -8,12 +8,25 @@ import (
 )
 
 // elementObject wraps an htmlx node as a script-visible element, caching
-// wrappers so identity comparisons hold across lookups.
+// wrappers so identity comparisons hold across lookups. The wrappers of
+// body, head and html are the document's (see wrapRoots).
 func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 	if obj, ok := pg.domCache[node]; ok {
 		return obj
 	}
+	if node == pg.body || node == pg.head || node == pg.html {
+		pg.wrapRoots()
+		return pg.domCache[node]
+	}
+	return pg.newElementObject(node)
+}
+
+// newElementObject builds and caches the wrapper of an unwrapped node.
+func (pg *page) newElementObject(node *htmlx.Node) *minijs.Object {
 	obj := minijs.NewObject()
+	if pg.domCache == nil {
+		pg.domCache = map[*htmlx.Node]*minijs.Object{}
+	}
 	pg.domCache[node] = obj
 	obj.HostData = node
 
@@ -33,6 +46,7 @@ func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 	}))
 	obj.Set("setAttribute", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) >= 2 {
+			pg.wrapRoots()
 			if node.Attrs == nil {
 				node.Attrs = map[string]string{}
 			}
@@ -60,6 +74,7 @@ func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 		if !ok {
 			return minijs.Undefined, nil
 		}
+		pg.wrapRoots()
 		htmlx.AppendChild(node, childNode)
 		pg.processNewNode(childNode, childObj)
 		return args[0], nil
@@ -144,21 +159,39 @@ func (pg *page) processNewNode(node *htmlx.Node, obj *minijs.Object) {
 	})
 }
 
+// wrapRoots builds the wrappers of body, head and html with their
+// innerHTML snapshots, once. They are the document's body, head and
+// documentElement, but a realm builds them only when a script first
+// reaches one of them (elementObject, or a miss on the document that runs
+// fillRoots) or is about to change the DOM: every host function that
+// changes it calls wrapRoots first. Until that first change the DOM is the
+// one the document was created with, so each wrapper holds what it would
+// have held had it been built with the document.
+func (pg *page) wrapRoots() {
+	if _, wrapped := pg.domCache[pg.body]; wrapped {
+		return
+	}
+	for _, node := range [...]*htmlx.Node{pg.body, pg.head, pg.html} {
+		pg.installInnerHTML(pg.newElementObject(node), node)
+	}
+}
+
+// fillRoots adds the document's body, head and documentElement; the
+// document defers it (minijs Object.Defer) until a script reads a name
+// the document does not hold yet.
+func (pg *page) fillRoots(doc *minijs.Object) {
+	pg.wrapRoots()
+	doc.Set("body", minijs.ObjectValue(pg.domCache[pg.body]))
+	doc.Set("head", minijs.ObjectValue(pg.domCache[pg.head]))
+	doc.Set("documentElement", minijs.ObjectValue(pg.domCache[pg.html]))
+}
+
 // documentObject builds the document global.
 func (pg *page) documentObject() *minijs.Object {
 	doc := minijs.NewObject()
-	body, head, docEl := pg.body, pg.head, pg.html
+	body := pg.body
 
 	doc.Set("title", minijs.String(pg.docTitle()))
-	bodyObj := pg.elementObject(body)
-	pg.installInnerHTML(bodyObj, body)
-	doc.Set("body", minijs.ObjectValue(bodyObj))
-	headObj := pg.elementObject(head)
-	pg.installInnerHTML(headObj, head)
-	doc.Set("head", minijs.ObjectValue(headObj))
-	docElObj := pg.elementObject(docEl)
-	pg.installInnerHTML(docElObj, docEl)
-	doc.Set("documentElement", minijs.ObjectValue(docElObj))
 
 	doc.Set("getElementById", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) == 0 {
@@ -202,6 +235,7 @@ func (pg *page) documentObject() *minijs.Object {
 	}))
 	doc.Set("write", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) > 0 {
+			pg.wrapRoots()
 			frag := htmlx.Parse(args[0].ToString())
 			for _, c := range frag.Children {
 				htmlx.AppendChild(body, c)
@@ -222,8 +256,9 @@ func (pg *page) documentObject() *minijs.Object {
 		}
 		return minijs.Undefined, nil
 	}))
-	doc.Set("location", minijs.ObjectValue(pg.locationObj))
+	doc.Set("location", minijs.ObjectValue(pg.location()))
 	doc.Set("referrer", minijs.String(pg.referrer))
+	doc.Defer(pg.fillRoots)
 	return doc
 }
 
@@ -243,6 +278,7 @@ func (pg *page) installInnerHTML(obj *minijs.Object, node *htmlx.Node) {
 		if len(args) == 0 {
 			return minijs.Undefined, nil
 		}
+		pg.wrapRoots()
 		frag := htmlx.Parse(args[0].ToString())
 		htmlx.ReplaceChildren(node, frag)
 		pg.processNewNode(node, obj)

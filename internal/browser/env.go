@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/minijs"
 	"crawlerbox/internal/webnet"
 )
@@ -25,9 +24,10 @@ type handlerEntry struct {
 	fn      minijs.Value
 }
 
-// setupEnvironment builds the page's script realm: an interpreter with the
-// browser-shaped global environment (window, navigator, screen, location,
-// document, timers, console, performance, XMLHttpRequest, and Intl).
+// setupEnvironment builds the page's script realm: an interpreter whose
+// browser-shaped globals (window, navigator, screen, location, document,
+// timers, console, performance, XMLHttpRequest, Intl and the driver
+// artifacts, see global) are built when a script first names one.
 // runScript calls it before the page's first script runs. Nothing a script
 // can observe has changed since the document was created: the DOM changes
 // only under script, and the clock and cookie jar readings come from the
@@ -35,8 +35,6 @@ type handlerEntry struct {
 func (pg *page) setupEnvironment() {
 	ip := minijs.New(pg.br.ScriptFuel)
 	pg.interp = ip
-	pg.domCache = map[*htmlx.Node]*minijs.Object{}
-	prof := pg.br.Profile
 
 	// Virtual clock feeds Date.now().
 	ip.Now = func() float64 {
@@ -44,9 +42,126 @@ func (pg *page) setupEnvironment() {
 	}
 	ip.Random = pg.br.random
 	ip.OnDebugger = func() { pg.debuggerHits++ }
+	ip.Resolve = pg.global
+	if testHookRealm != nil {
+		testHookRealm(pg)
+	}
+}
 
-	// console: plain object so scripts can hijack its methods, a corpus
-	// behavior seen on 295+ messages.
+// testHookRealm, when set by a test, sees every realm as soon as it is
+// built.
+var testHookRealm func(pg *page)
+
+// global builds the browser global name for the page's interpreter (its
+// minijs Resolve hook), or reports false when the page has no such global.
+// A script reaches the DOM only through document, so a document built
+// when first named holds what one built with the realm would have. The
+// objects that other globals alias are built once (navigator, screen,
+// location, document, window, chrome, the timer cancel function), so the
+// aliases keep their identity: window.navigator === navigator,
+// self === window, document.location === location.
+func (pg *page) global(name string) (minijs.Value, bool) {
+	build, ok := _browserGlobals[name]
+	if !ok {
+		return minijs.Undefined, false
+	}
+	return build(pg)
+}
+
+// globalBuilder builds one browser global for a page, or reports false when
+// the page's profile has no such global.
+type globalBuilder func(pg *page) (minijs.Value, bool)
+
+// _browserGlobals holds every browser global a realm can build, by name:
+// the one list of the globals a page supplies. init fills it, since the
+// builders reach global again (a document's script runs in the realm).
+var _browserGlobals map[string]globalBuilder
+
+func init() {
+	_browserGlobals = map[string]globalBuilder{
+		"console":     objectGlobal((*page).consoleObject),
+		"navigator":   objectGlobal((*page).navigator),
+		"screen":      objectGlobal((*page).screen),
+		"Intl":        objectGlobal((*page).intlObject),
+		"location":    objectGlobal((*page).location),
+		"performance": objectGlobal((*page).performanceObject),
+		"document":    objectGlobal((*page).document),
+		"window":      objectGlobal((*page).window),
+		"self":        objectGlobal((*page).window),
+		"__timezoneOffset": func(pg *page) (minijs.Value, bool) {
+			return minijs.Number(float64(pg.br.Profile.TimezoneOffset)), true
+		},
+		"setTimeout": func(pg *page) (minijs.Value, bool) {
+			return minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
+				return pg.schedule(args, false), nil
+			}), true
+		},
+		"setInterval": func(pg *page) (minijs.Value, bool) {
+			return minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
+				return pg.schedule(args, true), nil
+			}), true
+		},
+		"clearTimeout":  func(pg *page) (minijs.Value, bool) { return pg.cancelTimer(), true },
+		"clearInterval": func(pg *page) (minijs.Value, bool) { return pg.cancelTimer(), true },
+		// Synchronous semantics; async callbacks fire inline.
+		"XMLHttpRequest": func(pg *page) (minijs.Value, bool) { return minijs.NewHostFunc(pg.xhrConstructor), true },
+		// alert/prompt/confirm record and return neutral values.
+		"alert": func(pg *page) (minijs.Value, bool) {
+			return minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
+				if len(args) > 0 {
+					pg.console = append(pg.console, "alert: "+args[0].ToString())
+				}
+				return minijs.Undefined, nil
+			}), true
+		},
+		"prompt": func(*page) (minijs.Value, bool) {
+			return minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
+				return minijs.Null, nil
+			}), true
+		},
+		"confirm": func(*page) (minijs.Value, bool) {
+			return minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
+				return minijs.False, nil
+			}), true
+		},
+		"chrome": func(pg *page) (minijs.Value, bool) {
+			if !pg.br.Profile.ChromeObject {
+				return minijs.Undefined, false
+			}
+			return minijs.ObjectValue(pg.chrome()), true
+		},
+		// ChromeDriver/Selenium artifacts: detectors probe for these globals.
+		"cdc_adoQpoasnfa76pfcZLmcfl_Array": func(pg *page) (minijs.Value, bool) {
+			if !pg.br.Profile.CDPArtifacts {
+				return minijs.Undefined, false
+			}
+			return minijs.ObjectValue(minijs.NewArray()), true
+		},
+		"cdc_adoQpoasnfa76pfcZLmcfl_Promise": func(pg *page) (minijs.Value, bool) {
+			if !pg.br.Profile.CDPArtifacts {
+				return minijs.Undefined, false
+			}
+			return minijs.ObjectValue(minijs.NewObject()), true
+		},
+		// A driver-binary leftover that survives variable renaming: present in
+		// every ChromeDriver-based stack regardless of stealth patching.
+		"__driverEvaluateHook": func(pg *page) (minijs.Value, bool) {
+			if !pg.br.Profile.ChromedriverArtifacts {
+				return minijs.Undefined, false
+			}
+			return minijs.True, true
+		},
+	}
+}
+
+// objectGlobal adapts a page's memoized object builder to a globalBuilder.
+func objectGlobal(build func(pg *page) *minijs.Object) globalBuilder {
+	return func(pg *page) (minijs.Value, bool) { return minijs.ObjectValue(build(pg)), true }
+}
+
+// consoleObject builds console: a plain object so scripts can hijack its
+// methods, a corpus behavior seen on 295+ messages.
+func (pg *page) consoleObject() *minijs.Object {
 	console := minijs.NewObject()
 	for _, level := range []string{"log", "warn", "error", "info", "debug"} {
 		lv := level
@@ -59,9 +174,15 @@ func (pg *page) setupEnvironment() {
 			return minijs.Undefined, nil
 		}))
 	}
-	ip.SetGlobal("console", minijs.ObjectValue(console))
+	return console
+}
 
-	// navigator.
+// navigator returns the page's navigator, built on first use.
+func (pg *page) navigator() *minijs.Object {
+	if pg.navObj != nil {
+		return pg.navObj
+	}
+	prof := pg.br.Profile
 	nav := minijs.NewObject()
 	nav.Set("userAgent", minijs.String(prof.UserAgent))
 	nav.Set("webdriver", minijs.Bool(prof.WebdriverFlag))
@@ -86,19 +207,31 @@ func (pg *page) setupEnvironment() {
 	}
 	nav.Set("plugins", minijs.ObjectValue(plugins))
 	nav.Set("hardwareConcurrency", minijs.Number(8))
-	ip.SetGlobal("navigator", minijs.ObjectValue(nav))
+	pg.navObj = nav
+	return nav
+}
 
-	// screen.
+// screen returns the page's screen, built on first use.
+func (pg *page) screen() *minijs.Object {
+	if pg.screenObj != nil {
+		return pg.screenObj
+	}
+	prof := pg.br.Profile
 	screen := minijs.NewObject()
 	screen.Set("width", minijs.Number(float64(prof.ScreenW)))
 	screen.Set("height", minijs.Number(float64(prof.ScreenH)))
 	screen.Set("availWidth", minijs.Number(float64(prof.ScreenW)))
 	screen.Set("availHeight", minijs.Number(float64(max(0, prof.ScreenH-40))))
 	screen.Set("colorDepth", minijs.Number(24))
-	ip.SetGlobal("screen", minijs.ObjectValue(screen))
+	pg.screenObj = screen
+	return screen
+}
 
-	// Intl.DateTimeFormat().resolvedOptions().timeZone — the fingerprint
-	// probe found in 15+ corpus messages.
+// intlObject builds Intl for
+// Intl.DateTimeFormat().resolvedOptions().timeZone — the fingerprint
+// probe found in 15+ corpus messages.
+func (pg *page) intlObject() *minijs.Object {
+	prof := pg.br.Profile
 	intl := minijs.NewObject()
 	intl.Set("DateTimeFormat", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
 		dtf := minijs.NewObject()
@@ -110,19 +243,26 @@ func (pg *page) setupEnvironment() {
 		}))
 		return minijs.ObjectValue(dtf), nil
 	}))
-	ip.SetGlobal("Intl", minijs.ObjectValue(intl))
-	ip.SetGlobal("__timezoneOffset", minijs.Number(float64(prof.TimezoneOffset)))
+	return intl
+}
 
-	// location.
-	pg.locationObj = pg.buildLocation()
-	ip.SetGlobal("location", minijs.ObjectValue(pg.locationObj))
+// location returns the page's location, built on first use.
+func (pg *page) location() *minijs.Object {
+	if pg.locationObj == nil {
+		pg.locationObj = pg.buildLocation()
+	}
+	return pg.locationObj
+}
 
-	// performance.now(): virtual wall-clock plus CPU time derived from
-	// the interpreter fuel spent so far, scaled by the VM timing skew. On
-	// physical hardware (skew 1.0) the readings look organic; in a VM they
-	// are coarse and stretched — the red-pill timing channel. Counting fuel
-	// spent rather than fuel left keeps the fuel granted to each script,
-	// timer and handler out of the reading, so readings never decrease.
+// performanceObject builds performance. performance.now() is the virtual
+// wall-clock plus CPU time derived from the interpreter fuel spent so far,
+// scaled by the VM timing skew. On physical hardware (skew 1.0) the
+// readings look organic; in a VM they are coarse and stretched — the
+// red-pill timing channel. Counting fuel spent rather than fuel left keeps
+// the fuel granted to each script, timer and handler out of the reading,
+// so readings never decrease.
+func (pg *page) performanceObject() *minijs.Object {
+	prof := pg.br.Profile
 	perf := minijs.NewObject()
 	startWall := pg.start
 	perf.Set("now", minijs.NewHostFunc(func(interp *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
@@ -139,16 +279,16 @@ func (pg *page) setupEnvironment() {
 		}
 		return minijs.Number(v), nil
 	}))
-	ip.SetGlobal("performance", minijs.ObjectValue(perf))
+	return perf
+}
 
-	// Timers.
-	ip.SetGlobal("setTimeout", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
-		return pg.schedule(args, false), nil
-	}))
-	ip.SetGlobal("setInterval", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
-		return pg.schedule(args, true), nil
-	}))
-	cancel := minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
+// cancelTimer returns the one function behind clearTimeout and
+// clearInterval, built on first use.
+func (pg *page) cancelTimer() minijs.Value {
+	if pg.cancelFn.Kind() == minijs.KindObject {
+		return pg.cancelFn
+	}
+	pg.cancelFn = minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
 		if len(args) > 0 {
 			id := int(args[0].ToNumber())
 			for _, t := range pg.timers {
@@ -159,36 +299,38 @@ func (pg *page) setupEnvironment() {
 		}
 		return minijs.Undefined, nil
 	})
-	ip.SetGlobal("clearTimeout", cancel)
-	ip.SetGlobal("clearInterval", cancel)
+	return pg.cancelFn
+}
 
-	// XMLHttpRequest (synchronous semantics; async callbacks fire inline).
-	ip.SetGlobal("XMLHttpRequest", minijs.NewHostFunc(pg.xhrConstructor))
+// document returns the page's document, built on first use.
+func (pg *page) document() *minijs.Object {
+	if pg.docObj == nil {
+		pg.docObj = pg.documentObject()
+	}
+	return pg.docObj
+}
 
-	// alert/prompt/confirm record and return neutral values.
-	ip.SetGlobal("alert", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
-		if len(args) > 0 {
-			pg.console = append(pg.console, "alert: "+args[0].ToString())
-		}
-		return minijs.Undefined, nil
-	}))
-	ip.SetGlobal("prompt", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
-		return minijs.Null, nil
-	}))
-	ip.SetGlobal("confirm", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
-		return minijs.False, nil
-	}))
+// chrome returns the page's chrome object, built on first use.
+func (pg *page) chrome() *minijs.Object {
+	if pg.chromeObj == nil {
+		pg.chromeObj = minijs.NewObject()
+		pg.chromeObj.Set("runtime", minijs.ObjectValue(minijs.NewObject()))
+	}
+	return pg.chromeObj
+}
 
-	// document must exist before window so window.document is set.
-	docObj := pg.documentObject()
-	ip.SetGlobal("document", minijs.ObjectValue(docObj))
-
-	// window: aliases the main globals; scripts also write to it.
+// window returns the page's window, built on first use: it aliases the
+// main globals, and scripts also write to it.
+func (pg *page) window() *minijs.Object {
+	if pg.windowObj != nil {
+		return pg.windowObj
+	}
+	prof := pg.br.Profile
 	window := minijs.NewObject()
-	window.Set("navigator", minijs.ObjectValue(nav))
-	window.Set("screen", minijs.ObjectValue(screen))
-	window.Set("location", minijs.ObjectValue(pg.locationObj))
-	window.Set("document", minijs.ObjectValue(docObj))
+	window.Set("navigator", minijs.ObjectValue(pg.navigator()))
+	window.Set("screen", minijs.ObjectValue(pg.screen()))
+	window.Set("location", minijs.ObjectValue(pg.location()))
+	window.Set("document", minijs.ObjectValue(pg.document()))
 	window.Set("innerWidth", minijs.Number(float64(prof.ScreenW)))
 	window.Set("innerHeight", minijs.Number(float64(max(0, prof.ScreenH-120))))
 	window.Set("addEventListener", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
@@ -198,27 +340,16 @@ func (pg *page) setupEnvironment() {
 		return minijs.Undefined, nil
 	}))
 	if prof.ChromeObject {
-		chrome := minijs.NewObject()
-		chrome.Set("runtime", minijs.ObjectValue(minijs.NewObject()))
-		window.Set("chrome", minijs.ObjectValue(chrome))
-		ip.SetGlobal("chrome", minijs.ObjectValue(chrome))
+		window.Set("chrome", minijs.ObjectValue(pg.chrome()))
 	}
-	pg.windowObj = window
-	ip.SetGlobal("window", minijs.ObjectValue(window))
-	ip.SetGlobal("self", minijs.ObjectValue(window))
-
-	// ChromeDriver/Selenium artifacts: detectors probe for these globals.
 	if prof.CDPArtifacts {
-		ip.SetGlobal("cdc_adoQpoasnfa76pfcZLmcfl_Array", minijs.ObjectValue(minijs.NewArray()))
-		ip.SetGlobal("cdc_adoQpoasnfa76pfcZLmcfl_Promise", minijs.ObjectValue(minijs.NewObject()))
 		window.Set("__webdriver_evaluate", minijs.True)
 	}
-	// Driver-binary leftovers that survive variable renaming: present in
-	// every ChromeDriver-based stack regardless of stealth patching.
 	if prof.ChromedriverArtifacts {
 		window.Set("$chrome_asyncScriptInfo", minijs.True)
-		ip.SetGlobal("__driverEvaluateHook", minijs.True)
 	}
+	pg.windowObj = window
+	return window
 }
 
 // buildLocation constructs the location object for the page URL.
@@ -366,15 +497,18 @@ func (pg *page) dispatchEvent(nodeKey any, eventType string, trusted bool) {
 
 // checkNavigation detects navigation requested through property writes:
 // location.href = ..., window.location = ..., document.location = ...
-// A page without a realm has run no script, so nothing to detect.
+// A location or window that no script has reached is unchanged, and a page
+// without a realm has run no script at all.
 func (pg *page) checkNavigation() {
-	if pg.pendingNav != "" || pg.interp == nil {
+	if pg.pendingNav != "" {
 		return
 	}
 	current := pg.url.String()
-	if href := pg.locationObj.Get("href"); href.ToString() != current {
-		pg.pendingNav = href.ToString()
-		return
+	if pg.locationObj != nil {
+		if href := pg.locationObj.Get("href"); href.ToString() != current {
+			pg.pendingNav = href.ToString()
+			return
+		}
 	}
 	if pg.windowObj != nil {
 		if v := pg.windowObj.Get("location"); v.Kind() == minijs.KindString && v.ToString() != current {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/webnet"
 )
@@ -198,4 +199,194 @@ func TestPerformanceNowNeverRunsBackwards(t *testing.T) {
 			t.Errorf("reading %d (%v ms) is below reading %d (%v ms)", i, readings[i], i-1, readings[i-1])
 		}
 	}
+}
+
+// visitRealm visits html under prof and returns the result, with its
+// screenshot rendered, and the browser globals its realms built, in order.
+// With eager set, every realm builds all of its globals and the document's
+// wrappers as soon as it is built, as realms did before they built them on
+// demand, and no build is counted.
+func visitRealm(t *testing.T, prof Profile, html string, eager bool) (*Result, []string) {
+	t.Helper()
+	net, _ := testWorld(t, html)
+	net.AddDNS("next.example", net.AllocateIP(webnet.IPDatacenter))
+	net.Serve("next.example", func(*webnet.Request) *webnet.Response {
+		return &webnet.Response{Status: 200, Body: []byte(`<html><body>next</body></html>`)}
+	})
+	br := New(net, prof, net.AllocateIP(webnet.IPMobile), 1)
+	var built []string
+	restore := CountGlobalBuilds(func(name string) { built = append(built, name) })
+	if eager {
+		restore = EagerRealms()
+	}
+	defer restore()
+	res, err := br.Visit(context.Background(), "https://phish.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.RenderScreenshot()
+	return res, built
+}
+
+// logLines returns a result's console lines logged by console.log.
+func logLines(res *Result) []string {
+	var out []string
+	for _, line := range res.Console {
+		if v, ok := strings.CutPrefix(line, "log: "); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkLazyMatchesEager visits html with globals built on demand and with
+// every global built up front, and requires the same console, script
+// errors, navigations, DOM and screenshot. It returns the lazy result and
+// the globals its realms built.
+func checkLazyMatchesEager(t *testing.T, prof Profile, html string) (*Result, []string) {
+	t.Helper()
+	lazy, built := visitRealm(t, prof, html, false)
+	eager, _ := visitRealm(t, prof, html, true)
+	if got, want := strings.Join(lazy.Console, "\n"), strings.Join(eager.Console, "\n"); got != want {
+		t.Errorf("console built on demand:\n%s\nbuilt up front:\n%s", got, want)
+	}
+	if got, want := strings.Join(lazy.ScriptErrors, "\n"), strings.Join(eager.ScriptErrors, "\n"); got != want {
+		t.Errorf("script errors built on demand:\n%s\nbuilt up front:\n%s", got, want)
+	}
+	if got, want := strings.Join(lazy.Navigations, " "), strings.Join(eager.Navigations, " "); got != want {
+		t.Errorf("navigations built on demand %q, built up front %q", got, want)
+	}
+	if got, want := htmlx.Render(lazy.DOM), htmlx.Render(eager.DOM); got != want {
+		t.Errorf("DOM built on demand:\n%s\nbuilt up front:\n%s", got, want)
+	}
+	if !lazy.Screenshot.Equal(eager.Screenshot) {
+		t.Error("the screenshot built on demand differs from the one built up front")
+	}
+	return lazy, built
+}
+
+// scriptPage wraps script in a page with a body, a head and a few elements.
+func scriptPage(script string) string {
+	return `<html><head><title>Sign in</title></head><body style="background:#eeeeee">` +
+		`<div id="a" style="color:navy">first</div><p id="b">second</p>` +
+		`<script>` + script + `</script></body></html>`
+}
+
+// Aliases of one object are one object whichever name a script reaches it
+// by first, and typeof reads the same before and after the global is built.
+func TestLazyGlobalsKeepIdentity(t *testing.T) {
+	for _, script := range []string{
+		`console.log([window.navigator === navigator, self === window, document.location === location,
+			window.document === document, window.location === location, window.screen === screen,
+			clearTimeout === clearInterval, window.chrome === chrome].join());`,
+		`console.log([navigator === window.navigator, window === self, location === document.location,
+			document === window.document, location === window.location, screen === window.screen,
+			clearInterval === clearTimeout, chrome === window.chrome].join());`,
+	} {
+		res, _ := checkLazyMatchesEager(t, NotABot(), scriptPage(script))
+		if got := logLines(res); len(got) != 1 || got[0] != "true,true,true,true,true,true,true,true" {
+			t.Errorf("identities = %q, want all true", got)
+		}
+	}
+	res, built := checkLazyMatchesEager(t, NotABot(), scriptPage(
+		`console.log(typeof navigator + " " + typeof navigator + " " + typeof setTimeout + " " +
+			typeof chrome + " " + typeof cdc_adoQpoasnfa76pfcZLmcfl_Array + " " + typeof nothing);`))
+	if got := logLines(res); len(got) != 1 || got[0] != "object object function object undefined undefined" {
+		t.Errorf("typeof readings = %q", got)
+	}
+	if want := "console navigator setTimeout chrome"; strings.Join(built, " ") != want {
+		t.Errorf("built %q, want %q: a global is built once, and only one the profile has", built, want)
+	}
+	bot := NotABot()
+	bot.ChromeObject = false
+	bot.CDPArtifacts = true
+	bot.ChromedriverArtifacts = true
+	res, _ = checkLazyMatchesEager(t, bot, scriptPage(
+		`console.log(typeof chrome + " " + typeof window.chrome + " " + typeof cdc_adoQpoasnfa76pfcZLmcfl_Array + " " +
+			typeof cdc_adoQpoasnfa76pfcZLmcfl_Promise + " " + __driverEvaluateHook + " " +
+			window.__webdriver_evaluate + " " + window["$chrome_asyncScriptInfo"]);`))
+	if got := logLines(res); len(got) != 1 || got[0] != "undefined undefined object object true true true" {
+		t.Errorf("a driver profile's globals read %q", got)
+	}
+}
+
+// Assigning or declaring a global's name before any script reads it binds
+// the script's value and builds nothing; window still holds the browser's
+// own object.
+func TestAssignedGlobalIsNeverBuilt(t *testing.T) {
+	res, built := checkLazyMatchesEager(t, NotABot(), scriptPage(
+		`navigator = 5; var screen; console.log(typeof navigator + " " + typeof screen + " " +
+			typeof window.navigator + " " + window.navigator.platform + " " + (window.screen.width > 0));`))
+	if got := logLines(res); len(got) != 1 || got[0] != "number undefined object Win32 true" {
+		t.Errorf("readings = %q", got)
+	}
+	for _, name := range built {
+		if name == "navigator" || name == "screen" {
+			t.Errorf("the script bound %s first, yet the realm built it", name)
+		}
+	}
+}
+
+// Navigation through location.href, window.location and document.location
+// is detected when the objects were built on demand, and a script that
+// reaches none of them navigates nowhere.
+func TestLazyLocationNavigates(t *testing.T) {
+	for _, tc := range []struct{ script, final string }{
+		{`location.href = "https://next.example/a";`, "https://next.example/a"},
+		{`window.location = "https://next.example/b";`, "https://next.example/b"},
+		{`document.location.href = "https://next.example/c";`, "https://next.example/c"},
+		{`window.location.href = "https://next.example/d";`, "https://next.example/d"},
+		{`location.replace("https://next.example/e");`, "https://next.example/e"},
+		{`var here = 1;`, "https://phish.example/"},
+	} {
+		res, _ := checkLazyMatchesEager(t, NotABot(), scriptPage(tc.script))
+		if res.FinalURL != tc.final {
+			t.Errorf("%s: final URL %q, want %q", tc.script, res.FinalURL, tc.final)
+		}
+	}
+}
+
+// A page whose scripts name no browser global builds none of them.
+func TestScriptNamingNoGlobalBuildsNone(t *testing.T) {
+	_, built := checkLazyMatchesEager(t, NotABot(), scriptPage(
+		`var x = Math.floor(2.5) + parseInt("3"); function f(n) { return n * 2 } f(x);`))
+	if len(built) != 0 {
+		t.Errorf("a script that names no browser global built %q", built)
+	}
+	_, built = checkLazyMatchesEager(t, NotABot(), scriptPage(`console.log(document.title);`))
+	if want := "console document"; strings.Join(built, " ") != want {
+		t.Errorf("built %q, want %q", built, want)
+	}
+}
+
+// body, head and documentElement, with their innerHTML and innerText
+// snapshots, are built when a script first reaches them or changes the
+// DOM; each must hold what it held when the document built them up front.
+func TestLazyDocumentWrappersMatchEager(t *testing.T) {
+	for _, script := range []string{
+		`document.getElementById("a").setInnerHTML("<b>new</b>"); console.log(document.body.innerHTML);`,
+		`document.write("<p>late</p>"); console.log(document.documentElement.innerText);`,
+		`var d = document.createElement("div"); document.getElementById("a").appendChild(d);
+			console.log(document.head.innerHTML + "|" + document.body.innerHTML);`,
+		`var d = document.createElement("div"); d.setInnerHTML("<i>detached</i>"); console.log(document.body.innerText);`,
+		`document.getElementById("b").setAttribute("style", "color:red"); console.log(document.body.innerHTML);`,
+		`var b = document.getElementsByTagName("body")[0];
+			console.log(b === document.body, typeof b.setInnerHTML, b.innerHTML === document.body.innerHTML);`,
+		`document.getElementsByTagName("body")[0].setAttribute("style", "background:#000000");`,
+		`document.body.style.background = "#000000"; console.log(document.body.style.background);`,
+		`document.documentElement.setInnerHTML("<body><p>replaced</p></body>"); console.log(document.body.innerHTML);`,
+		`var keys = []; for (var k in document) { keys.push(k) } console.log(keys.join());`,
+		`console.log(Object.keys(document).length, "body" in document, JSON.stringify(document.head));`,
+		`document.body = null; console.log(typeof document.head, document.body);`,
+		`delete document.body; console.log(typeof document.body, typeof document.documentElement);`,
+		`document.cookie = "a=1"; console.log(document.cookie, document.referrer, typeof document.body);`,
+		`console.log(document.nothing); document.write("<p>after</p>"); console.log(document.body.innerText);`,
+		`window.document.getElementById("a").setInnerHTML("x"); console.log(window.document.body.innerText);`,
+	} {
+		checkLazyMatchesEager(t, NotABot(), scriptPage(script))
+	}
+	// A body with an id is reached through getElementById first.
+	checkLazyMatchesEager(t, NotABot(), `<html><body id="main"><p>hi</p><script>
+		var m = document.getElementById("main"); m.setInnerHTML("<p>bye</p>");
+		console.log(m === document.body, document.body.innerHTML);</script></body></html>`)
 }

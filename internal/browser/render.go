@@ -41,9 +41,10 @@ func newShotState(pg *page) *shotState {
 		}
 		st.styles[node] = style.Object()
 	}
-	// The realm wraps body, head and html when it is built. A page that
-	// ran no script has no realm, and each of them paints with the style
-	// its untouched wrapper would hold: a few style keys match only in the
+	// A realm wraps body, head and html only when a script reaches one of
+	// them or changes the DOM (wrapRoots). On a page whose scripts did
+	// neither, or that ran none, each of them paints with the style its
+	// untouched wrapper would hold: a few style keys match only in the
 	// wrapper's camel case.
 	for _, node := range [...]*htmlx.Node{pg.body, pg.head, pg.html} {
 		if _, wrapped := pg.domCache[node]; wrapped || node.Attr("style") == "" {

@@ -246,12 +246,17 @@ func writePart(buf *bytes.Buffer, p builtPart, topLevel bool) {
 	buf.WriteString("\r\n")
 	switch p.encoding {
 	case "base64":
-		enc := base64.StdEncoding.EncodeToString(p.body)
-		for len(enc) > 0 {
-			n := min(76, len(enc))
-			buf.WriteString(enc[:n])
-			buf.WriteString("\r\n")
-			enc = enc[n:]
+		// 57 bytes encode to one full 76-character line, so encoding the
+		// body 57 bytes at a time writes the lines of its whole encoding,
+		// straight into a buffer grown once for all of them.
+		const group = 57
+		lines := (len(p.body) + group - 1) / group
+		buf.Grow(base64.StdEncoding.EncodedLen(len(p.body)) + 2*lines)
+		for body := p.body; len(body) > 0; {
+			n := min(group, len(body))
+			line := base64.StdEncoding.AppendEncode(buf.AvailableBuffer(), body[:n])
+			buf.Write(append(line, '\r', '\n'))
+			body = body[n:]
 		}
 	case "quoted-printable":
 		w := quotedprintable.NewWriter(buf)

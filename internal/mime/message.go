@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	stdmime "mime"
-	"mime/quotedprintable"
 	"net/textproto"
 	"strings"
 )
@@ -278,7 +277,7 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 		}
 		return out, nil
 	case "quoted-printable":
-		out, err := io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
+		out, err := decodeQP(body)
 		if err != nil {
 			return nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
 		}
@@ -287,6 +286,106 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 		return nil, fmt.Errorf("mime: unsupported transfer encoding %q", encoding)
 	}
 }
+
+// qpLineMax is the longest line decodeQP accepts, LF included: the 4 KiB
+// buffer of the bufio.Reader that mime/quotedprintable reads through.
+const qpLineMax = 4096
+
+// decodeQP decodes a quoted-printable body in memory, into an output sized
+// once: decoding never lengthens a line. It returns the bytes and the
+// error that io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
+// returns, deviations from RFC 2045 included: a soft break may end in a
+// bare LF or end the body, a CR or LF that no '=' precedes passes through,
+// an '=' that no two hex digits follow is literal unless a line break
+// follows it, and a line longer than qpLineMax fails with
+// bufio.ErrBufferFull.
+func decodeQP(body []byte) ([]byte, error) {
+	out := make([]byte, 0, len(body))
+	rest := body
+	for {
+		// The next line, as bufio.Reader.ReadSlice('\n') returns it.
+		var whole []byte
+		var rerr error
+		if i := bytes.IndexByte(rest[:min(len(rest), qpLineMax)], '\n'); i >= 0 {
+			whole, rest = rest[:i+1], rest[i+1:]
+		} else if len(rest) >= qpLineMax {
+			whole, rest, rerr = rest[:qpLineMax], rest[qpLineMax:], bufio.ErrBufferFull
+		} else {
+			whole, rest, rerr = rest, nil, io.EOF
+		}
+		// The line loses its trailing white space and gets back the break
+		// it ended in, unless a soft break '=' ends it.
+		line := bytes.TrimRight(whole, "\n\r \t")
+		var eol string
+		if n := len(line); n > 0 && line[n-1] == '=' {
+			stripped := whole[n:]
+			line = line[:n-1]
+			if !bytes.HasPrefix(stripped, lf) && !bytes.HasPrefix(stripped, crlf) &&
+				!(len(stripped) == 0 && len(line) > 0 && rerr == io.EOF) {
+				rerr = fmt.Errorf("quotedprintable: invalid bytes after =: %q", stripped)
+			}
+		} else if bytes.HasSuffix(whole, crlf) {
+			eol = "\r\n"
+		} else if bytes.HasSuffix(whole, lf) {
+			eol = "\n"
+		}
+		// at reads the line with its break.
+		n := len(line) + len(eol)
+		at := func(i int) byte {
+			if i < len(line) {
+				return line[i]
+			}
+			return eol[i-len(line)]
+		}
+		for i := 0; i < n; i++ {
+			b := at(i)
+			switch {
+			case b == '=':
+				err := io.ErrUnexpectedEOF
+				if n-i > 2 {
+					var hb, lb byte
+					if hb, err = qpHex(at(i + 1)); err == nil {
+						if lb, err = qpHex(at(i + 2)); err == nil {
+							b = hb<<4 | lb
+							i += 2
+							break
+						}
+					}
+				}
+				if n-i < 2 || at(i+1) == '\r' || at(i+1) == '\n' {
+					return nil, err
+				}
+				// Take the = as a literal =.
+			case b == '\t' || b == '\r' || b == '\n' || b >= 0x80:
+			case b < ' ' || b > '~':
+				return nil, fmt.Errorf("quotedprintable: invalid unescaped byte 0x%02x in body", b)
+			}
+			out = append(out, b)
+		}
+		if rerr == io.EOF {
+			return out, nil
+		}
+		if rerr != nil {
+			return nil, rerr
+		}
+	}
+}
+
+// qpHex decodes one hex digit of a quoted-printable escape; lower case is
+// accepted, as mime/quotedprintable does.
+func qpHex(b byte) (byte, error) {
+	switch {
+	case b >= '0' && b <= '9':
+		return b - '0', nil
+	case b >= 'A' && b <= 'F':
+		return b - 'A' + 10, nil
+	case b >= 'a' && b <= 'f':
+		return b - 'a' + 10, nil
+	}
+	return 0, fmt.Errorf("quotedprintable: invalid hex byte 0x%02x", b)
+}
+
+var lf = []byte("\n")
 
 // decodeBase64 decodes standard base64, skipping CR and LF.
 func decodeBase64(src []byte) ([]byte, error) {

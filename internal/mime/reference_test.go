@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
+	"io"
+	"mime/quotedprintable"
 )
 
-// This file keeps the line-copying multipart splitter and the
-// strip-then-decode base64 path that the one-pass, subslicing versions in
-// message.go replaced. They are the specification: the differential
+// This file keeps the line-copying multipart splitter, the
+// strip-then-decode base64 path and the streaming quoted-printable decode
+// that the one-pass, in-memory versions in message.go replaced. They are the specification: the differential
 // tests and fuzz targets in split_test.go require the replacements to
 // return the same bytes and the same errors.
 
@@ -67,4 +69,27 @@ func refDecodeBase64(body []byte) ([]byte, error) {
 		n = len(out)
 	}
 	return out[:n], nil
+}
+
+// refDecodeQP is the quoted-printable transfer decoding through the
+// standard library's streaming reader.
+func refDecodeQP(body []byte) ([]byte, error) {
+	out, err := io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
+	if err != nil {
+		return nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
+	}
+	return out, nil
+}
+
+// refWriteBase64 writes body the way the builder wrote a base64 part's
+// body before it encoded in 57-byte groups: the whole encoding as one
+// string, copied out 76 characters and a CRLF at a time.
+func refWriteBase64(buf *bytes.Buffer, body []byte) {
+	enc := base64.StdEncoding.EncodeToString(body)
+	for len(enc) > 0 {
+		n := min(76, len(enc))
+		buf.WriteString(enc[:n])
+		buf.WriteString("\r\n")
+		enc = enc[n:]
+	}
 }

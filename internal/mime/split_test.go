@@ -177,6 +177,100 @@ func FuzzDecodeBase64(f *testing.F) {
 	})
 }
 
+// _qpSeeds probe each deviation of mime/quotedprintable from RFC 2045 and
+// each of its errors, and lines on both sides of its 4 KiB line buffer.
+var _qpSeeds = []string{
+	"",
+	"Hello, world!",
+	"caf=C3=A9 cr=C3=A8me\r\n",
+	"soft=\r\nbreak=\nbare LF",
+	"trailing spaces   \r\nand tabs\t\t\n",
+	"ends in soft break=",
+	"=",
+	"a=",
+	"=\r\n",
+	"bad = escape, =G1 and =4",
+	"=4",
+	"x=4",
+	"x=4\r\n",
+	"=\r",
+	"lower =c3=a9 hex",
+	"junk after soft break= x\r\nnext",
+	"= \r\n",
+	"=  ",
+	"bare\rCR and bare\nLF",
+	"ctrl \x01 byte",
+	"del \x7f byte",
+	"high \xff byte",
+	"spaces before CRLF \r\n",
+	"CR before spaces \r \n",
+	strings.Repeat("a", 4094) + "\r\n",
+	strings.Repeat("a", 4095) + "\n" + "tail",
+	strings.Repeat("a", 4096) + "\n",
+	strings.Repeat("a", 4095) + "=\n",
+	strings.Repeat("b", 5000),
+	strings.Repeat("=41", 1400),
+}
+
+// FuzzDecodeQP checks that the quoted-printable transfer decoding returns
+// the bytes and the error text of mime/quotedprintable's reader, and
+// leaves its input alone.
+func FuzzDecodeQP(f *testing.F) {
+	for _, seed := range _qpSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		orig := bytes.Clone(body)
+		got, err := decodeTransfer(body, "quoted-printable")
+		want, wantErr := refDecodeQP(orig)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("decodeTransfer(%q) error = %v, want %v", orig, err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("decodeTransfer(%q) = %q, want %q", orig, got, want)
+		}
+		if !bytes.Equal(body, orig) {
+			t.Fatalf("decodeTransfer modified its input: %q, want %q", body, orig)
+		}
+	})
+}
+
+// TestDecodeQPAllocatesOnce pins that decoding a part allocates its
+// output and nothing else: no reader, buffer or regrown result.
+func TestDecodeQPAllocatesOnce(t *testing.T) {
+	body := []byte(strings.Repeat("caf=C3=A9 cr=C3=A8me br=C3=BBl=C3=A9e, soft=\r\nbreaks\r\n", 200))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodeTransfer(body, "quoted-printable"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding a %d-byte body allocates %v times, want 1", len(body), allocs)
+	}
+}
+
+// A base64 part's body is the lines of its whole encoding, for body
+// lengths on both sides of every multiple of a line's 57 bytes, written
+// after whatever the buffer already holds.
+func TestWritePartBase64MatchesReference(t *testing.T) {
+	for n := 0; n <= 4*57+3; n++ {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i*7 + n)
+		}
+		p := builtPart{contentType: "application/octet-stream", encoding: "base64", body: body}
+		var got, want bytes.Buffer
+		got.WriteString("preamble\r\n")
+		writePart(&got, p, false)
+		want.WriteString("preamble\r\n")
+		writePart(&want, builtPart{contentType: p.contentType, encoding: "base64"}, false)
+		refWriteBase64(&want, body)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d-byte body:\n%q\nwant\n%q", n, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 // TestParseAppendsDoNotReachInput pins the aliasing contract of the
 // subslicing parser: part bodies and multipart chunks may share the
 // caller's bytes, but appending to any of them never writes into those

@@ -405,7 +405,7 @@ func arrayBuiltin() Value {
 // Date.now(), new Date().getTime(), and getTimezoneOffset (a fingerprint
 // probe in the corpus).
 func dateBuiltin() Value {
-	dateObj := &Object{Class: ClassFunction, Props: map[string]Value{}}
+	dateObj := &Object{Class: ClassFunction}
 	dateObj.host = func(interp *Interp, this Value, _ []Value) (Value, error) {
 		obj := this.Object()
 		if obj == nil {
@@ -439,7 +439,7 @@ func dateBuiltin() Value {
 // package, supporting .test and .exec — enough for the victim-email
 // validation patterns in the corpus.
 func regexpBuiltin() Value {
-	re := &Object{Class: ClassFunction, Props: map[string]Value{}}
+	re := &Object{Class: ClassFunction}
 	re.host = func(_ *Interp, this Value, args []Value) (Value, error) {
 		pattern := ""
 		flags := ""

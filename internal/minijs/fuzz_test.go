@@ -85,12 +85,14 @@ func FuzzProgramCache(f *testing.F) {
 	})
 }
 
-// FuzzBuiltinsOnDemand is the differential test of builtins built on first
-// use: a script run by an interpreter that has every builtin installed up
-// front and by one that builds each when a lookup first names it returns
-// the same value or error text and leaves the same fuel. The extra seeds probe what building late could change:
-// typeof, identity, implicit-global assignment, and var and function
-// shadowing of builtin names.
+// FuzzBuiltinsOnDemand is the differential test of globals built on first
+// use: a script run by an interpreter that has every builtin and embedder
+// global installed up front and by one that builds each when a lookup
+// first names it (the builtins from _builtins, the embedder's through
+// Resolve) returns the same value or error text and leaves the same fuel.
+// The extra seeds probe what building late could change: typeof,
+// identity, implicit-global assignment, and var and function shadowing of
+// builtin and embedder names.
 func FuzzBuiltinsOnDemand(f *testing.F) {
 	for _, src := range _miniJSSeeds {
 		f.Add(src)
@@ -113,15 +115,18 @@ func FuzzBuiltinsOnDemand(f *testing.F) {
 		`Array.isArray(Array.from("abc")) && Object.keys({a: 1}).length`,
 		`Boolean(Number("3")) && String(12)`,
 		`missing + 1`,
+		`typeof nav + typeof win + typeof hook + typeof Math`,
+		`win.nav === nav && hook === hook`,
+		`nav = 1; win.nav.webdriver + nav`,
+		`var win; typeof win + typeof nav`,
+		`function f() { return hook(1, 2, 3) } f() + win.width`,
+		`for (var k in win) { nav[k] = 1 } JSON.stringify(nav)`,
 	} {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		eager := New(50_000)
-		for name, mk := range _builtins {
-			eager.SetGlobal(name, mk())
-		}
-		lazy := New(50_000)
+		eager := eagerInterp(50_000, false)
+		lazy, _ := lazyInterp(50_000, false)
 		ev, eerr := eager.Eval(src)
 		lv, lerr := lazy.Eval(src)
 		if (eerr == nil) != (lerr == nil) || eerr != nil && eerr.Error() != lerr.Error() {

@@ -35,42 +35,53 @@ var ErrCallDepth = errors.New("minijs: call stack depth exceeded")
 // Array.prototype.map: far inside Go's 1 GB limit.
 const maxEvalDepth = 50_000
 
-// environment is a lexical scope.
+// environment is a lexical scope. vars is nil until the scope's first
+// binding: most block scopes declare nothing.
 type environment struct {
 	vars   map[string]Value
 	parent *environment
 }
 
 func newEnvironment(parent *environment) *environment {
-	return &environment{vars: map[string]Value{}, parent: parent}
+	return &environment{parent: parent}
 }
 
 // lookup resolves name from e outwards. A name that reaches the global
-// scope unbound and names a standard builtin is built into that scope
-// there, so it reads, compares and shadows exactly as if it had been
-// installed when the interpreter was made.
-func (e *environment) lookup(name string) (Value, bool) {
+// scope unbound and names an embedder global or a standard builtin is
+// built into that scope there (see builtin), so it reads, compares and
+// shadows exactly as if it had been installed when the interpreter was
+// made.
+func (e *environment) lookup(ip *Interp, name string) (Value, bool) {
 	env := e
 	for {
 		if v, ok := env.vars[name]; ok {
 			return v, true
 		}
 		if env.parent == nil {
-			return env.builtin(name)
+			return env.builtin(ip, name)
 		}
 		env = env.parent
 	}
 }
 
-// builtin builds the standard global name into the global scope e, or
-// reports false when no builtin has that name.
-func (e *environment) builtin(name string) (Value, bool) {
-	mk, ok := _builtins[name]
-	if !ok {
-		return Undefined, false
+// builtin builds the global name into the global scope e: the value
+// ip.Resolve supplies for it, or else the standard builtin of that name.
+// It reports false when neither has the name. Building runs no script, so
+// it burns no fuel.
+func (e *environment) builtin(ip *Interp, name string) (Value, bool) {
+	var v Value
+	ok := false
+	if ip.Resolve != nil {
+		v, ok = ip.Resolve(name)
 	}
-	v := mk()
-	e.vars[name] = v
+	if !ok {
+		mk, found := _builtins[name]
+		if !found {
+			return Undefined, false
+		}
+		v = mk()
+	}
+	e.define(name, v)
 	return v, true
 }
 
@@ -85,6 +96,9 @@ func (e *environment) assign(name string, v Value) bool {
 }
 
 func (e *environment) define(name string, v Value) {
+	if e.vars == nil {
+		e.vars = map[string]Value{}
+	}
 	e.vars[name] = v
 }
 
@@ -105,10 +119,19 @@ type Interp struct {
 	// Now supplies Date.now() in milliseconds; defaults to a fixed epoch
 	// that embedders (the simulated browser's virtual clock) override.
 	Now func() float64
+	// Resolve, when set, supplies the embedder's globals on demand. A
+	// lookup that reaches the global scope unbound asks it before the
+	// standard builtins, and a value it returns is bound there, so the
+	// global reads, compares and shadows as if SetGlobal had installed it
+	// when the interpreter was made: a script that assigns or declares the
+	// name first never asks for it. Resolve is asked again for a name it
+	// does not supply, so it must answer each name the same way every time.
+	Resolve func(name string) (Value, bool)
 }
 
 // New returns an interpreter with the given fuel budget (DefaultFuel if
-// <= 0). Its standard builtins are built on first use (see _builtins).
+// <= 0). Its standard builtins are built on first use (see _builtins), and
+// so are the embedder's globals when it sets Resolve.
 func New(fuel int64) *Interp {
 	if fuel <= 0 {
 		fuel = DefaultFuel
@@ -130,7 +153,7 @@ func (ip *Interp) SetGlobal(name string, v Value) {
 
 // Global reads a global binding.
 func (ip *Interp) Global(name string) (Value, bool) {
-	return ip.global.lookup(name)
+	return ip.global.lookup(ip, name)
 }
 
 // Fuel returns the remaining execution budget.
@@ -488,7 +511,6 @@ func (ip *Interp) loopBody(body stmt, env *environment) (bool, error) {
 func (ip *Interp) makeFunction(fn *funcLit, env *environment, boundThis *Value) Value {
 	return ObjectValue(&Object{
 		Class:     ClassFunction,
-		Props:     map[string]Value{},
 		fn:        fn,
 		env:       env,
 		boundThis: boundThis,
@@ -520,12 +542,12 @@ func (ip *Interp) evalExprThis(e expr, env *environment, this Value) (Value, err
 	case *undefLit:
 		return Undefined, nil
 	case *thisExpr:
-		if v, ok := env.lookup("this"); ok {
+		if v, ok := env.lookup(ip, "this"); ok {
 			return v, nil
 		}
 		return Undefined, nil
 	case *identExpr:
-		if v, ok := env.lookup(n.Name); ok {
+		if v, ok := env.lookup(ip, n.Name); ok {
 			return v, nil
 		}
 		return Undefined, &throwSignal{value: errorValue("ReferenceError", n.Name+" is not defined")}
@@ -551,7 +573,7 @@ func (ip *Interp) evalExprThis(e expr, env *environment, this Value) (Value, err
 		return ObjectValue(obj), nil
 	case *funcLit:
 		if n.Arrow {
-			captured, _ := env.lookup("this")
+			captured, _ := env.lookup(ip, "this")
 			return ip.makeFunction(n, env, &captured), nil
 		}
 		return ip.makeFunction(n, env, nil), nil
@@ -762,7 +784,7 @@ func (ip *Interp) evalUnary(n *unaryExpr, env *environment) (Value, error) {
 				return Undefined, err
 			}
 			if objVal.kind == KindObject {
-				delete(objVal.obj.Props, prop)
+				objVal.obj.Delete(prop)
 			}
 			return True, nil
 		}
@@ -771,7 +793,7 @@ func (ip *Interp) evalUnary(n *unaryExpr, env *environment) (Value, error) {
 	if n.Op == "typeof" {
 		// typeof of an undefined identifier must not throw.
 		if id, ok := n.Operand.(*identExpr); ok {
-			if v, found := env.lookup(id.Name); found {
+			if v, found := env.lookup(ip, id.Name); found {
 				return String(v.TypeOf()), nil
 			}
 			return String("undefined"), nil

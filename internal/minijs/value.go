@@ -71,8 +71,9 @@ func (v Value) Object() *Object {
 // method calls (undefined otherwise).
 type HostFunc func(interp *Interp, this Value, args []Value) (Value, error)
 
-// ObjectClass tags special object behaviors.
-type ObjectClass int
+// ObjectClass tags special object behaviors. It is a byte so that it and
+// Object.joining share a word.
+type ObjectClass uint8
 
 // Object classes.
 const (
@@ -85,7 +86,13 @@ const (
 // Object is a mutable property bag, also used for arrays and functions.
 type Object struct {
 	Class ObjectClass
-	// Props holds named properties. Array elements live in Elems.
+	// joining is set while the array's elements are being joined, see
+	// join.
+	joining bool
+	// Props holds named properties. Array elements live in Elems. It is nil
+	// until the first Set: most objects a script makes are read, never
+	// written. Read it through Get, Has and Keys, which also run a fill
+	// registered with Defer.
 	Props map[string]Value
 	// Elems holds array elements when Class == ClassArray.
 	Elems []Value
@@ -99,9 +106,8 @@ type Object struct {
 	boundThis *Value
 	// HostData lets embedders attach arbitrary state (e.g. an XHR handle).
 	HostData any
-	// joining is set while the array's elements are being joined, see
-	// join.
-	joining bool
+	// fill adds the properties Defer put off; it is cleared when it runs.
+	fill func(*Object)
 }
 
 // join renders an array's elements separated by sep, nullish elements as
@@ -125,17 +131,34 @@ func (o *Object) join(sep string) string {
 
 // NewObject returns an empty plain object.
 func NewObject() *Object {
-	return &Object{Class: ClassPlain, Props: map[string]Value{}}
+	return &Object{Class: ClassPlain}
 }
 
 // NewArray returns an array object with the given elements.
 func NewArray(elems ...Value) *Object {
-	return &Object{Class: ClassArray, Props: map[string]Value{}, Elems: elems}
+	return &Object{Class: ClassArray, Elems: elems}
 }
 
 // NewHostFunc wraps a Go function as a callable object value.
 func NewHostFunc(fn HostFunc) Value {
-	return ObjectValue(&Object{Class: ClassFunction, Props: map[string]Value{}, host: fn})
+	return ObjectValue(&Object{Class: ClassFunction, host: fn})
+}
+
+// Defer puts off building some of o's properties: fill adds them, and it
+// runs once, before the first Get, Has or Set of a name o does not hold yet
+// and before the first Keys or Delete. Until then no script can tell the
+// properties are missing, so fill must add exactly what it would have
+// added when Defer was called. An object has at most one pending fill.
+func (o *Object) Defer(fill func(o *Object)) {
+	o.fill = fill
+}
+
+// runFill runs and clears a fill registered with Defer.
+func (o *Object) runFill() {
+	if fill := o.fill; fill != nil {
+		o.fill = nil
+		fill(o)
+	}
 }
 
 // Get reads a named property.
@@ -146,6 +169,10 @@ func (o *Object) Get(name string) Value {
 	if v, ok := o.Props[name]; ok {
 		return v
 	}
+	if o.fill != nil {
+		o.runFill()
+		return o.Get(name)
+	}
 	return Undefined
 }
 
@@ -153,6 +180,11 @@ func (o *Object) Get(name string) Value {
 func (o *Object) Set(name string, v Value) {
 	if o.Props == nil {
 		o.Props = map[string]Value{}
+	}
+	if o.fill != nil {
+		if _, ok := o.Props[name]; !ok {
+			o.runFill()
+		}
 	}
 	o.Props[name] = v
 }
@@ -162,12 +194,25 @@ func (o *Object) Has(name string) bool {
 	if o.Class == ClassArray && name == "length" {
 		return true
 	}
-	_, ok := o.Props[name]
-	return ok
+	if _, ok := o.Props[name]; ok {
+		return true
+	}
+	if o.fill != nil {
+		o.runFill()
+		return o.Has(name)
+	}
+	return false
+}
+
+// Delete removes a named property.
+func (o *Object) Delete(name string) {
+	o.runFill()
+	delete(o.Props, name)
 }
 
 // Keys returns the object's own property names, sorted for determinism.
 func (o *Object) Keys() []string {
+	o.runFill()
 	out := make([]string, 0, len(o.Props))
 	for k := range o.Props {
 		out = append(out, k)

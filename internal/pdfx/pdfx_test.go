@@ -3,6 +3,7 @@ package pdfx
 import (
 	"bytes"
 	"compress/zlib"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestBuildParseRoundTripCompressed(t *testing.T) {
 	}
 }
 
-// A content stream compressed by a pooled zlib writer is the stream a new
+// A content stream compressed by a reused zlib writer is the stream a new
 // writer makes, whatever the writer compressed before.
 func TestCompressedStreamIndependentOfWriterReuse(t *testing.T) {
 	doc := buildSimpleDoc()
@@ -68,6 +69,24 @@ func TestCompressedStreamIndependentOfWriterReuse(t *testing.T) {
 		if got := Build(doc, true); !bytes.Contains(got, want.Bytes()) {
 			t.Fatalf("build %d: the compressed content stream differs from a new zlib writer's", i)
 		}
+	}
+}
+
+// Idle zlib writers survive garbage collection: after two collections,
+// which empty a sync.Pool, a compressed build still allocates far less
+// than the compressor a new zlib writer needs.
+func TestZlibWritersSurviveGC(t *testing.T) {
+	doc := buildSimpleDoc()
+	Build(doc, true)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Build(doc, true)
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 10 // a new compressor allocates more than ten times this
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("a compressed build after GC allocated %d B, want at most %d: its zlib writer was not reused", got, budget)
 	}
 }
 

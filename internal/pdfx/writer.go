@@ -11,16 +11,43 @@ import (
 	"bytes"
 	"compress/zlib"
 	"fmt"
+	"io"
 	"strings"
-	"sync"
 
 	"crawlerbox/internal/imaging"
 )
 
-// zlibWriters holds zlib writers between content streams. Reset makes a
-// writer equivalent to a new one, so the compressed bytes do not depend on
-// reuse; the pool spares each stream the compressor's large tables.
-var zlibWriters = sync.Pool{New: func() any { return zlib.NewWriter(nil) }}
+// zlibWriters holds idle zlib writers between content streams. Reset makes
+// a writer equivalent to a new one, so the compressed bytes do not depend
+// on reuse; reuse spares each stream the compressor's tables, 0.8 MB of
+// allocation. It is a bounded free list rather than a sync.Pool, which
+// every GC empties: the corpus generator collects often enough that most
+// streams would still build a fresh compressor. Build compresses one
+// stream at a time and the corpus renders its messages one after another,
+// so one idle writer (0.8 MB) gives every stream after the first a reused
+// compressor; a second Build running at once builds its own.
+var zlibWriters = make(chan *zlib.Writer, 1)
+
+// getZlibWriter returns an idle zlib writer reset to write to w, or a new
+// one.
+func getZlibWriter(w io.Writer) *zlib.Writer {
+	select {
+	case zw := <-zlibWriters:
+		zw.Reset(w)
+		return zw
+	default:
+		return zlib.NewWriter(w)
+	}
+}
+
+// putZlibWriter keeps a closed zlib writer for reuse unless the free list
+// is full.
+func putZlibWriter(zw *zlib.Writer) {
+	select {
+	case zlibWriters <- zw:
+	default:
+	}
+}
 
 // PlacedImage is a raster placed at a position on a page. Coordinates are
 // in PDF points from the top-left of the page (the writer converts to PDF's
@@ -97,11 +124,10 @@ func Build(doc *Document, compress bool) []byte {
 		filter := ""
 		if compress {
 			var zbuf bytes.Buffer
-			zw := zlibWriters.Get().(*zlib.Writer)
-			zw.Reset(&zbuf)
+			zw := getZlibWriter(&zbuf)
 			_, _ = zw.Write(content)
 			_ = zw.Close()
-			zlibWriters.Put(zw)
+			putZlibWriter(zw)
 			stream = zbuf.Bytes()
 			filter = " /Filter /FlateDecode"
 		} else {
