@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck perfbench fuzz-smoke
+.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, gofmt,
 # vet, the cblint invariant linter in baseline and SARIF modes plus its own
@@ -10,9 +10,10 @@ GO ?= go
 # small-scale run of the repository benchmark, the trace golden check
 # (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
 # evidence-store pin (DESIGN.md §8), the ingest replay-determinism gate
-# (DESIGN.md §15), the verdict-stream pin of the full seed-42 corpus, and
-# the benchmark module's own vet and tests.
-check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck perfbench
+# (DESIGN.md §15), the verdict-stream pin of the full seed-42 corpus, the
+# paper-table golden of the same corpus, and the benchmark module's own vet
+# and tests.
+check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench
 
 build:
 	$(GO) build ./...
@@ -160,6 +161,22 @@ verdictcheck:
 	sum=$$(cat testdata/verdictcheck.sha256) && \
 	(cd $$tmp && echo "$$sum" | sha256sum -c --quiet -) && \
 	rm -rf $$tmp && echo "verdictcheck: seed-42 verdict stream matches testdata/verdictcheck.sha256"
+
+# papercheck pins the paper's numbers: the report of the whole seed-42
+# corpus at scale 1 (Table I, the disposition, Figures 2 and 3, Table II,
+# the Section V-A/B/C tables) must match testdata/papercheck.golden.txt.
+# The "Analyzing N messages ... (W workers)" banner names the worker count,
+# so it is left out of the diff on both sides. Regenerate after a
+# deliberate change to a paper number by writing the same command's stdout
+# to the golden, and say which rows moved.
+papercheck:
+	@tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/report -seed 42 -scale 1 -workers 1 > $$tmp/report.txt && \
+	banner='^Analyzing [0-9]* messages with CrawlerBox ([0-9]* workers)\.\.\.$$' && \
+	grep -v "$$banner" testdata/papercheck.golden.txt > $$tmp/want.txt && \
+	grep -v "$$banner" $$tmp/report.txt > $$tmp/got.txt && \
+	diff -u $$tmp/want.txt $$tmp/got.txt && \
+	rm -rf $$tmp && echo "papercheck: seed-42 report matches testdata/papercheck.golden.txt"
 
 # fuzz-smoke gives every Fuzz* target in the tree a fixed 5 s of
 # coverage-guided fuzzing, one target at a time (go test -fuzz takes one

@@ -106,20 +106,6 @@ func BenchmarkFaultyQRBug(b *testing.B) {
 	}
 }
 
-// BenchmarkHotLinkedResources measures referral-trail detection over the
-// analyzed corpus (the Section V-A early-warning signal), reading the
-// exchange ledger through the zero-copy EachTraffic view.
-func BenchmarkHotLinkedResources(b *testing.B) {
-	run := benchRun(b)
-	b.ResetTimer()
-	var count int
-	for i := 0; i < b.N; i++ {
-		count = run.HotLoadReferrals()
-	}
-	b.StopTimer()
-	b.Logf("hot-load referral requests observed: %d", count)
-}
-
 // BenchmarkAblationCrawlerChoice compares pipeline effectiveness across
 // crawler stacks: the same gated phishing site crawled by a basic headless
 // stack vs NotABot. The design point the paper's Table I motivates.

@@ -615,9 +615,9 @@ func TestBannerEnrichment(t *testing.T) {
 		Host:  "banner-host.com",
 		Brand: phishkit.BrandSkyBooker,
 	})
-	ip, err := env.net.Resolve("banner-host.com", "setup")
-	if err != nil {
-		t.Fatal(err)
+	ip, ok := env.net.LookupDNS("banner-host.com")
+	if !ok {
+		t.Fatal("banner-host.com does not resolve")
 	}
 	env.net.SetBanner(ip, "nginx/1.24.0")
 	raw := buildMsg(t, "Notice: "+site.LandingURL)

@@ -98,7 +98,7 @@ func (p *Pipeline) ParseMessage(raw []byte) (*ParseResult, error) {
 	if res := p.memo.get(hash, ocr, raw); res != nil {
 		return res, nil
 	}
-	res, err := p.parseMessage(raw)
+	res, err := p.parseMessage(raw, &zipBudget{bytes: zipMessageMax, members: zipMembersMax})
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +107,9 @@ func (p *Pipeline) ParseMessage(raw []byte) (*ParseResult, error) {
 }
 
 // parseMessage is ParseMessage without the memo; recursive parses of EMLs
-// nested in archives call it directly.
-func (p *Pipeline) parseMessage(raw []byte) (*ParseResult, error) {
+// nested in archives call it directly, with what is left of the outer
+// message's archive budget.
+func (p *Pipeline) parseMessage(raw []byte, budget *zipBudget) (*ParseResult, error) {
 	root, err := mime.Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("crawlerbox: parsing message: %w", err)
@@ -120,7 +121,7 @@ func (p *Pipeline) parseMessage(raw []byte) (*ParseResult, error) {
 	}
 	seen := map[string]bool{}
 	err = mime.Walk(root, func(part *mime.Part) error {
-		p.parsePart(part, res, seen)
+		p.parsePart(part, res, seen, budget)
 		return nil
 	})
 	if err != nil {
@@ -129,7 +130,7 @@ func (p *Pipeline) parseMessage(raw []byte) (*ParseResult, error) {
 	return res, nil
 }
 
-func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]bool) {
+func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]bool, budget *zipBudget) {
 	switch {
 	case part.ContentType == "text/plain":
 		text := string(part.Body)
@@ -152,9 +153,9 @@ func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]
 	case part.ContentType == "application/pdf":
 		p.parsePDF(part.Body, res, seen)
 	case part.ContentType == "application/zip":
-		p.parseZIP(part.Body, res, seen)
+		p.parseZIP(part.Body, res, seen, budget)
 	case part.ContentType == "application/octet-stream":
-		p.sniffOctetStream(part.Body, res, seen)
+		p.sniffOctetStream(part.Body, res, seen, budget)
 	}
 	// message/rfc822 children are visited by the walker itself; their
 	// parts flow through the same dispatch above.
@@ -162,14 +163,14 @@ func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]
 
 // sniffOctetStream classifies opaque binaries by magic number, the way the
 // original pipeline dispatches Octet Stream parts.
-func (p *Pipeline) sniffOctetStream(body []byte, res *ParseResult, seen map[string]bool) {
+func (p *Pipeline) sniffOctetStream(body []byte, res *ParseResult, seen map[string]bool, budget *zipBudget) {
 	switch {
 	case imaging.IsCBI(body):
 		p.parseImage(body, res, seen, SourceImageQR, SourceImageOCR)
 	case bytes.HasPrefix(body, []byte("%PDF")):
 		p.parsePDF(body, res, seen)
 	case bytes.HasPrefix(body, []byte("PK\x03\x04")):
-		p.parseZIP(body, res, seen)
+		p.parseZIP(body, res, seen, budget)
 	}
 }
 
@@ -234,21 +235,44 @@ func (p *Pipeline) parsePDF(body []byte, res *ParseResult, seen map[string]bool)
 	}
 }
 
-// parseZIP unpacks an archive and routes each member through the
-// appropriate analyzer. HTA members are never executed; their script
+// Archive limits. A few hundred kilobytes of ZIP can hold gigabytes of
+// compressible members, so one message's archives, EML-in-ZIP nesting
+// included, share one budget of decompressed bytes and one count of
+// members: a member is read up to zipMemberMax bytes or what is left of
+// the budget, whichever is less, and once either runs out the remaining
+// members are skipped.
+const (
+	zipMemberMax  = 4 << 20 // bytes read from one member
+	zipMessageMax = 8 << 20 // bytes decompressed from one message's archives
+	zipMembersMax = 64      // members opened for one message
+)
+
+// zipBudget is what is left of one message's archive limits.
+type zipBudget struct {
+	bytes   int
+	members int
+}
+
+// parseZIP unpacks an archive within budget and routes each member through
+// the appropriate analyzer. HTA members are never executed; their script
 // sources are scanned statically.
-func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool) {
+func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool, budget *zipBudget) {
 	zr, err := zip.NewReader(bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		return
 	}
 	for _, f := range zr.File {
+		if budget.members == 0 || budget.bytes == 0 {
+			return
+		}
+		budget.members--
 		rc, err := f.Open()
 		if err != nil {
 			continue
 		}
-		content, err := io.ReadAll(io.LimitReader(rc, 4<<20))
+		content, err := io.ReadAll(io.LimitReader(rc, int64(min(zipMemberMax, budget.bytes))))
 		_ = rc.Close()
+		budget.bytes -= len(content)
 		if err != nil {
 			continue
 		}
@@ -271,7 +295,7 @@ func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool)
 		case imaging.IsCBI(content):
 			p.parseImage(content, res, seen, SourceImageQR, SourceImageOCR)
 		case strings.HasSuffix(name, ".eml"):
-			if inner, err := p.parseMessage(content); err == nil {
+			if inner, err := p.parseMessage(content, budget); err == nil {
 				mergeParse(res, seen, inner)
 			}
 		}

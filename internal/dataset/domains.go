@@ -520,7 +520,7 @@ func (c *Corpus) deployDomains(rng *rand.Rand) {
 			cfg.Tokens = tokens
 		}
 		d.Site = phishkit.Deploy(c.Net, cfg)
-		if ip, err := c.Net.Resolve(d.Host, "provisioning"); err == nil {
+		if ip, ok := c.Net.LookupDNS(d.Host); ok {
 			c.Net.SetBanner(ip, _banners[i%len(_banners)])
 		}
 	}

@@ -287,18 +287,15 @@ func decodeTransfer(body []byte, encoding string) ([]byte, error) {
 	}
 }
 
-// qpLineMax is the longest line decodeQP accepts, LF included: the 4 KiB
-// buffer of the bufio.Reader that mime/quotedprintable reads through.
-const qpLineMax = 4096
-
 // decodeQP decodes a quoted-printable body in memory, into an output sized
 // once: decoding never lengthens a line. It returns the bytes and the
-// error that io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
-// returns, deviations from RFC 2045 included: a soft break may end in a
-// bare LF or end the body, a CR or LF that no '=' precedes passes through,
-// an '=' that no two hex digits follow is literal unless a line break
-// follows it, and a line longer than qpLineMax fails with
-// bufio.ErrBufferFull.
+// error that io.ReadAll(quotedprintable.NewReader(r)) returns when r
+// buffers whole lines, deviations from RFC 2045 included: a soft break may
+// end in a bare LF or end the body, a CR or LF that no '=' precedes passes
+// through, and an '=' that no two hex digits follow is literal unless a
+// line break follows it. Lines of any length decode; the reader over a
+// default bufio.Reader fails a line longer than 4 KiB, which would let one
+// over-long line in a decoy part hide a message's links.
 func decodeQP(body []byte) ([]byte, error) {
 	out := make([]byte, 0, len(body))
 	rest := body
@@ -306,10 +303,8 @@ func decodeQP(body []byte) ([]byte, error) {
 		// The next line, as bufio.Reader.ReadSlice('\n') returns it.
 		var whole []byte
 		var rerr error
-		if i := bytes.IndexByte(rest[:min(len(rest), qpLineMax)], '\n'); i >= 0 {
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
 			whole, rest = rest[:i+1], rest[i+1:]
-		} else if len(rest) >= qpLineMax {
-			whole, rest, rerr = rest[:qpLineMax], rest[qpLineMax:], bufio.ErrBufferFull
 		} else {
 			whole, rest, rerr = rest, nil, io.EOF
 		}

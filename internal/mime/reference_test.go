@@ -1,6 +1,7 @@
 package mime
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
 	"fmt"
@@ -72,9 +73,12 @@ func refDecodeBase64(body []byte) ([]byte, error) {
 }
 
 // refDecodeQP is the quoted-printable transfer decoding through the
-// standard library's streaming reader.
+// standard library's streaming reader, over a bufio.Reader that holds the
+// whole body, so no line is too long for it (quotedprintable.NewReader
+// reads through that reader rather than wrap it in its own 4 KiB one).
 func refDecodeQP(body []byte) ([]byte, error) {
-	out, err := io.ReadAll(quotedprintable.NewReader(bytes.NewReader(body)))
+	br := bufio.NewReaderSize(bytes.NewReader(body), max(len(body)+1, 4096))
+	out, err := io.ReadAll(quotedprintable.NewReader(br))
 	if err != nil {
 		return nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
 	}

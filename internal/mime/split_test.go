@@ -178,7 +178,8 @@ func FuzzDecodeBase64(f *testing.F) {
 }
 
 // _qpSeeds probe each deviation of mime/quotedprintable from RFC 2045 and
-// each of its errors, and lines on both sides of its 4 KiB line buffer.
+// each of its errors, and lines on both sides of the 4 KiB line buffer its
+// reader has by default.
 var _qpSeeds = []string{
 	"",
 	"Hello, world!",

@@ -216,19 +216,22 @@ func TestHotLoadedBrandAssetsLeaveReferralTrail(t *testing.T) {
 		HotLoadBrandAssets: true,
 	})
 	br := newBrowser(net, 1)
-	if _, err := br.Visit(context.Background(), site.LandingURL); err != nil {
+	res, err := br.Visit(context.Background(), site.LandingURL)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The brand's own traffic logs now show a request for its logo with a
+	// The visit sent the brand's own server a request for its logo with a
 	// foreign referer — the early-warning signal of Section V-A.
 	var flagged bool
-	net.EachTrafficTo(BrandAcmeTravelTech.Domain, func(e *webnet.LoggedExchange) bool {
-		flagged = strings.Contains(e.Request.Path, "logo") &&
-			strings.Contains(e.Request.Header("Referer"), "hotload.buzz")
-		return !flagged
-	})
+	for _, req := range res.Requests {
+		if strings.HasPrefix(req.URL, "https://"+BrandAcmeTravelTech.Domain+"/") &&
+			strings.Contains(req.URL, "logo") && req.Status == 200 &&
+			strings.Contains(req.Referer, "hotload.buzz") {
+			flagged = true
+		}
+	}
 	if !flagged {
-		t.Error("brand asset referral trail missing")
+		t.Errorf("brand asset referral trail missing from %+v", res.Requests)
 	}
 }
 

@@ -2,7 +2,9 @@ package report
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"crawlerbox/internal/dataset"
@@ -12,8 +14,10 @@ import (
 
 // TestEvidenceStoreEquivalence pins the WithEvidencePath contract: spilling
 // evidence to disk changes where the bytes live, never what the run reports.
-// A spilled run must render every artifact byte-identically to a fully
-// in-RAM run of the same seed.
+// Spilled runs must render every artifact, the referral count included,
+// byte-identically to a fully in-RAM run of the same seed, at one worker
+// and at four; and the spilled exchange ledgers must hold the same traffic
+// at both worker counts.
 func TestEvidenceStoreEquivalence(t *testing.T) {
 	render := func(r *Run) map[string]string {
 		return map[string]string{
@@ -24,67 +28,91 @@ func TestEvidenceStoreEquivalence(t *testing.T) {
 			"spear":       r.RenderSpear(),
 			"nontargeted": r.RenderNonTargeted(),
 			"cloaks":      r.RenderCloaks(),
+			"referrals":   strconv.Itoa(r.HotLoadReferrals()),
+			"errors":      strconv.Itoa(r.Errors),
 		}
 	}
-
 	cfg := dataset.Config{Seed: 42, Scale: 0.1}
-	ram, err := dataset.Stream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ramRun, err := Analyze(context.Background(), ram, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	analyze := func(opts ...Option) (*dataset.Corpus, *Run) {
+		c, err := dataset.Stream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Analyze(context.Background(), c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, run
 	}
 
-	spilled, err := dataset.Stream(cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, ramRun := analyze(WithWorkers(1))
+	want := render(ramRun)
+	if ramRun.HotLoadReferrals() == 0 {
+		t.Error("HotLoadReferrals = 0: the corpus hot-loads brand logos")
 	}
-	evPath := filepath.Join(t.TempDir(), "ev.bin")
-	spillRun, err := Analyze(context.Background(), spilled, WithWorkers(4), WithEvidencePath(evPath))
-	if err != nil {
-		t.Fatal(err)
+	ledgers := map[int]exchangeCounts{}
+	for _, workers := range []int{1, 4} {
+		if workers != 1 {
+			_, run := analyze(WithWorkers(workers))
+			diffRenders(t, fmt.Sprintf("in-RAM run at %d workers", workers), want, render(run))
+		}
+		evPath := filepath.Join(t.TempDir(), "ev.bin")
+		c, spillRun := analyze(WithWorkers(workers), WithEvidencePath(evPath))
+		diffRenders(t, fmt.Sprintf("spilled run at %d workers", workers), want, render(spillRun))
+		ledgers[workers] = ledgerCounts(t, evPath)
+		// The ledger also holds the reference crawls of the brands' own
+		// login pages, each of which loads its logo once; the census counts
+		// the analyses' visits only.
+		if got, want := ledgers[workers].referrals, spillRun.HotLoadReferrals()+len(c.BrandURLs); got != want {
+			t.Errorf("%d workers: ledger holds %d logo referrals, want census %d + %d reference crawls",
+				workers, got, spillRun.HotLoadReferrals(), len(c.BrandURLs))
+		}
 	}
-	// Analyze closed its store; point the spilled ledger at a read-only
-	// reopening so the traffic scans below decode from disk.
-	store, err := evstore.Open(evPath)
+	if ledgers[1] != ledgers[4] {
+		t.Errorf("spilled ledgers differ: %+v at 1 worker, %+v at 4", ledgers[1], ledgers[4])
+	}
+	if ledgers[1].exchanges == 0 {
+		t.Error("evidence store holds no exchange — nothing spilled")
+	}
+}
+
+// diffRenders reports every artifact of got that differs from want.
+func diffRenders(t *testing.T, what string, want, got map[string]string) {
+	t.Helper()
+	for key := range want {
+		if want[key] != got[key] {
+			t.Errorf("%s: %s diverges from the in-RAM run at 1 worker:\n--- want ---\n%s\n--- got ---\n%s", what, key, want[key], got[key])
+		}
+	}
+}
+
+// exchangeCounts summarizes an evidence store's exchange ledger.
+type exchangeCounts struct {
+	exchanges int
+	// referrals counts the brand-logo requests that carried a Referer.
+	referrals int
+}
+
+// ledgerCounts reopens the evidence store at path and counts its
+// exchanges.
+func ledgerCounts(t *testing.T, path string) exchangeCounts {
+	t.Helper()
+	store, err := evstore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	spilled.Net.SpillTrafficTo(store)
-
-	want, got := render(ramRun), render(spillRun)
-	for key := range want {
-		if want[key] != got[key] {
-			t.Errorf("%s diverges between in-RAM and spilled runs:\n--- ram ---\n%s\n--- spilled ---\n%s", key, want[key], got[key])
+	var c exchangeCounts
+	if err := webnet.EachExchange(store, func(e *webnet.LoggedExchange) bool {
+		c.exchanges++
+		if e.Request.Path == "/assets/logo.png" && e.Request.Header("Referer") != "" {
+			c.referrals++
 		}
-	}
-	// HotLoadReferrals scans the traffic ledger, so it exercises the
-	// spilled EachTraffic decode path end to end.
-	if a, b := ramRun.HotLoadReferrals(), spillRun.HotLoadReferrals(); a != b {
-		t.Errorf("HotLoadReferrals: ram %d, spilled %d", a, b)
-	}
-	if a, b := exchanges(ram.Net), exchanges(spilled.Net); a != b {
-		t.Errorf("exchanges: ram %d, spilled %d", a, b)
-	}
-	if store.Size() <= 8 {
-		t.Error("evidence store stayed empty — nothing spilled")
-	}
-	if spillRun.Errors != ramRun.Errors {
-		t.Errorf("Errors: ram %d, spilled %d", ramRun.Errors, spillRun.Errors)
-	}
-}
-
-// exchanges counts the exchanges in a network's traffic ledger.
-func exchanges(n *webnet.Internet) int {
-	count := 0
-	n.EachTraffic(func(*webnet.LoggedExchange) bool {
-		count++
 		return true
-	})
-	return count
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestEvidenceStoreStripsVisits checks that a spilled run hands its sink

@@ -18,6 +18,7 @@ package report
 import (
 	"context"
 	"fmt"
+	neturl "net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -33,7 +34,6 @@ import (
 	"crawlerbox/internal/stats"
 	"crawlerbox/internal/tracestore"
 	"crawlerbox/internal/urlx"
-	"crawlerbox/internal/webnet"
 )
 
 // Run couples a corpus with the census of its pipeline analyses. The
@@ -108,12 +108,14 @@ func WithResilience(p *resilience.Policy) Option {
 // WithEvidencePath spills bulky evidence to an on-disk store at path: each
 // analysis's visit records (markup, screenshots, request logs) are encoded
 // into one checksummed record — addressed afterwards by the analysis's
-// Evidence handle — and the corpus network's exchange ledger appends to the
-// same store instead of RAM. The spill happens after the run's sink has
-// seen the analysis, so every aggregate is identical with or without a
-// store; only the residency of the evidence changes. The run owns the
-// store's whole lifecycle: it creates the file and closes it before
-// returning. An empty path disables spilling (the default).
+// Evidence handle — and the corpus network appends one record per HTTP
+// exchange to the same store (without a store it records no traffic; read
+// the exchanges back with webnet.EachExchange). The spill happens after
+// the run's sink has seen the analysis, so every aggregate is identical
+// with or without a store; only the residency of the evidence changes.
+// The run owns the store's whole lifecycle: it creates the file and
+// closes it before returning. An empty path disables spilling (the
+// default).
 func WithEvidencePath(path string) Option {
 	return func(o *options) { o.evidencePath = path }
 }
@@ -173,6 +175,9 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 		defer st.Close()
 		evidence = st
 		c.Net.SpillTrafficTo(st)
+		// Once the run returns, the network records no traffic rather than
+		// appending to the store the run has closed.
+		defer c.Net.SpillTrafficTo(nil)
 	}
 	var tstore *tracestore.Writer
 	if op.tracePath != "" {
@@ -334,6 +339,7 @@ type census struct {
 	figure3     TimelineStats
 	figure3Err  error
 	spear       SpearStats
+	referrals   int
 	dns         DNSStats
 	syntax      SyntaxStats
 	cloaks      []CloakRow
@@ -581,19 +587,38 @@ func hotLoads(ma *crawlerbox.MessageAnalysis) bool {
 	return false
 }
 
-// HotLoadReferrals counts brand-asset requests that arrived carrying a
-// Referer header — the referral-trail early-warning signal of Section V-A.
-// It reads the corpus network's exchange ledger through the zero-copy
-// iterator, so the count reflects the live ledger without copying it.
-func (r *Run) HotLoadReferrals() int {
-	count := 0
-	r.Corpus.Net.EachTraffic(func(e *webnet.LoggedExchange) bool {
-		if e.Request.Path == "/assets/logo.png" && e.Request.Header("Referer") != "" {
-			count++
+// logoPath is the path the brand pages and the kits that hot-load them
+// serve the brand logo from.
+const logoPath = "/assets/logo.png"
+
+// logoReferrals counts the requests for a brand logo that the analysis's
+// visits sent with a Referer header.
+func logoReferrals(ma *crawlerbox.MessageAnalysis) int {
+	n := 0
+	for _, v := range ma.Visits {
+		if v.Result == nil {
+			continue
 		}
-		return true
-	})
-	return count
+		for _, req := range v.Result.Requests {
+			// Parse only the few requests that can match.
+			if req.Referer == "" || !strings.Contains(req.URL, logoPath) {
+				continue
+			}
+			if u, err := neturl.Parse(req.URL); err == nil && u.Path == logoPath {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// HotLoadReferrals counts the brand-logo requests the analyses' visits
+// sent with a Referer header — the referral trail a brand's asset server
+// sees, the early-warning signal of Section V-A. It is read from the
+// census, so it is the same with or without an evidence store and at any
+// worker count.
+func (r *Run) HotLoadReferrals() int {
+	return r.index().referrals
 }
 
 // DNSStats carries the Umbrella-style medians.

@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"net/url"
 	"sort"
 	"sync"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"crawlerbox/internal/dataset"
 	"crawlerbox/internal/stats"
 	"crawlerbox/internal/urlx"
-	"crawlerbox/internal/webnet"
 	"crawlerbox/internal/whois"
 )
 
@@ -30,8 +30,7 @@ var _shared struct {
 }
 
 // sharedAnalyses returns the analyses of a fresh corpus of the shared Run's
-// Config, in corpus order, and that corpus, whose Net holds the traffic
-// ledger they left. Analysis is deterministic per Config, so they are the
+// Config, in corpus order, and that corpus. Analysis is deterministic per Config, so they are the
 // analyses the shared Run folded into its census.
 func sharedAnalyses(t *testing.T) (*dataset.Corpus, []*crawlerbox.MessageAnalysis) {
 	t.Helper()
@@ -422,19 +421,34 @@ func TestCensusConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestHotLoadReferralsMatchesLedgerScan pins the run's referral count to a
-// scan of the ledger that a second corpus of the same Config was left with.
+// TestHotLoadReferralsMatchesLedgerScan pins the run's referral count to
+// a scan of the request logs that a second corpus of the same Config left
+// in its analyses' visits: every brand-logo request that carried a Referer,
+// its path parsed with net/url.
 func TestHotLoadReferralsMatchesLedgerScan(t *testing.T) {
 	run := sharedRun(t)
-	c, _ := sharedAnalyses(t)
+	_, analyses := sharedAnalyses(t)
 	want := 0
-	c.Net.EachTraffic(func(e *webnet.LoggedExchange) bool {
-		if e.Request.Path == "/assets/logo.png" && e.Request.Header("Referer") != "" {
-			want++
+	for _, ma := range analyses {
+		if ma == nil {
+			continue
 		}
-		return true
-	})
+		for _, v := range ma.Visits {
+			if v.Result == nil {
+				continue
+			}
+			for _, req := range v.Result.Requests {
+				u, err := url.Parse(req.URL)
+				if err == nil && u.Path == "/assets/logo.png" && req.Referer != "" {
+					want++
+				}
+			}
+		}
+	}
+	if want == 0 {
+		t.Fatal("the corpus's visits sent no logo referral")
+	}
 	if got := run.HotLoadReferrals(); got != want {
-		t.Errorf("HotLoadReferrals = %d, ledger scan = %d", got, want)
+		t.Errorf("HotLoadReferrals = %d, request-log scan = %d", got, want)
 	}
 }

@@ -35,10 +35,13 @@ type CensusShard struct {
 	active      int
 	spear       int
 	hotLoad     int
-	cred        int
-	turnstile   int
-	recaptcha   int
-	monthly     [10]int
+	// referrals counts the brand-logo requests the visits sent with a
+	// Referer header (Run.HotLoadReferrals).
+	referrals int
+	cred      int
+	turnstile int
+	recaptcha int
+	monthly   [10]int
 	// minIdx is the smallest message index folded into this shard (-1 when
 	// empty); Analyze merges shards in ascending minIdx order.
 	minIdx int
@@ -114,6 +117,7 @@ func (s *CensusShard) AddAnalysis(idx int, ma *crawlerbox.MessageAnalysis) {
 
 	// Evasion census (all messages, not just active phish).
 	countCloaks(s.cloakCounts, ma)
+	s.referrals += logoReferrals(ma)
 
 	if ma.Landing != nil {
 		if j, ok := s.hosts[ma.Landing.Host]; !ok || idx < j {
@@ -215,6 +219,7 @@ func (s *CensusShard) Merge(o *CensusShard) {
 	s.active += o.active
 	s.spear += o.spear
 	s.hotLoad += o.hotLoad
+	s.referrals += o.referrals
 	s.cred += o.cred
 	s.turnstile += o.turnstile
 	s.recaptcha += o.recaptcha
@@ -289,6 +294,7 @@ func (s *CensusShard) finalize() *census {
 	c.disposition = dispositionRows(s.outcomeCounts, s.total)
 	c.table2 = urlx.TLDDistribution(hosts)
 	c.figure3, c.figure3Err = timelineStats(s.groups, groupKeys)
+	c.referrals = s.referrals
 	c.spear = spearStats(s.active, s.spear, s.hotLoad, len(s.landingURLs), s.groups, groupKeys)
 	c.dns = dnsStats(s.groups, groupKeys)
 	c.syntax = syntaxStats(hosts)

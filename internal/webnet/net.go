@@ -67,13 +67,6 @@ type Certificate struct {
 	SerialNum int
 }
 
-// QueryRecord is one passive-DNS observation.
-type QueryRecord struct {
-	Host string
-	At   time.Time
-	From string // resolver client IP
-}
-
 // Request is a simulated HTTP request.
 type Request struct {
 	Method   string
@@ -175,32 +168,20 @@ type Internet struct {
 	servers   map[string]Handler        // guarded by mu
 	certs     map[string][]*Certificate // guarded by mu
 	ctLog     []*Certificate            // guarded by mu
-	queryLog  map[string][]QueryRecord  // guarded by mu
-	queryAgg  map[string]map[string]int // guarded by mu
-	// queryAggLive aggregates the crawler's own resolutions per host-day
-	// when traffic spills to disk (default mode appends to queryLog
-	// instead). Kept apart from queryAgg so BackgroundQueryVolume never
-	// counts live lookups.
-	queryAggLive map[string]map[string]int // guarded by mu
-	nextIP       [4]int                    // guarded by mu
-	nextSerial   int                       // guarded by mu
+	// queryAgg is the passive-DNS ledger: injected victim queries per
+	// host-day. The crawler's own lookups are never recorded.
+	queryAgg   map[string]map[string]int // guarded by mu
+	nextIP     [4]int                    // guarded by mu
+	nextSerial int                       // guarded by mu
 	// RequestLatency is the virtual time cost of one HTTP round trip.
 	RequestLatency time.Duration
-	// trafficLog records every request for referral analysis. It is
-	// append-only: entries are never mutated once logged, which is what
-	// makes the zero-copy EachTraffic/EachTrafficTo views safe.
-	trafficLog []LoggedExchange // guarded by mu
-	// trafficByHost indexes trafficLog positions by request host, so
-	// per-host traffic queries touch only the matching entries instead of
-	// scanning (or copying) the whole ledger.
-	trafficByHost map[string][]int // guarded by mu
-	// spill, when set via SpillTrafficTo, replaces the in-RAM ledgers:
-	// exchanges append to the store and nothing per exchange stays
-	// resident.
+	// spill, when set via SpillTrafficTo, receives one record per
+	// exchange. Without it the network records no traffic.
 	spill *evstore.Store // guarded by mu
 }
 
-// LoggedExchange pairs a request with its response for traffic analysis.
+// LoggedExchange pairs a request with its response: the record the
+// network writes to its traffic store for every round trip.
 type LoggedExchange struct {
 	Request Request
 	Status  int
@@ -215,7 +196,6 @@ func NewInternet(clock *Clock) *Internet {
 		ipClass:        map[string]IPClass{},
 		servers:        map[string]Handler{},
 		certs:          map[string][]*Certificate{},
-		queryLog:       map[string][]QueryRecord{},
 		nextIP:         [4]int{198, 18, 0, 1},
 		RequestLatency: 50 * time.Millisecond,
 	}
@@ -349,47 +329,10 @@ func (n *Internet) RemoveDNS(host string) {
 	delete(n.dns, strings.ToLower(host))
 }
 
-// Resolve looks up a host, recording the query in the passive-DNS ledger.
-func (n *Internet) Resolve(host, clientIP string) (string, error) {
-	return n.resolveAt(host, clientIP, n.Clock.Now())
-}
-
-// resolveAt is Resolve with an explicit observation timestamp, so requests
-// carrying a forked clock stamp the ledger with their own virtual time.
-func (n *Internet) resolveAt(host, clientIP string, at time.Time) (string, error) {
-	host = strings.ToLower(host)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.spill != nil {
-		// Spill mode folds live observations into per-host-day aggregates
-		// instead of growing the per-query ledger; QueryVolume reads them
-		// alongside the background aggregates, so totals come out the same
-		// at day granularity. They stay separate from queryAgg so
-		// BackgroundQueryVolume keeps counting victim traffic only.
-		if n.queryAggLive == nil {
-			n.queryAggLive = map[string]map[string]int{}
-		}
-		if n.queryAggLive[host] == nil {
-			// Clone the key: host is often a substring of a much larger
-			// URL, and a map key must not pin that backing array.
-			n.queryAggLive[strings.Clone(host)] = map[string]int{}
-		}
-		n.queryAggLive[host][at.Format("2006-01-02")]++
-	} else {
-		n.queryLog[host] = append(n.queryLog[host], QueryRecord{
-			Host: host, At: at, From: clientIP,
-		})
-	}
-	ip, ok := n.dns[host]
-	if !ok {
-		return "", fmt.Errorf("resolving %q: %w", host, ErrNXDomain)
-	}
-	return ip, nil
-}
-
-// LookupDNS returns the address for host without recording a passive-DNS
-// observation. Enrichment joins use it so the pipeline's own lookups never
-// inflate the victim-traffic ledger it is measuring.
+// LookupDNS returns the address for host. The network keeps no record of
+// lookups: the passive-DNS ledger holds only the victim traffic that
+// RecordBackgroundQueries injects, so the pipeline's own resolutions never
+// inflate what it is measuring.
 func (n *Internet) LookupDNS(host string) (string, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -435,41 +378,6 @@ func (n *Internet) RecordBackgroundQueries(host string, count int, window time.D
 	}
 }
 
-// QueryVolume summarizes passive-DNS activity for host inside
-// [until-window, until]: total query count and the maximum per-day count.
-func (n *Internet) QueryVolume(host string, window time.Duration, until time.Time) (total int, maxDaily int) {
-	host = strings.ToLower(host)
-	since := until.Add(-window)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	perDay := map[string]int{}
-	for _, q := range n.queryLog[host] {
-		if q.At.Before(since) || q.At.After(until) {
-			continue
-		}
-		total++
-		day := q.At.Format("2006-01-02")
-		perDay[day]++
-	}
-	for _, agg := range []map[string]int{n.queryAgg[host], n.queryAggLive[host]} {
-		for _, day := range sortedDays(agg) {
-			c := agg[day]
-			t, err := time.Parse("2006-01-02", day)
-			if err != nil || t.Before(since.Add(-24*time.Hour)) || t.After(until) {
-				continue
-			}
-			total += c
-			perDay[day] += c
-		}
-	}
-	for _, day := range sortedDays(perDay) {
-		if perDay[day] > maxDaily {
-			maxDaily = perDay[day]
-		}
-	}
-	return total, maxDaily
-}
-
 // sortedDays returns the map's day keys in ascending order, so volume
 // summaries walk per-day counts deterministically.
 func sortedDays(m map[string]int) []string {
@@ -482,11 +390,12 @@ func sortedDays(m map[string]int) []string {
 }
 
 // BackgroundQueryVolume summarizes passive-DNS activity for host inside
-// [until-window, until] counting only the injected background (victim)
-// aggregates, never the crawler's own live resolutions. This is what the
-// Umbrella join measures — how much real traffic a domain attracts — and,
-// unlike QueryVolume, its result does not depend on what else the pipeline
-// happened to crawl, which keeps concurrent corpus analyses deterministic.
+// [until-window, until]: the total of the injected background (victim)
+// queries and their maximum per-day count. This is what the Umbrella join
+// measures — how much real traffic a domain attracts — and, since the
+// crawler's own lookups are never recorded, its result does not depend on
+// what else the pipeline happened to crawl, which keeps concurrent corpus
+// analyses deterministic.
 func (n *Internet) BackgroundQueryVolume(host string, window time.Duration, until time.Time) (total int, maxDaily int) {
 	host = strings.ToLower(host)
 	since := until.Add(-window)
@@ -560,8 +469,8 @@ func (n *Internet) Unserve(host string) {
 	delete(n.servers, strings.ToLower(host))
 }
 
-// Do performs one HTTP round trip: DNS resolution (logged), server lookup,
-// handler dispatch, latency accounting, and traffic logging. The round trip
+// Do performs one HTTP round trip: DNS resolution, server lookup, handler
+// dispatch, latency accounting, and traffic logging. The round trip
 // is abandoned before DNS resolution when ctx is done. Latency is charged
 // to req.Clock when the request carries one, otherwise to the shared
 // clock — and the request span's timeline reads that same clock, so
@@ -593,24 +502,24 @@ func (n *Internet) Do(ctx context.Context, req *Request) (*Response, error) {
 	n.Metrics.Inc("webnet_dns_queries_total")
 	if fault.Kind == resilience.FaultNXDomain {
 		// The flap happens at the resolver: the query never reaches the
-		// zone, so no passive-DNS observation is recorded and the host's
-		// real record is untouched.
+		// zone, and the host's real record is untouched.
 		dns := req.Trace.StartAt(obs.SpanDNS, "resolve "+req.Host, clock.Now())
 		n.finishSpan(dns, clock, "nxdomain")
 		n.finishSpan(span, clock, "nxdomain")
 		return nil, fmt.Errorf("resolving %q: transient flap: %w", req.Host, ErrNXDomain)
 	}
 	dns := req.Trace.StartAt(obs.SpanDNS, "resolve "+req.Host, clock.Now())
-	if _, err := n.resolveAt(req.Host, req.ClientIP, clock.Now()); err != nil {
-		n.finishSpan(dns, clock, "nxdomain")
-		n.finishSpan(span, clock, "nxdomain")
-		return nil, err
-	}
-	n.finishSpan(dns, clock, "")
 	n.mu.Lock()
+	_, resolved := n.dns[req.Host]
 	handler, ok := n.servers[req.Host]
 	latency := n.RequestLatency
 	n.mu.Unlock()
+	if !resolved {
+		n.finishSpan(dns, clock, "nxdomain")
+		n.finishSpan(span, clock, "nxdomain")
+		return nil, fmt.Errorf("resolving %q: %w", req.Host, ErrNXDomain)
+	}
+	n.finishSpan(dns, clock, "")
 	clock.Advance(latency)
 	n.Metrics.Observe("webnet_request_latency_ns", float64(latency))
 	switch fault.Kind {
@@ -693,91 +602,21 @@ func statusClass(status int) string {
 	}
 }
 
+// logExchange appends one exchange to the traffic store, if one is
+// attached, while n.mu is held, so records land in the order the exchanges
+// finished. Lock order is always Internet.mu then Store.mu; the store
+// never calls back into the Internet.
 func (n *Internet) logExchange(req *Request, status int, at time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.spill == nil {
+		return
+	}
 	e := LoggedExchange{Request: *req, Status: status, At: at}
-	if n.spill != nil {
-		n.spillExchangeLocked(&e)
-		return
-	}
-	n.trafficLog = append(n.trafficLog, e)
-	if n.trafficByHost == nil {
-		n.trafficByHost = map[string][]int{}
-	}
-	n.trafficByHost[req.Host] = append(n.trafficByHost[req.Host], len(n.trafficLog)-1)
-}
-
-// EachTraffic calls fn for every logged exchange in log order, without
-// copying the ledger, until fn returns false. The entry pointer is valid
-// only for the duration of the call and must not be retained or mutated.
-//
-// The iteration is a consistent zero-copy snapshot: the ledger is
-// append-only and entries are immutable once logged, so only the slice
-// header is read under the lock — concurrent appends go to positions past
-// the snapshot's length and are never observed. fn may safely call back
-// into the Internet (no lock is held during iteration).
-func (n *Internet) EachTraffic(fn func(e *LoggedExchange) bool) {
-	n.mu.Lock()
-	if n.spill != nil {
-		store := n.spill
-		n.mu.Unlock()
-		// Spill mode: sequential scan of the evidence store, decoding each
-		// exchange on demand. Records of other kinds sharing the store are
-		// skipped; a record that fails to decode is dropped (the spill
-		// counter already surfaced the loss if the append failed).
-		_ = store.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
-			if kind != evstore.KindExchange {
-				return true
-			}
-			e, err := decodeExchange(payload)
-			if err != nil {
-				return true
-			}
-			return fn(&e)
-		})
-		return
-	}
-	log := n.trafficLog
-	n.mu.Unlock()
-	for i := range log {
-		if !fn(&log[i]) {
-			return
-		}
-	}
-}
-
-// EachTrafficTo calls fn for every logged exchange addressed to host, in
-// log order, until fn returns false. In RAM mode it walks the by-host
-// index, so the cost scales with the host's own traffic, not the whole
-// ledger; in spill mode it scans the store, decoding only records whose
-// host matches — a post-run reporting path, priced accordingly so that
-// nothing per-exchange stays resident during the run. The same zero-copy
-// snapshot semantics as EachTraffic apply.
-func (n *Internet) EachTrafficTo(host string, fn func(e *LoggedExchange) bool) {
-	host = strings.ToLower(host)
-	n.mu.Lock()
-	if n.spill != nil {
-		store := n.spill
-		n.mu.Unlock()
-		_ = store.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
-			if kind != evstore.KindExchange {
-				return true
-			}
-			e, err := decodeExchange(payload)
-			if err != nil || e.Request.Host != host {
-				return true
-			}
-			return fn(&e)
-		})
-		return
-	}
-	log := n.trafficLog
-	idx := n.trafficByHost[host]
-	n.mu.Unlock()
-	for _, i := range idx {
-		if !fn(&log[i]) {
-			return
-		}
+	if _, err := n.spill.Append(evstore.KindExchange, encodeExchange(&e)); err != nil {
+		// A failed append (disk full, store closed) drops the exchange
+		// but must not take the simulated network down with it; surface
+		// the loss on the metrics stream instead.
+		n.Metrics.Inc("webnet_traffic_spill_errors_total")
 	}
 }

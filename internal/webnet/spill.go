@@ -9,38 +9,39 @@ import (
 	"crawlerbox/internal/evstore"
 )
 
-// SpillTrafficTo switches the Internet's exchange ledger to an on-disk
-// evidence store: every logged exchange is encoded as one KindExchange
-// record instead of growing the in-RAM traffic log, so a million-message
-// run keeps O(1) traffic state in memory.
-// Resolve likewise folds live passive-DNS observations into per-host-day
-// aggregates instead of appending one QueryRecord per lookup.
-//
-// Call it before traffic flows; exchanges already logged in RAM stay
-// there and keep being served alongside the spilled ones is NOT supported —
-// the switch must happen on an empty ledger. The traffic views
-// (EachTraffic, EachTrafficTo) work unchanged, decoding records on demand;
-// the per-host view scans the store rather than consult an in-RAM index,
-// trading read speed (it is a post-run reporting path) for a resident
-// footprint independent of traffic volume.
+// SpillTrafficTo attaches the store the network writes its traffic to:
+// every exchange is encoded as one KindExchange record, so a
+// million-message run keeps no per-exchange state in memory. A nil store
+// detaches it, after which the network records no traffic. Read the
+// records back with EachExchange.
 func (n *Internet) SpillTrafficTo(store *evstore.Store) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.spill = store
 }
 
-// spillExchange encodes and appends one exchange while n.mu is held, so
-// records land in log order. Lock order is always Internet.mu then
-// Store.mu; the store never calls back into the Internet.
-func (n *Internet) spillExchangeLocked(e *LoggedExchange) {
-	//cblint:ignore guarded the sole caller (logExchange) holds n.mu across the call
-	_, err := n.spill.Append(evstore.KindExchange, encodeExchange(e))
+// EachExchange calls fn for every exchange record in store, in the order
+// they were written, until fn returns false. Records of other kinds are
+// skipped. It returns the store's error, a closed store's included, or
+// the first record that fails to decode, so a scan that could not read
+// the store never reads as no traffic.
+func EachExchange(store *evstore.Store, fn func(e *LoggedExchange) bool) error {
+	var derr error
+	err := store.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
+		if kind != evstore.KindExchange {
+			return true
+		}
+		e, err := decodeExchange(payload)
+		if err != nil {
+			derr = err
+			return false
+		}
+		return fn(&e)
+	})
 	if err != nil {
-		// A failed spill (disk full, store closed) drops the exchange from
-		// the ledger but must not take the simulated network down with it;
-		// surface the loss on the metrics stream instead.
-		n.Metrics.Inc("webnet_traffic_spill_errors_total")
+		return err
 	}
+	return derr
 }
 
 // encodeExchange flattens one exchange for the evidence store. Only the

@@ -3,9 +3,12 @@ package webnet
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"crawlerbox/internal/evstore"
 )
 
 var _epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -59,34 +62,41 @@ func TestAllocateIPDistinctAndClassed(t *testing.T) {
 func TestResolveAndNXDomain(t *testing.T) {
 	n := newNet()
 	n.AddDNS("phish.example", "198.18.0.99")
-	ip, err := n.Resolve("PHISH.example", "10.0.0.1")
-	if err != nil || ip != "198.18.0.99" {
-		t.Fatalf("Resolve = %q, %v", ip, err)
+	ip, ok := n.LookupDNS("PHISH.example")
+	if !ok || ip != "198.18.0.99" {
+		t.Fatalf("LookupDNS = %q, %v", ip, ok)
 	}
-	if _, err := n.Resolve("gone.example", "10.0.0.1"); !errors.Is(err, ErrNXDomain) {
-		t.Errorf("err = %v, want ErrNXDomain", err)
+	if _, ok := n.LookupDNS("gone.example"); ok {
+		t.Error("LookupDNS of an unregistered host succeeded")
 	}
 	n.RemoveDNS("phish.example")
-	if _, err := n.Resolve("phish.example", "10.0.0.1"); !errors.Is(err, ErrNXDomain) {
-		t.Errorf("after RemoveDNS err = %v", err)
+	if _, ok := n.LookupDNS("phish.example"); ok {
+		t.Error("LookupDNS succeeded after RemoveDNS")
+	}
+	if _, err := n.Do(context.Background(), &Request{Host: "phish.example", Path: "/"}); !errors.Is(err, ErrNXDomain) {
+		t.Errorf("Do after RemoveDNS: err = %v, want ErrNXDomain", err)
 	}
 }
 
+// TestPassiveDNSLedger pins that the ledger counts victim traffic only:
+// the crawler's own lookups and round trips never reach it.
 func TestPassiveDNSLedger(t *testing.T) {
 	n := newNet()
 	n.AddDNS("tracked.example", "198.18.0.5")
+	n.Serve("tracked.example", func(*Request) *Response { return &Response{Status: 200} })
+	n.RecordBackgroundQueries("tracked.example", 2, 24*time.Hour, n.Clock.Now())
 	for i := 0; i < 3; i++ {
-		if _, err := n.Resolve("tracked.example", "10.0.0.1"); err != nil {
+		if _, ok := n.LookupDNS("tracked.example"); !ok {
+			t.Fatal("tracked.example does not resolve")
+		}
+		if _, err := n.Do(context.Background(), &Request{Host: "tracked.example", Path: "/"}); err != nil {
 			t.Fatal(err)
 		}
 		n.Clock.Advance(time.Hour)
 	}
-	total, maxDaily := n.QueryVolume("tracked.example", 30*24*time.Hour, n.Clock.Now())
-	if total != 3 {
-		t.Errorf("total = %d, want 3", total)
-	}
-	if maxDaily != 3 {
-		t.Errorf("maxDaily = %d, want 3 (same day)", maxDaily)
+	total, maxDaily := n.BackgroundQueryVolume("tracked.example", 30*24*time.Hour, n.Clock.Now())
+	if total != 2 || maxDaily != 2 {
+		t.Errorf("volume = %d total, %d max daily; want the 2 injected queries", total, maxDaily)
 	}
 }
 
@@ -95,8 +105,8 @@ func TestBackgroundQueriesShapeVolume(t *testing.T) {
 	until := _epoch.Add(30 * 24 * time.Hour)
 	n.RecordBackgroundQueries("lowvol.example", 43, 30*24*time.Hour, until)
 	n.RecordBackgroundQueries("highvol.example", 665000, 30*24*time.Hour, until)
-	totalLow, maxLow := n.QueryVolume("lowvol.example", 30*24*time.Hour, until)
-	totalHigh, maxHigh := n.QueryVolume("highvol.example", 30*24*time.Hour, until)
+	totalLow, maxLow := n.BackgroundQueryVolume("lowvol.example", 30*24*time.Hour, until)
+	totalHigh, maxHigh := n.BackgroundQueryVolume("highvol.example", 30*24*time.Hour, until)
 	if totalLow != 43 {
 		t.Errorf("low total = %d", totalLow)
 	}
@@ -107,7 +117,7 @@ func TestBackgroundQueriesShapeVolume(t *testing.T) {
 		t.Errorf("daily maxima not ordered: %d vs %d", maxLow, maxHigh)
 	}
 	// Queries outside the window are excluded.
-	total, _ := n.QueryVolume("lowvol.example", 24*time.Hour, until.Add(-20*24*time.Hour))
+	total, _ := n.BackgroundQueryVolume("lowvol.example", 24*time.Hour, until.Add(-20*24*time.Hour))
 	if total >= 43 {
 		t.Errorf("window filter ineffective: %d", total)
 	}
@@ -200,29 +210,68 @@ func TestTrafficLogAndReferralAnalysis(t *testing.T) {
 	// The paper's key defensive finding: phishing pages hot-load brand
 	// logos; the brand can spot impersonation early by watching referer
 	// headers on its own asset servers.
+	// The network records traffic only into an attached store: the
+	// exchange before SpillTrafficTo leaves no trace.
 	n := newNet()
 	n.AddDNS("brand.example", "198.18.2.1")
 	n.Serve("brand.example", func(req *Request) *Response {
 		return &Response{Status: 200, Body: []byte("logo-bytes")}
 	})
-	req := &Request{
-		Method: "GET", Host: "brand.example", Path: "/assets/logo.png",
-		Headers:  map[string]string{"Referer": "https://evil-login.buzz/portal"},
-		ClientIP: "10.9.9.9",
+	req := func(referer string) *Request {
+		return &Request{
+			Method: "GET", Host: "brand.example", Path: "/assets/logo.png",
+			Headers:  map[string]string{"Referer": referer},
+			ClientIP: "10.9.9.9",
+		}
 	}
-	if _, err := n.Do(context.Background(), req); err != nil {
+	if _, err := n.Do(context.Background(), req("https://unrecorded.buzz/")); err != nil {
+		t.Fatal(err)
+	}
+	store, err := evstore.Create(filepath.Join(t.TempDir(), "traffic.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	n.SpillTrafficTo(store)
+	if _, err := n.Do(context.Background(), req("https://evil-login.buzz/portal")); err != nil {
 		t.Fatal(err)
 	}
 	var exchanges []LoggedExchange
-	n.EachTrafficTo("brand.example", func(e *LoggedExchange) bool {
+	if err := EachExchange(store, func(e *LoggedExchange) bool {
 		exchanges = append(exchanges, *e)
 		return true
-	})
-	if len(exchanges) != 1 {
-		t.Fatalf("traffic = %d", len(exchanges))
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := exchanges[0].Request.Header("referer"); got != "https://evil-login.buzz/portal" {
+	if len(exchanges) != 1 {
+		t.Fatalf("traffic = %d exchanges, want 1", len(exchanges))
+	}
+	e := exchanges[0]
+	if got := e.Request.Header("referer"); got != "https://evil-login.buzz/portal" {
 		t.Errorf("referer = %q", got)
+	}
+	if e.Request.Host != "brand.example" || e.Request.Path != "/assets/logo.png" ||
+		e.Request.ClientIP != "10.9.9.9" || e.Status != 200 || !e.At.Equal(n.Clock.Now()) {
+		t.Errorf("exchange = %+v", e)
+	}
+}
+
+// TestEachExchangeClosedStore pins that a scan of a closed store fails
+// instead of reading as no traffic.
+func TestEachExchangeClosedStore(t *testing.T) {
+	store, err := evstore.Create(filepath.Join(t.TempDir(), "traffic.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = EachExchange(store, func(*LoggedExchange) bool {
+		t.Error("EachExchange called fn on a closed store")
+		return true
+	})
+	if !errors.Is(err, evstore.ErrClosed) {
+		t.Errorf("EachExchange on a closed store: err = %v, want evstore.ErrClosed", err)
 	}
 }
 
