@@ -113,8 +113,9 @@ triagecheck:
 # evidencecheck pins the evidence store's bytes (DESIGN.md §8), which the
 # trace-store gates do not read: the example corpus with 10% fault
 # injection, spilled at one worker, must hash to the committed sha256.
-# Records are appended in completion order, so only -workers 1 gives a
-# schedule-independent store. Regenerate after a deliberate format change
+# Analysis records are appended in spec order at any worker count, but
+# exchange records are appended as the exchanges happen, so only -workers 1
+# gives a schedule-independent store. Regenerate after a deliberate format change
 # by running the same command and writing its sha256sum line (file name
 # evidence.store) to testdata/evidencecheck.sha256.
 evidencecheck:
@@ -164,19 +165,23 @@ verdictcheck:
 
 # papercheck pins the paper's numbers: the report of the whole seed-42
 # corpus at scale 1 (Table I, the disposition, Figures 2 and 3, Table II,
-# the Section V-A/B/C tables) must match testdata/papercheck.golden.txt.
-# The "Analyzing N messages ... (W workers)" banner names the worker count,
-# so it is left out of the diff on both sides. Regenerate after a
-# deliberate change to a paper number by writing the same command's stdout
-# to the golden, and say which rows moved.
+# the Section V-A/B/C tables) must match testdata/papercheck.golden.txt,
+# at one worker and at four (the census folds results in spec order, so
+# the worker count must not move a number). The "Analyzing N messages ...
+# (W workers)" banner names the worker count, so it is left out of the
+# diff on both sides. Regenerate after a deliberate change to a paper
+# number by writing the -workers 1 command's stdout to the golden, and say
+# which rows moved.
 papercheck:
 	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/report -seed 42 -scale 1 -workers 1 > $$tmp/report.txt && \
 	banner='^Analyzing [0-9]* messages with CrawlerBox ([0-9]* workers)\.\.\.$$' && \
 	grep -v "$$banner" testdata/papercheck.golden.txt > $$tmp/want.txt && \
-	grep -v "$$banner" $$tmp/report.txt > $$tmp/got.txt && \
-	diff -u $$tmp/want.txt $$tmp/got.txt && \
-	rm -rf $$tmp && echo "papercheck: seed-42 report matches testdata/papercheck.golden.txt"
+	for w in 1 4; do \
+		$(GO) run ./cmd/report -seed 42 -scale 1 -workers $$w > $$tmp/report.txt && \
+		grep -v "$$banner" $$tmp/report.txt > $$tmp/got.txt && \
+		diff -u $$tmp/want.txt $$tmp/got.txt || exit 1; \
+	done && \
+	rm -rf $$tmp && echo "papercheck: seed-42 report at workers 1 and 4 matches testdata/papercheck.golden.txt"
 
 # fuzz-smoke gives every Fuzz* target in the tree a fixed 5 s of
 # coverage-guided fuzzing, one target at a time (go test -fuzz takes one

@@ -66,14 +66,14 @@ func run() error {
 	// delivery date.
 	at := time.Date(2024, 11, 1, 0, 0, 0, 0, time.UTC)
 
-	var names []string
+	var name func(i int) string
 	var produce func(send func(crawlerbox.IndexedSpec) bool)
 	if *dir != "" {
 		files, raws, err := readEML(*dir, *limit)
 		if err != nil {
 			return err
 		}
-		names = files
+		name = func(i int) string { return files[i] }
 		produce = func(send func(crawlerbox.IndexedSpec) bool) {
 			for i, raw := range raws {
 				if !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: raw, ID: int64(i + 1), At: at}}) {
@@ -83,16 +83,12 @@ func run() error {
 		}
 	} else {
 		// Corpus mode streams: specs render one message at a time through
-		// Corpus.Each; only the one-line summaries are buffered (to restore
-		// message order), never the corpus.
+		// Corpus.Each, so the corpus never sits in RAM.
 		count := corpus.Len()
 		if *limit > 0 && *limit < count {
 			count = *limit
 		}
-		names = make([]string, count)
-		for i := range names {
-			names[i] = fmt.Sprintf("corpus-%05d", i)
-		}
+		name = func(i int) string { return fmt.Sprintf("corpus-%05d", i) }
 		produce = func(send func(crawlerbox.IndexedSpec) bool) {
 			corpus.Each(func(i int, m *dataset.Message) bool {
 				return i < count &&
@@ -102,15 +98,13 @@ func run() error {
 	}
 
 	observer := shared.Observer()
-	lines := make([]string, len(names))
-	sink := func(_ int, res crawlerbox.CorpusResult) {
-		lines[res.Index] = resultLine(names[res.Index], res)
+	// AnalyzeSpecs commits results in message order, so each line prints
+	// as it commits.
+	sink := func(res crawlerbox.CorpusResult) {
+		fmt.Println(resultLine(name(res.Index), res))
 	}
 	if err := report.AnalyzeSpecs(context.Background(), corpus, produce, sink, shared.ReportOptions(observer)...); err != nil {
 		return err
-	}
-	for _, line := range lines {
-		fmt.Println(line)
 	}
 	return shared.WriteExports(observer)
 }

@@ -30,7 +30,7 @@ func TestLazyRealmsMatchEagerRealms(t *testing.T) {
 			ch <- crawlerbox.IndexedSpec{Index: i, Spec: spec}
 		}
 		close(ch)
-		crawlerbox.AnalyzeStream(context.Background(), pipe.Analyze, ch, 1, func(_ int, res crawlerbox.CorpusResult) {
+		crawlerbox.AnalyzeStream(context.Background(), pipe.Analyze, ch, 1, func(res crawlerbox.CorpusResult) {
 			if res.Err != nil {
 				t.Errorf("message %d: %v", res.Index, res.Err)
 				return

@@ -40,7 +40,7 @@ func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
 				ch <- crawlerbox.IndexedSpec{Index: i, Spec: spec}
 			}
 			close(ch)
-			crawlerbox.AnalyzeStream(context.Background(), pipe.Analyze, ch, 4, func(_ int, res crawlerbox.CorpusResult) {
+			crawlerbox.AnalyzeStream(context.Background(), pipe.Analyze, ch, 4, func(res crawlerbox.CorpusResult) {
 				results[res.Index] = res
 			})
 			restore()

@@ -36,31 +36,31 @@ type IndexedSpec struct {
 // producer sends. Batch runs pass (*Pipeline).Analyze; the ingest service
 // passes its Analyzer.
 //
-// sink is called concurrently from the pool, but calls that share a worker
-// index are serialized — a sink that only touches per-worker state (a
-// per-worker census shard, say) needs no locking. Results are bitwise
-// deterministic regardless of workers: each message's RNG stream is keyed
-// by its spec.ID (not a shared counter), each analysis runs on its own
-// fork of the virtual clock (so latency and event-loop time never cross
-// analyses), and enrichment reads only the immutable background
-// passive-DNS ledger.
+// sink is called concurrently from the pool, in completion order; a caller
+// that needs results in spec order reorders them (report.AnalyzeSpecs
+// does). Results are bitwise deterministic regardless of workers: each
+// message's RNG stream is keyed by its spec.ID (not a shared counter),
+// each analysis runs on its own fork of the virtual clock (so latency and
+// event-loop time never cross analyses), and enrichment reads only the
+// immutable background passive-DNS ledger.
 //
 // On cancellation the pool keeps draining the channel (so the producer
 // never blocks) and reports each unstarted spec as Skipped with a wrapped
-// context error. AnalyzeStream returns once specs is closed and drained.
+// context error, so every spec received gets exactly one result.
+// AnalyzeStream returns once specs is closed and drained.
 func AnalyzeStream(ctx context.Context, analyze func(context.Context, MessageSpec) (*MessageAnalysis, error),
-	specs <-chan IndexedSpec, workers int, sink func(worker int, res CorpusResult)) {
+	specs <-chan IndexedSpec, workers int, sink func(CorpusResult)) {
 	if workers < 1 {
 		workers = 1
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for is := range specs {
 				if ctx.Err() != nil {
-					sink(w, CorpusResult{
+					sink(CorpusResult{
 						Index: is.Index,
 						Err: fmt.Errorf("crawlerbox: corpus spec %d not started: %w",
 							is.Spec.ID, ctx.Err()),
@@ -69,9 +69,9 @@ func AnalyzeStream(ctx context.Context, analyze func(context.Context, MessageSpe
 					continue
 				}
 				ma, err := analyze(ctx, is.Spec)
-				sink(w, CorpusResult{Index: is.Index, Analysis: ma, Err: err})
+				sink(CorpusResult{Index: is.Index, Analysis: ma, Err: err})
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -229,7 +229,7 @@ func analyzeAll(ctx context.Context, p *Pipeline, specs []MessageSpec, workers i
 		ch <- IndexedSpec{Index: i, Spec: spec}
 	}
 	close(ch)
-	AnalyzeStream(ctx, p.Analyze, ch, workers, func(_ int, res CorpusResult) {
+	AnalyzeStream(ctx, p.Analyze, ch, workers, func(res CorpusResult) {
 		results[res.Index] = res
 	})
 	return results

@@ -51,7 +51,7 @@ func EncodeEvidence(visits []VisitRecord) []byte {
 
 // EvidenceEncoder encodes evidence records into a record buffer and a
 // screenshot canvas it keeps from one record to the next, so an encoder
-// that serves many messages (one per spilling worker) allocates neither
+// that serves many messages (a run's one spiller) allocates neither
 // per record. The zero value is ready to use. An encoder is not safe for
 // concurrent use.
 type EvidenceEncoder struct {

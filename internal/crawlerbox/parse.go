@@ -266,12 +266,7 @@ func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool,
 			return
 		}
 		budget.members--
-		rc, err := f.Open()
-		if err != nil {
-			continue
-		}
-		content, err := io.ReadAll(io.LimitReader(rc, int64(min(zipMemberMax, budget.bytes))))
-		_ = rc.Close()
+		content, err := readMember(f, min(zipMemberMax, budget.bytes))
 		budget.bytes -= len(content)
 		if err != nil {
 			continue
@@ -302,27 +297,58 @@ func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool,
 	}
 }
 
-// parseMemoSize bounds the parse memo. The ingest service keys a message
-// at admission and parses it again in ParseStage; in between it waits in a
-// queue of 2×workers behind the running analyses, so 64 entries cover up to
-// 20 workers. Memory stays bounded by this constant, not by uptime.
+// readMember reads at most limit bytes of an archive member, the way
+// io.ReadAll over an io.LimitReader does, but into one buffer sized from
+// the member's declared size: a member that declares more than it holds
+// costs at most limit bytes, and one that declares less fails its read.
+func readMember(f *zip.File, limit int) ([]byte, error) {
+	rc, err := f.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	size := uint64(limit)
+	if f.UncompressedSize64 < size {
+		size = f.UncompressedSize64
+	}
+	// MinRead spare bytes let the buffer see EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, int(size)+bytes.MinRead))
+	_, err = buf.ReadFrom(io.LimitReader(rc, int64(limit)))
+	return buf.Bytes(), err
+}
+
+// parseMemoSize bounds the parse memo's entries. The ingest service keys
+// a message at admission and parses it again in ParseStage; in between it
+// waits in a queue of 2×workers behind the running analyses, so 64 entries
+// cover up to 20 workers.
 const parseMemoSize = 64
+
+// parseMemoBytes bounds the bytes the parse memo pins: each entry counts
+// its raw message plus the HTML attachments its parse kept, the two
+// buffers an attacker can make large. 64 entries of 256 KiB fit, while a
+// message whose archive fills its whole budget (zipMessageMax) takes the
+// room of many. Memory stays bounded by these constants, not by uptime.
+const parseMemoBytes = 16 << 20
 
 // _parseMemoSeed keys the memo's content hash. It is drawn per process, so
 // inputs cannot be crafted to collide.
 var _parseMemoSeed = maphash.MakeSeed()
 
-// parseMemo remembers the last parseMemoSize successful parses, evicting
-// first in, first out. It is content-addressed, not pointer-addressed: an
-// entry matches only bytes with the same hash and equal contents, so a
-// buffer the caller reuses or mutates gets a fresh parse. The OCR threshold
-// is part of the match because the parse output depends on it; nothing
-// else in the pipeline feeds the parse, so a hit returns exactly what a
-// fresh parse would. Errors are never memoised.
+// parseMemo remembers recent successful parses, at most parseMemoSize of
+// them and parseMemoBytes in all, evicting first in, first out. It is
+// content-addressed, not pointer-addressed: an entry matches only bytes
+// with the same hash and equal contents, so a buffer the caller reuses or
+// mutates gets a fresh parse. The OCR threshold is part of the match
+// because the parse output depends on it; nothing else in the pipeline
+// feeds the parse, so a hit returns exactly what a fresh parse would.
+// Errors are never memoised, and neither is a parse larger than the whole
+// byte budget.
 type parseMemo struct {
 	mu      sync.Mutex
 	entries [parseMemoSize]parseMemoEntry // guarded by mu
-	next    int                           // guarded by mu
+	oldest  int                           // guarded by mu
+	n       int                           // entries in use; guarded by mu
+	bytes   int                           // sum of the entries' size; guarded by mu
 }
 
 // parseMemoEntry is one memoised parse. raw is the caller's slice, retained
@@ -332,6 +358,7 @@ type parseMemoEntry struct {
 	ocr  float64
 	raw  []byte
 	res  *ParseResult
+	size int
 }
 
 // get returns the memoised parse of raw, or nil.
@@ -347,13 +374,26 @@ func (m *parseMemo) get(hash uint64, ocr float64, raw []byte) *ParseResult {
 	return nil
 }
 
-// put records a parse, replacing the oldest entry.
+// put records a parse, evicting the oldest entries until it fits.
 func (m *parseMemo) put(e parseMemoEntry) {
+	e.size = len(e.raw)
+	for _, a := range e.res.HTMLAttachments {
+		e.size += len(a.Content)
+	}
+	if e.size > parseMemoBytes {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.next % len(m.entries)
-	m.entries[i] = e
-	m.next = i + 1
+	for m.n == len(m.entries) || m.bytes+e.size > parseMemoBytes {
+		m.bytes -= m.entries[m.oldest].size
+		m.entries[m.oldest] = parseMemoEntry{}
+		m.oldest = (m.oldest + 1) % len(m.entries)
+		m.n--
+	}
+	m.entries[(m.oldest+m.n)%len(m.entries)] = e
+	m.n++
+	m.bytes += e.size
 }
 
 func mergeParse(dst *ParseResult, seen map[string]bool, src *ParseResult) {

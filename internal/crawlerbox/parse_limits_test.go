@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
@@ -118,11 +119,76 @@ func TestParseZIPBudget(t *testing.T) {
 	if got, want := len(res.HTMLAttachments), zipMessageMax/zipMemberMax; got != want {
 		t.Errorf("kept %d attachments, want %d", got, want)
 	}
-	// io.ReadAll regrows its buffer a quarter at a time, about five times
-	// a member's size in all, and the markup is then copied to a string:
-	// the parse allocates about six times the budget (51 MB when measured).
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 12*zipMessageMax {
-		t.Errorf("parse allocated %d MiB, want at most %d MiB", alloc>>20, 12*zipMessageMax>>20)
+	// Each kept member is read into one buffer of its size and copied to
+	// a string once: about twice the budget in all.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*zipMessageMax {
+		t.Errorf("parse allocated %d MiB, want at most %d MiB", alloc>>20, 3*zipMessageMax>>20)
+	}
+}
+
+// TestParseZIPDeclaredSizeLie pins that a member's declared size only
+// sizes its buffer within the budget: a member that declares 4 GiB but
+// holds a line of text costs at most what is left of the budget, and,
+// holding less than it declares, fails its read and is skipped.
+func TestParseZIPDeclaredSizeLie(t *testing.T) {
+	body := []byte("Open https://liar.example/x now\n")
+	var b bytes.Buffer
+	zw := zip.NewWriter(&b)
+	w, err := zw.CreateRaw(&zip.FileHeader{
+		Name:               "note.txt",
+		Method:             zip.Store,
+		CRC32:              crc32.ChecksumIEEE(body),
+		CompressedSize64:   uint64(len(body)),
+		UncompressedSize64: 4 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := zipMessage(b.Bytes())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := newParser().ParseMessage(raw)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > zipMessageMax {
+		t.Errorf("parse allocated %d MiB, want at most the budget's %d MiB", alloc>>20, zipMessageMax>>20)
+	}
+	if len(res.URLs) != 0 {
+		t.Errorf("URLs = %+v: a member holding less than it declares was read", res.URLs)
+	}
+}
+
+// TestParseMemoByteBudget drives the memo with messages whose archives
+// fill the whole budget (each keeps 8 MiB of markup): the memo pins at
+// most parseMemoBytes, raw messages and kept markup counted, and still
+// serves the latest of them.
+func TestParseMemoByteBudget(t *testing.T) {
+	p := newParser()
+	archive := zipOf(t, bigHTML(2)...)
+	for i := 0; i < 4; i++ {
+		raw := mime.NewBuilder("attacker@phish.ru", "victim@corp.example", fmt.Sprintf("Action required %d", i), _epoch).
+			Text("See the attached archive.").Attach("application/zip", "docs.zip", archive).Build()
+		res, err := p.ParseMessage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := htmlBytes(res); got != zipMessageMax {
+			t.Fatalf("message %d kept %d bytes of markup, want %d", i, got, zipMessageMax)
+		}
+		if got := p.ParseMemoBytes(); got > ParseMemoBudget {
+			t.Fatalf("after message %d the memo pins %d bytes, budget %d", i, got, ParseMemoBudget)
+		}
+		if hit, _ := p.ParseMessage(raw); hit != res {
+			t.Errorf("message %d was not memoised", i)
+		}
 	}
 }
 

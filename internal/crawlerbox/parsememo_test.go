@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,49 @@ func TestParseMemoKeyerThenAnalyzeMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(*got.Parse, snap) {
 			t.Errorf("message %d: the shared ParseResult was modified downstream:\n got %+v\nwant %+v", spec.ID, *got.Parse, snap)
 		}
+	}
+}
+
+// TestParseMemoOverBudgetMatchesFresh is the keyer-then-Analyze path for a
+// message larger than the memo's whole byte budget: the keyer's parse is
+// not memoised, and the analysis still matches a fresh pipeline's byte for
+// byte.
+func TestParseMemoOverBudgetMatchesFresh(t *testing.T) {
+	keyed, specs := corpusPipeline(t, 8)
+	fresh, _ := corpusPipeline(t, 8)
+	link := ""
+	for _, spec := range specs {
+		if res, err := fresh.ParseMessage(spec.Raw); err == nil && len(res.URLs) > 0 {
+			link = res.URLs[0].URL
+			break
+		}
+	}
+	if link == "" {
+		t.Fatal("no corpus message carries a link")
+	}
+	// Half the budget of markup, base64-encoded in the message, puts raw
+	// bytes plus kept markup over the budget.
+	page := "<html><head><title>Invoice</title></head><body><!--" +
+		strings.Repeat("x", crawlerbox.ParseMemoBudget/2) + "--><p>Invoice</p></body></html>"
+	raw := mime.NewBuilder("attacker@phish.example", "victim@corp.example", "Invoice", _memoEpoch).
+		Text("Renew your password: "+link).Attach("text/html", "invoice.html", []byte(page)).Build()
+	spec := crawlerbox.MessageSpec{Raw: raw, ID: 1, At: specs[0].At}
+
+	if got := ingest.PipelineKeyer(keyed)(raw); got != link {
+		t.Fatalf("key = %q, want %q", got, link)
+	}
+	if n := keyed.ParseMemoBytes(); n != 0 {
+		t.Errorf("the memo pins %d bytes after keying an over-budget message, want 0", n)
+	}
+	got, gotErr := keyed.Analyze(context.Background(), spec)
+	want, wantErr := fresh.Analyze(context.Background(), spec)
+	gotRow, gotEv := verdictBytes(t, spec.ID, got, gotErr)
+	wantRow, wantEv := verdictBytes(t, spec.ID, want, wantErr)
+	if !bytes.Equal(gotRow, wantRow) {
+		t.Errorf("verdict row diverges from a fresh pipeline:\n got %s\nwant %s", gotRow, wantRow)
+	}
+	if !bytes.Equal(gotEv, wantEv) {
+		t.Error("evidence encoding diverges from a fresh pipeline")
 	}
 }
 

@@ -253,7 +253,7 @@ func (s *Service) Start(ctx context.Context) {
 	go func() {
 		defer s.wg.Done()
 		crawlerbox.AnalyzeStream(ctx, s.analyzer.Analyze, s.jobs, s.o.workers,
-			func(_ int, res crawlerbox.CorpusResult) {
+			func(res crawlerbox.CorpusResult) {
 				s.mu.Lock()
 				j := s.inflight[res.Index]
 				delete(s.inflight, res.Index)

@@ -13,7 +13,7 @@ import (
 // directive goes in the function's doc comment:
 //
 //	//cblint:hotpath
-//	func (s *CensusShard) AddAnalysis(idx int, ma *crawlerbox.MessageAnalysis) {
+//	func (s *CensusShard) AddAnalysis(ma *crawlerbox.MessageAnalysis) {
 const HotpathDirective = "cblint:hotpath"
 
 // HotAlloc enforces the ~O(1)-allocation-per-message contract on hot-path

@@ -34,7 +34,7 @@
 //     length, an unchecked unsigned-to-signed integer conversion,
 //     regexp.MustCompile of a tainted pattern — is a finding, with
 //     interprocedural propagation through function summaries.
-//   - shardpure: a type with a Merge method (CensusShard, obs.Registry, …)
+//   - shardpure: a type with a Merge method (obs.Registry, …)
 //     must only write receiver-reachable state, must pin order-dependent
 //     slice folds with a comparator, and worker goroutines must not touch
 //     package-level mutable variables.

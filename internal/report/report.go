@@ -7,9 +7,10 @@
 // cloaking-prevalence table.
 //
 // Every aggregate is served from a memoized census index derived from a
-// CensusShard — a commutative partial fold of the analyses. Analyze streams
-// message specs through the AnalyzeSpecs run loop and each worker folds its
-// own shard, so census state is O(domains), not O(corpus); repeated aggregate
+// CensusShard — one fold of the analyses in corpus order. Analyze streams
+// message specs through the AnalyzeSpecs run loop, which commits each
+// result in spec order, and the census folds it as it commits, so census
+// state is O(domains), not O(corpus); repeated aggregate
 // calls — the paper's workload, where each table and figure re-queries the
 // same analyzed corpus — cost a copy of the precomputed rows instead of a
 // full corpus re-scan.
@@ -44,8 +45,8 @@ type Run struct {
 	// Errors counts messages whose analysis failed outright.
 	Errors int
 
-	// shard is the merged census partial folded during Analyze; nil for a
-	// zero Run, whose aggregates are those of an empty corpus.
+	// shard is the census folded during Analyze; nil for a zero Run, whose
+	// aggregates are those of an empty corpus.
 	shard *CensusShard
 
 	// censusOnce guards the lazily built census index. The index is
@@ -153,17 +154,25 @@ func NewPipeline(ctx context.Context, c *dataset.Corpus, observer *obs.Observer,
 // AnalyzeSpecs is the run loop every batch tool shares. It creates the
 // stores the options name, assembles the pipeline over c's world
 // (NewPipeline), and runs produce on its own goroutine: each spec produce
-// sends flows through the crawlerbox.AnalyzeStream worker pool, and each
-// result goes first to sink — with AnalyzeStream's per-worker
-// serialization — then to the trace store as a verdict row with ID
-// Index+1, then to the evidence store. send blocks while the pool is busy
-// and reports false once ctx is cancelled; produce should then return.
+// sends flows through the crawlerbox.AnalyzeStream worker pool. send
+// blocks while the pool is busy and reports false once ctx is cancelled;
+// produce should then return. produce must send the specs with Index 0,
+// 1, 2, … in that order.
+//
+// Results commit in spec order, one at a time: each goes first to sink,
+// then to the trace store as a verdict row with ID Index+1, then to the
+// evidence store. A worker whose result is not next waits, holding it,
+// until every earlier spec has committed; since AnalyzeStream returns one
+// result per spec it receives, Skipped ones included, the next result is
+// always held by a running worker and at most workers−1 wait. sink
+// therefore needs no locking, and everything a run writes is in the same
+// order at any worker count.
 //
 // AnalyzeSpecs owns the stores' whole lifecycle: it creates them,
 // finalizes the trace store after the last result, and closes both before
 // returning. The first evidence-spill failure fails the run.
 func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func(crawlerbox.IndexedSpec) bool),
-	sink func(worker int, res crawlerbox.CorpusResult), opts ...Option) error {
+	sink func(res crawlerbox.CorpusResult), opts ...Option) error {
 	op := resolve(opts)
 	var evidence *evstore.Store
 	if op.evidencePath != "" {
@@ -203,38 +212,56 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 	specs := make(chan crawlerbox.IndexedSpec, op.workers)
 	go func() {
 		defer close(specs)
+		sent := 0
 		produce(func(is crawlerbox.IndexedSpec) bool {
+			if is.Index != sent {
+				// A gap or a repeat would leave the commit order waiting
+				// for a result that never comes.
+				panic(fmt.Sprintf("report: produce sent spec index %d, want %d", is.Index, sent))
+			}
 			select {
 			case specs <- is:
+				sent++
 				return true
 			case <-ctx.Done():
 				return false
 			}
 		})
 	}()
-	spillErrs := make([]error, op.workers)
-	// Each worker spills through its own encoder, whose record buffer and
-	// screenshot canvas outlive every record (a sync.Pool would drop them
-	// at each GC).
-	encoders := make([]crawlerbox.EvidenceEncoder, op.workers)
-	crawlerbox.AnalyzeStream(ctx, pipe.Analyze, specs, op.workers, func(w int, res crawlerbox.CorpusResult) {
+	var (
+		mu   sync.Mutex
+		turn = sync.NewCond(&mu)
+		next int // index of the next result to commit; guarded by mu
+		// The one encoder keeps its record buffer and screenshot canvas
+		// from one spill to the next.
+		encoder  crawlerbox.EvidenceEncoder
+		spillErr error
+	)
+	crawlerbox.AnalyzeStream(ctx, pipe.Analyze, specs, op.workers, func(res crawlerbox.CorpusResult) {
+		mu.Lock()
+		for res.Index != next {
+			turn.Wait()
+		}
+		mu.Unlock()
+		// No other result passes the wait until next moves on, so the
+		// commit runs alone without holding mu across the caller's sink.
 		if res.Skipped && op.observer != nil {
 			op.observer.Metrics.Inc("crawlerbox_corpus_skipped_total")
 		}
-		sink(w, res)
-		// Verdict rows are buffered in completion order and sorted by ID at
-		// Finalize, so the segment stays schedule-independent.
+		sink(res)
 		tstore.Add(tracestore.VerdictOf(int64(res.Index+1), res.Analysis, res.Err))
 		// Spill AFTER the sink: hot-load detection and landing titles read
 		// the visit records the spill strips.
-		if err := crawlerbox.SpillEvidence(evidence, &encoders[w], res.Analysis); err != nil && spillErrs[w] == nil {
-			spillErrs[w] = err
+		if err := crawlerbox.SpillEvidence(evidence, &encoder, res.Analysis); err != nil && spillErr == nil {
+			spillErr = err
 		}
+		mu.Lock()
+		next++
+		turn.Broadcast()
+		mu.Unlock()
 	})
-	for _, err := range spillErrs {
-		if err != nil {
-			return fmt.Errorf("report: evidence spill: %w", err)
-		}
+	if spillErr != nil {
+		return fmt.Errorf("report: evidence spill: %w", spillErr)
 	}
 	if tstore != nil {
 		if err := tstore.Finalize(op.observer.Traces(), op.observer.Metrics.Snapshot()); err != nil {
@@ -257,28 +284,19 @@ func AnalyzeSpecs(ctx context.Context, c *dataset.Corpus, produce func(send func
 // at cancellation are counted in Run.Errors.
 //
 // Messages stream through AnalyzeSpecs one at a time — the producer renders
-// specs on demand (Corpus.Each) and each worker folds its results into a
-// private CensusShard — so peak memory is O(workers), not O(corpus), and
-// every aggregate is served from the merged shard.
+// specs on demand (Corpus.Each) and the census folds each result as it
+// commits, in corpus order — so peak memory is O(workers), not O(corpus),
+// and every aggregate is served from the one CensusShard.
 //
 // Concurrency, observability, fault injection, and the on-disk stores are
 // all opt-in through the Option values.
 func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, error) {
-	workers := resolve(opts).workers
-	run := &Run{Corpus: c}
-
-	// The producer folds the monthly series as plans flow past; each worker
-	// folds its own shard.
-	msgShard := NewCensusShard()
-	shards := make([]*CensusShard, workers)
-	errCounts := make([]int, workers)
-	for i := range shards {
-		shards[i] = NewCensusShard()
-	}
+	run := &Run{Corpus: c, shard: NewCensusShard()}
 	produced := 0
 	produce := func(send func(crawlerbox.IndexedSpec) bool) {
 		c.Each(func(i int, m *dataset.Message) bool {
-			msgShard.AddMessage(m)
+			// The producer folds the monthly series as plans flow past.
+			run.shard.AddMessage(m)
 			if !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{
 				Raw: m.Raw,
 				ID:  int64(i + 1),
@@ -290,46 +308,24 @@ func Analyze(ctx context.Context, c *dataset.Corpus, opts ...Option) (*Run, erro
 			return true
 		})
 	}
-	sink := func(w int, res crawlerbox.CorpusResult) {
+	sink := func(res crawlerbox.CorpusResult) {
 		if res.Err != nil {
-			errCounts[w]++
+			run.Errors++
 			return
 		}
-		shards[w].AddAnalysis(res.Index, res.Analysis)
+		run.shard.AddAnalysis(res.Analysis)
 	}
 	if err := AnalyzeSpecs(ctx, c, produce, sink, opts...); err != nil {
 		return nil, err
 	}
-	// AnalyzeSpecs has returned, so the producer has exited and the
-	// per-worker state is quiescent.
-	for _, n := range errCounts {
-		run.Errors += n
-	}
-	// Messages the cancelled producer never sent still count as errors.
+	// AnalyzeSpecs has returned, so the producer has exited. Messages the
+	// cancelled producer never sent still count as errors.
 	run.Errors += c.Len() - produced
-
-	// Merge order is pinned by each shard's smallest message index; Merge
-	// is commutative, so this is a determinism belt-and-suspenders, not a
-	// correctness requirement.
-	sort.SliceStable(shards, func(i, j int) bool {
-		a, b := shards[i].minIdx, shards[j].minIdx
-		if a < 0 {
-			return false
-		}
-		if b < 0 {
-			return true
-		}
-		return a < b
-	})
-	for _, s := range shards {
-		msgShard.Merge(s)
-	}
-	run.shard = msgShard
 	return run, nil
 }
 
 // census is the memoized index behind every Run aggregate. It is derived
-// lazily exactly once (Run.index) from the run's merged shard and never
+// lazily exactly once (Run.index) from the run's shard and never
 // mutated afterwards; methods that return slices hand out copies so
 // callers can't corrupt it.
 type census struct {
@@ -355,7 +351,7 @@ func (r *Run) index() *census {
 	return r.census
 }
 
-// buildCensus finalizes the run's merged shard. The derivations replicate
+// buildCensus finalizes the run's shard. The derivations replicate
 // the legacy per-call scans byte-for-byte (asserted by the equivalence
 // tests in report_equiv_test.go).
 func (r *Run) buildCensus() *census {
@@ -476,10 +472,10 @@ func timelineStats(groups map[string]*groupCell, keys []string) (TimelineStats, 
 	for _, key := range keys {
 		g := groups[key]
 		avgDelivery := time.Unix(g.sumUnix/int64(g.count), 0)
-		if g.regIdx >= 0 {
+		if g.hasReg {
 			deltaA = append(deltaA, avgDelivery.Sub(g.reg).Hours())
 		}
-		if g.certIdx >= 0 {
+		if g.hasCert {
 			deltaB = append(deltaB, avgDelivery.Sub(g.cert).Hours())
 		}
 	}
@@ -834,21 +830,6 @@ func htmlxFind(res *browser.Result) []string {
 		if t := strings.TrimSpace(n.InnerText()); t != "" {
 			out = append(out, t)
 		}
-	}
-	return out
-}
-
-// dedupe returns xs without duplicates, preserving first-seen order, in a
-// single pass with exactly one map and one slice allocation.
-func dedupe(xs []string) []string {
-	seen := make(map[string]struct{}, len(xs))
-	out := make([]string, 0, len(xs))
-	for _, x := range xs {
-		if _, dup := seen[x]; dup {
-			continue
-		}
-		seen[x] = struct{}{}
-		out = append(out, x)
 	}
 	return out
 }

@@ -61,7 +61,7 @@ func collectAnalyses(cfg dataset.Config, opts ...Option) (*dataset.Corpus, []*cr
 			}})
 		})
 	}
-	sink := func(_ int, res crawlerbox.CorpusResult) {
+	sink := func(res crawlerbox.CorpusResult) {
 		if res.Err == nil {
 			analyses[res.Index] = res.Analysis
 		}
@@ -451,4 +451,19 @@ func TestHotLoadReferralsMatchesLedgerScan(t *testing.T) {
 	if got := run.HotLoadReferrals(); got != want {
 		t.Errorf("HotLoadReferrals = %d, request-log scan = %d", got, want)
 	}
+}
+
+// dedupe returns xs without duplicates, preserving first-seen order, in a
+// single pass with exactly one map and one slice allocation.
+func dedupe(xs []string) []string {
+	seen := make(map[string]struct{}, len(xs))
+	out := make([]string, 0, len(xs))
+	for _, x := range xs {
+		if _, dup := seen[x]; dup {
+			continue
+		}
+		seen[x] = struct{}{}
+		out = append(out, x)
+	}
+	return out
 }

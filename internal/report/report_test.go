@@ -254,9 +254,10 @@ func TestRenderTable1(t *testing.T) {
 // TestAnalyzeParallelAggregatesBitwiseIdentical pins the determinism
 // contract: running the corpus through the worker pool must yield rendered
 // aggregates byte-identical to the serial run, every one served from the
-// merged per-worker shards. Each run gets a fresh same-seed corpus because
-// analysis mutates world state (harvested credentials, challenge tokens).
-// Run under -race this also exercises the producer/worker-shard handoff.
+// census the run folds in spec order. Each run gets a fresh same-seed
+// corpus because analysis mutates world state (harvested credentials,
+// challenge tokens). Run under -race this also exercises the handoff from
+// the producer and the workers to the census.
 func TestAnalyzeParallelAggregatesBitwiseIdentical(t *testing.T) {
 	render := func(workers int) string {
 		c, err := dataset.Stream(dataset.Config{Seed: 42, Scale: 0.1})

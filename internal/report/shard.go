@@ -10,25 +10,19 @@ import (
 	"crawlerbox/internal/whois"
 )
 
-// CensusShard is a partial census: the commutative fold of some subset of a
-// run's messages and analyses. Each analysis worker folds its own shard and
-// the shards are merged afterwards, so census state never needs the full
-// analysis slice in memory.
-//
-// Every field is either a pure counter/sum, a set union, or an index-pinned
-// min/max (first-seen picks the smallest message index, last-writer-wins
-// picks the largest), which makes Merge commutative, associative, and
-// identity-preserving — the merged shard is the same for any partition of
-// the messages across workers and any merge order. The merge laws are
-// asserted by property tests in shard_test.go; byte-identity of the derived
-// aggregates against the legacy single-pass census is asserted in
+// CensusShard is the census of a run: one fold of its messages and of its
+// analyses in corpus order, so census state never needs the full analysis
+// slice in memory. AnalyzeSpecs commits results in spec order, so the
+// order-sensitive fields (first-seen hosts, a group's first and last
+// analysis) are plain first and last assignments. Byte-identity of the
+// derived aggregates against the legacy single-pass census is asserted in
 // report_equiv_test.go.
 type CensusShard struct {
 	total         int
 	outcomeCounts map[string]int
 	cloakCounts   map[string]int
-	// hosts maps each landing host (any outcome) to the smallest message
-	// index that reached it, so finalize can replay first-seen order.
+	// hosts maps each landing host (any outcome) to its first-seen rank,
+	// so finalize can list the hosts in first-seen order.
 	hosts       map[string]int
 	groups      map[string]*groupCell
 	landingURLs map[string]bool
@@ -42,37 +36,32 @@ type CensusShard struct {
 	turnstile int
 	recaptcha int
 	monthly   [10]int
-	// minIdx is the smallest message index folded into this shard (-1 when
-	// empty); Analyze merges shards in ascending minIdx order.
-	minIdx int
 }
 
 // groupCell is the per-landing-domain partial: everything the timeline,
 // DNS, spear, and brand aggregates need from a group of analyses, reduced
-// to O(1) state with index-pinned first/last selections.
+// to O(1) state.
 type groupCell struct {
 	count   int
 	sumUnix int64
 	// reg/cert hold the WHOIS registration and certificate issuance from
-	// the highest-indexed analysis that carried them (the legacy census
-	// overwrote them in message order, so last writer wins).
-	regIdx  int // -1 when no analysis carried WHOIS
+	// the last analysis that carried them (the legacy census overwrote
+	// them in message order).
+	hasReg  bool
 	reg     time.Time
-	certIdx int // -1 when no analysis carried a certificate
+	hasCert bool
 	cert    time.Time
-	// first* mirror the group's lowest-indexed analysis, which anchors the
+	// first* mirror the group's first analysis, which anchors the
 	// passive-DNS medians.
-	firstIdx      int
 	firstSkipDNS  bool
 	firstDNSTotal int
 	firstDNSMax   int
-	// brandBucket classifies the lowest-indexed non-spear analysis's page
-	// title (-1 when the group has no non-spear analysis).
-	brandIdx    int
+	// brandBucket classifies the first non-spear analysis's page title
+	// ("" when the group has no non-spear analysis).
 	brandBucket string
 }
 
-// NewCensusShard returns an empty shard — the identity element of Merge.
+// NewCensusShard returns an empty census.
 func NewCensusShard() *CensusShard {
 	return &CensusShard{
 		outcomeCounts: map[string]int{},
@@ -80,7 +69,6 @@ func NewCensusShard() *CensusShard {
 		hosts:         map[string]int{},
 		groups:        map[string]*groupCell{},
 		landingURLs:   map[string]bool{},
-		minIdx:        -1,
 	}
 }
 
@@ -94,17 +82,14 @@ func (s *CensusShard) AddMessage(m *dataset.Message) {
 	}
 }
 
-// AddAnalysis folds one completed analysis at its corpus index. It must run
-// before bulky evidence (Visits) is spilled: hot-load detection and landing
-// titles read the visit records.
+// AddAnalysis folds the next completed analysis, in corpus order. It must
+// run before bulky evidence (Visits) is spilled: hot-load detection and
+// landing titles read the visit records.
 //
 //cblint:hotpath
-func (s *CensusShard) AddAnalysis(idx int, ma *crawlerbox.MessageAnalysis) {
+func (s *CensusShard) AddAnalysis(ma *crawlerbox.MessageAnalysis) {
 	if ma == nil {
 		return
-	}
-	if s.minIdx < 0 || idx < s.minIdx {
-		s.minIdx = idx
 	}
 	// Disposition: merge cloaked-benign into the error/inaccessible row the
 	// way the paper's accounting does.
@@ -120,8 +105,8 @@ func (s *CensusShard) AddAnalysis(idx int, ma *crawlerbox.MessageAnalysis) {
 	s.referrals += logoReferrals(ma)
 
 	if ma.Landing != nil {
-		if j, ok := s.hosts[ma.Landing.Host]; !ok || idx < j {
-			s.hosts[ma.Landing.Host] = idx
+		if _, ok := s.hosts[ma.Landing.Host]; !ok {
+			s.hosts[ma.Landing.Host] = len(s.hosts)
 		}
 	}
 
@@ -154,126 +139,38 @@ func (s *CensusShard) AddAnalysis(idx int, ma *crawlerbox.MessageAnalysis) {
 
 	g := s.groups[ma.Landing.Registrable]
 	if g == nil {
-		g = &groupCell{regIdx: -1, certIdx: -1, firstIdx: idx, brandIdx: -1}
-		g.setFirst(ma)
+		g = &groupCell{
+			firstSkipDNS: ma.Landing.Whois != nil &&
+				ma.Landing.Whois.Provenance != whois.ProvenanceFresh,
+			firstDNSTotal: ma.Landing.DNS30DayTotal,
+			firstDNSMax:   ma.Landing.DNSMaxDaily,
+		}
 		s.groups[ma.Landing.Registrable] = g
-	} else if idx < g.firstIdx {
-		g.firstIdx = idx
-		g.setFirst(ma)
 	}
 	g.count++
 	g.sumUnix += ma.AnalyzedAt.Unix()
-	if ma.Landing.Whois != nil && idx > g.regIdx {
-		g.regIdx = idx
-		g.reg = ma.Landing.Whois.Registered
+	if ma.Landing.Whois != nil {
+		g.hasReg, g.reg = true, ma.Landing.Whois.Registered
 	}
-	if ma.Landing.Cert != nil && idx > g.certIdx {
-		g.certIdx = idx
-		g.cert = ma.Landing.Cert.IssuedAt
+	if ma.Landing.Cert != nil {
+		g.hasCert, g.cert = true, ma.Landing.Cert.IssuedAt
 	}
-	if !ma.SpearPhish && (g.brandIdx < 0 || idx < g.brandIdx) {
-		g.brandIdx = idx
+	if !ma.SpearPhish && g.brandBucket == "" {
 		g.brandBucket = brandOfTitle(landingTitle(ma))
 	}
 }
 
-// setFirst records the DNS anchor fields from the group's (new) lowest-
-// indexed analysis.
-func (g *groupCell) setFirst(ma *crawlerbox.MessageAnalysis) {
-	g.firstSkipDNS = ma.Landing.Whois != nil &&
-		ma.Landing.Whois.Provenance != whois.ProvenanceFresh
-	g.firstDNSTotal = ma.Landing.DNS30DayTotal
-	g.firstDNSMax = ma.Landing.DNSMaxDaily
-}
-
-// Merge folds o into s. It is commutative and associative, and a fresh
-// shard is its identity: every constituent is a sum, a set union, or an
-// index-pinned min/max, so the result is independent of how the messages
-// were partitioned and in which order partials merge.
-func (s *CensusShard) Merge(o *CensusShard) {
-	if o == nil {
-		return
-	}
-	if o.minIdx >= 0 && (s.minIdx < 0 || o.minIdx < s.minIdx) {
-		s.minIdx = o.minIdx
-	}
-	s.total += o.total
-	//cblint:ignore maprange per-key counter addition is order-independent
-	for k, v := range o.outcomeCounts {
-		s.outcomeCounts[k] += v
-	}
-	//cblint:ignore maprange per-key counter addition is order-independent
-	for k, v := range o.cloakCounts {
-		s.cloakCounts[k] += v
-	}
-	//cblint:ignore maprange per-key min is order-independent
-	for h, i := range o.hosts {
-		if j, ok := s.hosts[h]; !ok || i < j {
-			s.hosts[h] = i
-		}
-	}
-	//cblint:ignore maprange set union is order-independent
-	for u := range o.landingURLs {
-		s.landingURLs[u] = true
-	}
-	s.active += o.active
-	s.spear += o.spear
-	s.hotLoad += o.hotLoad
-	s.referrals += o.referrals
-	s.cred += o.cred
-	s.turnstile += o.turnstile
-	s.recaptcha += o.recaptcha
-	for i := range s.monthly {
-		s.monthly[i] += o.monthly[i]
-	}
-	//cblint:ignore maprange per-key cell merge is order-independent
-	for k, og := range o.groups {
-		g := s.groups[k]
-		if g == nil {
-			cp := *og
-			s.groups[k] = &cp
-			continue
-		}
-		g.count += og.count
-		g.sumUnix += og.sumUnix
-		if og.regIdx > g.regIdx {
-			g.regIdx, g.reg = og.regIdx, og.reg
-		}
-		if og.certIdx > g.certIdx {
-			g.certIdx, g.cert = og.certIdx, og.cert
-		}
-		if og.firstIdx < g.firstIdx {
-			g.firstIdx = og.firstIdx
-			g.firstSkipDNS = og.firstSkipDNS
-			g.firstDNSTotal = og.firstDNSTotal
-			g.firstDNSMax = og.firstDNSMax
-		}
-		if og.brandIdx >= 0 && (g.brandIdx < 0 || og.brandIdx < g.brandIdx) {
-			g.brandIdx, g.brandBucket = og.brandIdx, og.brandBucket
-		}
-	}
-}
-
-// finalize derives the memoized census from the fully merged shard. The
+// finalize derives the memoized census from the folded shard. The
 // derivations replicate the legacy single-pass buildCensus byte-for-byte
 // (asserted by report_equiv_test.go).
 func (s *CensusShard) finalize() *census {
 	c := &census{monthly: s.monthly}
 
-	// Landing hosts in first-seen (ascending message index) order.
-	type hostIdx struct {
-		host string
-		idx  int
-	}
-	byIdx := make([]hostIdx, 0, len(s.hosts))
-	//cblint:ignore maprange collected then sorted by message index
+	// Landing hosts in first-seen order.
+	hosts := make([]string, len(s.hosts))
+	//cblint:ignore maprange each host lands in the slot of its first-seen rank
 	for h, i := range s.hosts {
-		byIdx = append(byIdx, hostIdx{h, i})
-	}
-	sort.Slice(byIdx, func(i, j int) bool { return byIdx[i].idx < byIdx[j].idx })
-	hosts := make([]string, len(byIdx))
-	for i, hi := range byIdx {
-		hosts[i] = hi.host
+		hosts[i] = h
 	}
 
 	// Deterministic iteration order over the landing-domain groups.
@@ -286,7 +183,7 @@ func (s *CensusShard) finalize() *census {
 
 	brandCounts := map[string]int{}
 	for _, k := range groupKeys {
-		if g := s.groups[k]; g.brandIdx >= 0 {
+		if g := s.groups[k]; g.brandBucket != "" {
 			brandCounts[g.brandBucket]++
 		}
 	}

@@ -12,9 +12,9 @@ import (
 
 // TestStreamedAnalyzeWorkerIndependent pins the streamed half of the
 // determinism contract: a corpus built by dataset.Stream (aggregates served
-// purely from merged shards, no rendered message kept) renders every
-// artifact byte-identically at workers=1 and workers=8. Run under -race
-// this also exercises the producer/worker-shard handoff for data races.
+// purely from the census, no rendered message kept) renders every artifact
+// byte-identically at workers=1 and workers=8. Run under -race this also
+// exercises the handoff from the producer and the workers to the census.
 func TestStreamedAnalyzeWorkerIndependent(t *testing.T) {
 	renderAll := func(r *Run) []string {
 		return []string{
@@ -65,15 +65,23 @@ func TestAnalyzeSpecsCountsSkipped(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	queued := make(chan struct{})
 	produce := func(send func(crawlerbox.IndexedSpec) bool) {
 		c.Each(func(i int, m *dataset.Message) bool {
-			return i < 4 && send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1)}})
+			if i >= 4 || !send(crawlerbox.IndexedSpec{Index: i, Spec: crawlerbox.MessageSpec{Raw: m.Raw, ID: int64(i + 1)}}) {
+				return false
+			}
+			if i == 1 {
+				close(queued)
+			}
+			return true
 		})
 	}
 	skipped := 0
-	sink := func(_ int, res crawlerbox.CorpusResult) {
-		// The first result cancels the run while the next spec waits in
+	sink := func(res crawlerbox.CorpusResult) {
+		// The first result cancels the run once the next spec waits in
 		// the queue.
+		<-queued
 		cancel()
 		if res.Skipped {
 			skipped++

@@ -140,11 +140,11 @@ func VerdictOf(id int64, ma *crawlerbox.MessageAnalysis, analysisErr error) Verd
 }
 
 // Writer accumulates verdict rows during a corpus run and writes the
-// canonical segment at Finalize. Add is safe for concurrent use from the
-// corpus workers; rows are buffered in RAM (a few hundred bytes each — the
-// bulky span trees stay in the observer until Finalize) and sorted by
-// trace ID before anything touches disk, which is what makes the segment
-// bytes independent of scheduling.
+// segment at Finalize. Rows must be added in strictly ascending trace-ID
+// order — report.AnalyzeSpecs commits them in spec order — so the segment
+// bytes are independent of scheduling without a sort. Rows are buffered
+// in RAM (a few hundred bytes each — the bulky span trees stay in the
+// observer until Finalize). Add is safe for concurrent use.
 type Writer struct {
 	mu        sync.Mutex
 	ev        *evstore.Store
@@ -161,7 +161,8 @@ func Create(path string) (*Writer, error) {
 	return &Writer{ev: ev}, nil
 }
 
-// Add buffers one verdict row for the segment.
+// Add buffers one verdict row for the segment. Its ID must be greater than
+// every ID added before; Finalize fails otherwise.
 func (w *Writer) Add(v Verdict) {
 	if w == nil {
 		return
@@ -173,20 +174,24 @@ func (w *Writer) Add(v Verdict) {
 
 // Finalize joins the buffered verdicts with their span trees, writes every
 // record in trace-ID order — span batch and verdict per message, then the
-// metrics snapshot, then the inverted index — and closes the segment. The
-// resulting bytes are canonical: independent of Add order, worker count,
-// and scheduling.
+// metrics snapshot, then the inverted index — and closes the segment. It
+// fails before writing any record when a trace ID repeats or the rows were
+// added out of order.
 func (w *Writer) Finalize(traces []*obs.Trace, metrics []obs.Point) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.finalized {
 		return errors.New("tracestore: segment already finalized")
 	}
-	sort.SliceStable(w.verdicts, func(i, j int) bool { return w.verdicts[i].ID < w.verdicts[j].ID })
 	for i := 1; i < len(w.verdicts); i++ {
-		if w.verdicts[i].ID == w.verdicts[i-1].ID {
+		prev, id := w.verdicts[i-1].ID, w.verdicts[i].ID
+		if id == prev {
 			w.ev.Close()
-			return fmt.Errorf("tracestore: duplicate trace id %d", w.verdicts[i].ID)
+			return fmt.Errorf("tracestore: duplicate trace id %d", id)
+		}
+		if id < prev {
+			w.ev.Close()
+			return fmt.Errorf("tracestore: trace id %d added after %d", id, prev)
 		}
 	}
 	byID := make(map[int64]*obs.Trace, len(traces))

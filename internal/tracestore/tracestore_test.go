@@ -116,6 +116,25 @@ func TestFinalizeRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
+// TestFinalizeRejectsOutOfOrderIDs pins the Writer's order contract: rows
+// arrive in ascending trace-ID order, and Finalize fails rather than write
+// a segment whose records would follow the order rows were added in.
+func TestFinalizeRejectsOutOfOrderIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "order.tstore")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Add(Verdict{ID: 2, Outcome: "error-page"})
+	w.Add(Verdict{ID: 1, Outcome: "active-phishing"})
+	if err := w.Finalize(nil, nil); err == nil || !strings.Contains(err.Error(), "trace id 1 added after 2") {
+		t.Fatalf("Finalize with descending IDs: err = %v", err)
+	}
+	if _, err := Open(path); err == nil {
+		t.Error("Open accepted the segment of a failed Finalize")
+	}
+}
+
 func TestOpenRejectsUnfinalizedSegment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "raw.tstore")
 	ev, err := evstore.Create(path)
