@@ -64,18 +64,22 @@ perfsmoke:
 	bash perfbench/run.sh --workload replay --scale 0.05 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload batch --scale 0.05 --seconds 1 --trace 0
 
+# Each golden gate below writes its runs into a mktemp -d directory and
+# removes it from an EXIT trap, so a failing gate leaves nothing behind and
+# still fails with its own exit status.
+#
 # tracecheck replays the example corpus with tracing and 10% fault injection
 # on, and diffs both exports against the committed goldens
 # (testdata/tracecheck.golden.*): the executable proof that span timelines,
 # metrics, and the seeded fault/retry schedule are byte-reproducible.
 # Regenerate the goldens by running the same command against testdata/.
 tracecheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/crawlerbox -n 8 -workers 4 -faults 0.1 \
 		-trace $$tmp/trace.jsonl -metrics $$tmp/metrics.prom > /dev/null && \
 	diff -u testdata/tracecheck.golden.jsonl $$tmp/trace.jsonl && \
 	diff -u testdata/tracecheck.golden.prom $$tmp/metrics.prom && \
-	rm -rf $$tmp && echo "tracecheck: trace and metrics match goldens"
+	echo "tracecheck: trace and metrics match goldens"
 
 # triagecheck is the triage-index golden gate (DESIGN.md §14). It proves
 # three byte-identity contracts in one pass: (1) replaying the example
@@ -89,7 +93,7 @@ tracecheck:
 # golden text. Regenerate after deliberate format changes with the same
 # commands against testdata/.
 triagecheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/crawlerbox -n 8 -workers 4 -faults 0.1 \
 		-tracestore $$tmp/fresh.tstore > /dev/null && \
 	cmp testdata/triagecheck.store $$tmp/fresh.tstore && \
@@ -108,7 +112,7 @@ triagecheck:
 	  $(GO) run ./cmd/obsreport -store testdata/triagecheck.store -adjudicate 1 && \
 	  $(GO) run ./cmd/obsreport -store testdata/triagecheck.store -adjudicate 4 ; } > $$tmp/triage.txt && \
 	diff -u testdata/triagecheck.golden.txt $$tmp/triage.txt && \
-	rm -rf $$tmp && echo "triagecheck: triage index, compaction, and renders match goldens"
+	echo "triagecheck: triage index, compaction, and renders match goldens"
 
 # evidencecheck pins the evidence store's bytes (DESIGN.md §8), which the
 # trace-store gates do not read: the example corpus with 10% fault
@@ -119,12 +123,12 @@ triagecheck:
 # by running the same command and writing its sha256sum line (file name
 # evidence.store) to testdata/evidencecheck.sha256.
 evidencecheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/crawlerbox -n 40 -workers 1 -faults 0.1 \
 		-evidence $$tmp/evidence.store > /dev/null && \
 	sum=$$(cat testdata/evidencecheck.sha256) && \
 	(cd $$tmp && echo "$$sum" | sha256sum -c --quiet -) && \
-	rm -rf $$tmp && echo "evidencecheck: evidence store matches testdata/evidencecheck.sha256"
+	echo "evidencecheck: evidence store matches testdata/evidencecheck.sha256"
 
 # servecheck is the continuous-ingest golden gate (DESIGN.md §15): record
 # the example corpus into a canned ingest log, replay it through the daemon
@@ -134,7 +138,7 @@ evidencecheck:
 # schedule-independent. The grep pins that the gate exercises the cache (27
 # duplicate landing URLs in this corpus), not just the empty-cache path.
 servecheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/crawlerboxd -record $$tmp/canned.ingestlog -seed 7 -scale 0.1 > /dev/null && \
 	$(GO) run ./cmd/crawlerboxd -replay $$tmp/canned.ingestlog -seed 7 -scale 0.1 \
 		-workers 1 -out $$tmp/stream1.jsonl > $$tmp/counters1.txt && \
@@ -143,7 +147,7 @@ servecheck:
 	cmp $$tmp/stream1.jsonl $$tmp/stream8.jsonl && \
 	diff -u $$tmp/counters1.txt $$tmp/counters8.txt && \
 	grep -q '"cache_hits":27' $$tmp/counters1.txt && \
-	rm -rf $$tmp && echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
+	echo "servecheck: replay streams byte-identical at workers 1 and 8 (27 cache hits)"
 
 # verdictcheck pins the verdicts of the whole seed-42 corpus at scale 1
 # (5,181 submissions, DESIGN.md §15): record its ingest journal, replay it
@@ -155,13 +159,13 @@ servecheck:
 # stream's sha256sum line (file name stream.jsonl) to
 # testdata/verdictcheck.sha256.
 verdictcheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/crawlerboxd -record $$tmp/seed42.ingestlog -seed 42 -scale 1 > /dev/null && \
 	$(GO) run ./cmd/crawlerboxd -replay $$tmp/seed42.ingestlog -seed 42 -scale 1 \
 		-workers 1 -out $$tmp/stream.jsonl > /dev/null && \
 	sum=$$(cat testdata/verdictcheck.sha256) && \
 	(cd $$tmp && echo "$$sum" | sha256sum -c --quiet -) && \
-	rm -rf $$tmp && echo "verdictcheck: seed-42 verdict stream matches testdata/verdictcheck.sha256"
+	echo "verdictcheck: seed-42 verdict stream matches testdata/verdictcheck.sha256"
 
 # papercheck pins the paper's numbers: the report of the whole seed-42
 # corpus at scale 1 (Table I, the disposition, Figures 2 and 3, Table II,
@@ -173,7 +177,7 @@ verdictcheck:
 # number by writing the -workers 1 command's stdout to the golden, and say
 # which rows moved.
 papercheck:
-	@tmp=$$(mktemp -d) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	banner='^Analyzing [0-9]* messages with CrawlerBox ([0-9]* workers)\.\.\.$$' && \
 	grep -v "$$banner" testdata/papercheck.golden.txt > $$tmp/want.txt && \
 	for w in 1 4; do \
@@ -181,7 +185,7 @@ papercheck:
 		grep -v "$$banner" $$tmp/report.txt > $$tmp/got.txt && \
 		diff -u $$tmp/want.txt $$tmp/got.txt || exit 1; \
 	done && \
-	rm -rf $$tmp && echo "papercheck: seed-42 report at workers 1 and 4 matches testdata/papercheck.golden.txt"
+	echo "papercheck: seed-42 report at workers 1 and 4 matches testdata/papercheck.golden.txt"
 
 # fuzz-smoke gives every Fuzz* target in the tree a fixed 5 s of
 # coverage-guided fuzzing, one target at a time (go test -fuzz takes one

@@ -54,11 +54,18 @@ type Browser struct {
 	EventLoopWindow time.Duration
 	// MaxTimerFires bounds event-loop iterations.
 	MaxTimerFires int
-	rng           *rand.Rand
-	cookies       cookieJar
+	// Generators, when set, is the free list the browser takes its random
+	// generator from, on its first draw, and Release gives it back to. Nil
+	// gives the browser a generator of its own.
+	Generators *Generators
+	seed       int64
+	rng        *rand.Rand // nil until the first draw
+	released   bool
+	cookies    cookieJar
 }
 
-// New returns a browser with sensible crawl defaults.
+// New returns a browser with sensible crawl defaults. Its random stream is
+// the one rand.New(rand.NewSource(seed)) draws.
 func New(net *webnet.Internet, profile Profile, clientIP string, seed int64) *Browser {
 	return &Browser{
 		Net:             net,
@@ -69,12 +76,69 @@ func New(net *webnet.Internet, profile Profile, clientIP string, seed int64) *Br
 		ScriptFuel:      400_000,
 		EventLoopWindow: 30 * time.Second,
 		MaxTimerFires:   60,
-		//cblint:ignore determinism generator is seeded from the caller-supplied seed
-		rng: rand.New(rand.NewSource(seed)),
+		seed:            seed,
 	}
 }
 
-func (b *Browser) random() float64 { return b.rng.Float64() }
+func (b *Browser) random() float64 {
+	if b.rng == nil {
+		if b.released {
+			panic("browser: random draw after Release")
+		}
+		b.rng = b.Generators.get(b.seed)
+	}
+	return b.rng.Float64()
+}
+
+// Release gives the browser's random generator back to its free list. A
+// browser is done once released: a later draw from its stream (a script
+// or an event dispatch) panics rather than draw from a generator another
+// browser may hold by then.
+func (b *Browser) Release() {
+	if b.rng != nil {
+		b.Generators.put(b.rng)
+		b.rng = nil
+	}
+	b.released = true
+}
+
+// Generators is a bounded free list of idle random generators, about
+// 4.9 KB of state each. A browser that draws re-seeds one in place
+// instead of allocating its own: (*rand.Rand).Seed gives the same stream
+// as a new generator with that seed, so reuse changes no draw. It is a
+// channel rather than a sync.Pool, which every GC empties. Safe for
+// concurrent use; a nil *Generators allocates every generator.
+type Generators struct{ free chan *rand.Rand }
+
+// NewGenerators returns a free list that keeps at most n idle generators.
+func NewGenerators(n int) *Generators {
+	return &Generators{free: make(chan *rand.Rand, n)}
+}
+
+// get returns a generator seeded with seed, reused when one is idle.
+func (g *Generators) get(seed int64) *rand.Rand {
+	if g != nil {
+		select {
+		case r := <-g.free:
+			r.Seed(seed)
+			return r
+		default:
+		}
+	}
+	//cblint:ignore determinism generator is seeded from the caller-supplied seed
+	return rand.New(rand.NewSource(seed))
+}
+
+// put keeps an idle generator unless the free list is full.
+func (g *Generators) put(r *rand.Rand) {
+	if g == nil {
+		return
+	}
+	select {
+	case g.free <- r:
+	default:
+	}
+}
 
 // clock returns the browser's virtual clock, falling back to the shared
 // network clock for zero-value Browsers built without New.
@@ -212,44 +276,67 @@ type Result struct {
 	// the classifier downgrades such messages to OutcomePartial rather than
 	// treating them as fully measured.
 	Degraded bool
-	// shot is what the screenshot render reads of the final page, held
-	// until RenderScreenshot consumes it; nil when no page loaded.
+	// shot is what the screenshot layout reads of the final page, held
+	// until DisplayList lays it out; nil when no page loaded.
 	shot *shotState
+	// display is the final page's display list once laid out.
+	display string
+}
+
+// DisplayList returns the display list of the final page's screenshot, or
+// "" when no page loaded: the paint calls its layout makes, with all their
+// arguments, as opaque bytes. The screenshot's pixels are a pure function
+// of the list, so results with equal lists have equal screenshots, and a
+// caller can key what it derives from the pixels by the list instead. The
+// first call lays the page out from the state the visit ended in and
+// releases that state; the list is kept for later calls and for every
+// render. Like the rest of a Result, it is not safe for concurrent use.
+func (r *Result) DisplayList() string {
+	if r.shot != nil {
+		r.display = r.shot.layout()
+		r.shot = nil
+	}
+	return r.display
 }
 
 // RenderScreenshot returns the screenshot of the final page, or nil when no
-// page loaded. The first call renders it from the page state the visit
-// ended in, stores it in Screenshot and releases that state; later calls
-// return the stored image. Most visits are never looked at, so a result
-// costs a render only when something reads its screenshot. Like the rest
-// of a Result, it is not safe for concurrent use.
+// page loaded. The first call rasterizes it from the display list, stores
+// it in Screenshot, and later calls return the stored image. Most visits
+// are never looked at, so a result costs a render only when something
+// reads its screenshot.
 func (r *Result) RenderScreenshot() *imaging.Image {
-	if r.shot != nil {
-		r.Screenshot = renderScreenshot(r.shot)
-		r.shot = nil
+	if r.Screenshot == nil {
+		if list := r.DisplayList(); list != "" {
+			r.Screenshot = newCanvas()
+			rasterize(list, r.Screenshot)
+		}
 	}
 	return r.Screenshot
 }
 
 // PaintScreenshot returns the screenshot of the final page, or nil when no
-// page loaded, and stores nothing on r. When RenderScreenshot already ran,
-// it returns the stored image. Otherwise it paints the page over every
-// pixel of canvas and returns canvas, or paints a new image when canvas is
-// nil. A canvas must be an image an earlier PaintScreenshot painted; it
-// holds this screenshot until the caller paints another one into it. A
-// caller that only encodes screenshots (the evidence spill) reuses one
-// canvas across results this way, and a later RenderScreenshot still
-// renders the same pixels.
+// page loaded, and stores no image on r. When RenderScreenshot already
+// ran, it returns the stored image. Otherwise it rasterizes the display
+// list over every pixel of canvas and returns canvas, or into a new image
+// when canvas is nil. A canvas must be shotW×shotH, the size of every
+// screenshot; it holds this screenshot until the caller paints another one
+// into it. A caller that only encodes screenshots (the evidence spill)
+// reuses one canvas across results this way, and a later RenderScreenshot
+// still renders the same pixels.
 func (r *Result) PaintScreenshot(canvas *imaging.Image) *imaging.Image {
-	switch {
-	case r.shot == nil:
+	if r.Screenshot != nil {
 		return r.Screenshot
+	}
+	list := r.DisplayList()
+	switch {
+	case list == "":
+		return nil
 	case canvas == nil:
-		return renderScreenshot(r.shot)
+		canvas = newCanvas()
 	case canvas.W != shotW || canvas.H != shotH:
 		panic(fmt.Sprintf("browser: %dx%d canvas, want %dx%d", canvas.W, canvas.H, shotW, shotH))
 	}
-	r.shot.paint(canvas)
+	rasterize(list, canvas)
 	return canvas
 }
 

@@ -2,6 +2,7 @@ package browser
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/minijs"
@@ -321,6 +322,73 @@ func parseStyle(style string) [][2]string {
 		}
 	}
 	return out
+}
+
+// styleProp is a CSS property the screenshot layout reads, with the
+// names it goes by: its own and its "-color" fallback, in the style
+// attribute's dash case and in the camel case of a wrapper's style object.
+type styleProp struct {
+	css, cssColor     string
+	camel, camelColor string
+}
+
+func newStyleProp(css string) styleProp {
+	return styleProp{css, css + "-color", cssToCamel(css), cssToCamel(css + "-color")}
+}
+
+var (
+	_propBackground = newStyleProp("background")
+	_propColor      = newStyleProp("color")
+)
+
+// nextStyleValue returns the value of the first declaration in *style
+// whose property is one of names, the way parseStyle would list it: the
+// name compared lower-cased and trimmed, the value trimmed and non-empty.
+// It consumes *style up to and including that declaration, so calling it
+// again yields the next match. Each name must be lower-case ASCII. Unlike
+// parseStyle it allocates nothing for an ASCII property name.
+func nextStyleValue(style *string, names ...string) (string, bool) {
+	for *style != "" {
+		part, rest, _ := strings.Cut(*style, ";")
+		*style = rest
+		k, v, ok := strings.Cut(part, ":")
+		if !ok {
+			continue
+		}
+		if v = strings.TrimSpace(v); v == "" {
+			continue
+		}
+		for _, name := range names {
+			if stylePropIs(k, name) {
+				return v, true
+			}
+		}
+	}
+	return "", false
+}
+
+// stylePropIs reports whether the raw property name k of a declaration,
+// lower-cased and trimmed as parseStyle does, equals name.
+func stylePropIs(k, name string) bool {
+	for i := 0; i < len(k); i++ {
+		if k[i] >= utf8.RuneSelf {
+			return strings.TrimSpace(strings.ToLower(k)) == name
+		}
+	}
+	k = strings.TrimSpace(k)
+	if len(k) != len(name) {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != name[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // cssToCamel converts background-color to backgroundColor.

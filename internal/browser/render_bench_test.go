@@ -12,9 +12,9 @@ import (
 // renderSink keeps the benchmarked render from being optimised away.
 var renderSink *imaging.Image
 
-// BenchmarkScreenshotRender times the screenshot step alone: rasterising a
-// processed page, including the hue-rotate filter when a script installed
-// one. Each page is parsed and its scripts run once, outside the timer.
+// BenchmarkScreenshotRender times the screenshot step alone: laying out a
+// processed page into its display list and rasterising the list into a new
+// image, including the hue-rotate filter when a script installed one. Each page is parsed and its scripts run once, outside the timer.
 // The pages are the shared login template of a light-theme and a
 // dark-theme brand, and a kit clone that carries the hue-rotate(4deg)
 // evasion.
@@ -36,13 +36,14 @@ func BenchmarkScreenshotRender(b *testing.B) {
 				b.Fatal(err)
 			}
 			st := newShotState(pg)
-			if _, ok := st.hueRotation(); ok != tc.hue {
+			if _, ok := st.hueRotation(pg.html, pg.body); ok != tc.hue {
 				b.Fatalf("hue-rotate installed = %v, want %v", ok, tc.hue)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				renderSink = renderScreenshot(st)
+				renderSink = newCanvas()
+				rasterize(st.layout(), renderSink)
 			}
 		})
 	}

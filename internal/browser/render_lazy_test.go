@@ -12,12 +12,16 @@ import (
 	"crawlerbox/internal/imaging"
 )
 
-// A screenshot is rendered when something first reads it, which can be
-// long after the visit ended. These tests pin that the late render paints
+// A screenshot is laid out into a display list when something first reads
+// it, and rasterized from that list, which can be long after the visit
+// ended and after the analysis released its browsers. These tests pin
+// that, for every visit of the seed-7 corpus, the list rasterizes to
 // exactly what the eager render paints at the end of the visit
 // (referenceScreenshot), whether it runs straight after the crawl or after
 // Classify and Census have read the visit, and that rendering leaves the
-// DOM alone.
+// DOM alone. A released browser panics if drawn from, so the renders after
+// AnalyzeStream also check that no result still draws from its browser's
+// random stream.
 func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -64,9 +68,18 @@ func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
 					}
 					visits++
 					if r.Screenshot != nil {
-						rendered++ // Classify read it
+						rendered++ // Classify signed it, missing its memo
 					}
 					html := htmlx.Render(r.DOM)
+					if r.DisplayList() == "" {
+						t.Errorf("%s: a visit that loaded a page has no display list", v.URL)
+					}
+					if r.Screenshot == nil {
+						canvas := imaging.MustNew(want.W, want.H, imaging.RGB{R: 7})
+						if r.PaintScreenshot(canvas) != canvas || !canvas.Equal(want) {
+							t.Errorf("%s: the display list painted into a canvas differs from the eager render", v.URL)
+						}
+					}
 					got := r.RenderScreenshot()
 					if !got.Equal(want) {
 						t.Errorf("%s: screenshot rendered on read differs from the eager render", v.URL)
@@ -83,8 +96,8 @@ func TestScreenshotRenderedOnReadMatchesEagerRender(t *testing.T) {
 			if visits < 20 {
 				t.Fatalf("only %d visits loaded a page; the corpus slice is too small to test", visits)
 			}
-			// Only Classify renders during analysis, and only the phishing
-			// visit it signs.
+			// Only Classify renders during analysis: the phishing visit it
+			// signs, when the signature memo does not hold its display list.
 			if classify := len(tc.stages) > 3; classify != (rendered > 0) || rendered >= visits {
 				t.Errorf("%d of %d screenshots rendered during analysis", rendered, visits)
 			}

@@ -12,11 +12,14 @@ import (
 // referenceScreenshot is the screenshot render as assembleResult ran it for
 // every page before screenshots were rendered on read: straight from the
 // live page, with wrapper styles read from pg.domCache. The render-on-read
-// tests compare renderScreenshot against it. It differs from that code in
-// one point: a missing body or html element is created detached instead of
-// appended to the document, so running the reference leaves the DOM as the
-// render under test finds it. Such an element is empty and has no wrapper,
-// so it paints nothing either way.
+// tests compare the raster of the display list against it. It differs
+// from that code in one point: a missing body or html element is created
+// detached instead of appended to the document, so running the reference
+// leaves the DOM as the render under test finds it. Such an element is
+// empty and has no wrapper, so it paints nothing either way. It keeps its
+// own copies of the helpers the layout rewrote (the style scans and the
+// input and placeholder rows), so the comparison is against the code as it
+// was.
 func referenceScreenshot(pg *page) *imaging.Image {
 	body := refFindOrCreate(pg, "body")
 	bg := imaging.White
@@ -57,14 +60,14 @@ func refRenderBlock(pg *page, img *imaging.Image, node *htmlx.Node, y *int) {
 			}
 			switch child.Tag {
 			case "input":
-				drawInput(img, child, y)
+				refDrawInput(img, child, y)
 			case "button":
 				refDrawRow(pg, img, child, firstText(child, "SUBMIT"), y, true)
 			case "img", "iframe":
-				drawPlaceholder(img, child, y)
+				refDrawPlaceholder(img, child, y)
 			default:
 				if bg, ok := refStyleColor(pg, child, "background"); ok {
-					h := styleHeight(child, 18)
+					h := refStyleHeight(child, 18)
 					img.FillRect(0, *y, shotW, *y+h, bg)
 				}
 				if text := ownText(child); text != "" {
@@ -77,7 +80,7 @@ func refRenderBlock(pg *page, img *imaging.Image, node *htmlx.Node, y *int) {
 }
 
 func refDrawRow(pg *page, img *imaging.Image, node *htmlx.Node, text string, y *int, boxed bool) {
-	h := styleHeight(node, 14)
+	h := refStyleHeight(node, 14)
 	if bg, ok := refStyleColor(pg, node, "background"); ok {
 		img.FillRect(4, *y, shotW-4, *y+h, bg)
 	} else if boxed {
@@ -92,6 +95,40 @@ func refDrawRow(pg *page, img *imaging.Image, node *htmlx.Node, text string, y *
 	}
 	imaging.DrawText(img, 6, *y+3, strings.ToUpper(text), ink)
 	*y += h + 2
+}
+
+func refDrawInput(img *imaging.Image, node *htmlx.Node, y *int) {
+	img.FillRect(6, *y, shotW-20, *y+12, imaging.RGB{R: 235, G: 235, B: 235})
+	ph := node.Attr("placeholder")
+	if ph == "" {
+		ph = node.Attr("name")
+	}
+	if len(ph) > 30 {
+		ph = ph[:30]
+	}
+	imaging.DrawText(img, 8, *y+2, strings.ToUpper(ph), imaging.RGB{R: 120, G: 120, B: 120})
+	*y += 16
+}
+
+func refDrawPlaceholder(img *imaging.Image, node *htmlx.Node, y *int) {
+	img.FillRect(6, *y, 60, *y+20, imaging.RGB{R: 200, G: 205, B: 215})
+	alt := node.Attr("alt")
+	if len(alt) > 8 {
+		alt = alt[:8]
+	}
+	imaging.DrawText(img, 8, *y+6, strings.ToUpper(alt), imaging.RGB{R: 90, G: 90, B: 90})
+	*y += 24
+}
+
+func refStyleHeight(node *htmlx.Node, def int) int {
+	for _, kv := range parseStyle(node.Attr("style")) {
+		if kv[0] == "height" {
+			if h, ok := parsePx(kv[1]); ok {
+				return h
+			}
+		}
+	}
+	return def
 }
 
 func refStyleColor(pg *page, node *htmlx.Node, prop string) (imaging.RGB, bool) {

@@ -72,10 +72,11 @@ func summarize(ma *MessageAnalysis) analysisSummary {
 }
 
 // corpusSummaries analyzes the first messages of a fresh seed-7 corpus with
-// the given worker count. Each call builds its own world: analyses mutate
-// world state (harvested credentials, issued challenge tokens), so the two
-// runs under comparison must not share one.
-func corpusSummaries(t *testing.T, workers int) []analysisSummary {
+// the given worker count, after setup (when given) adjusts the pipeline.
+// Each call builds its own world: analyses mutate world state (harvested
+// credentials, issued challenge tokens), so the two runs under comparison
+// must not share one.
+func corpusSummaries(t *testing.T, workers int, setup ...func(*Pipeline)) []analysisSummary {
 	t.Helper()
 	c, err := dataset.Stream(dataset.Config{Seed: 7, Scale: 0.1})
 	if err != nil {
@@ -84,6 +85,9 @@ func corpusSummaries(t *testing.T, workers int) []analysisSummary {
 	pipe := New(c.Net, c.Registry)
 	if err := pipe.AddReferences(context.Background(), c.BrandURLs); err != nil {
 		t.Fatal(err)
+	}
+	for _, fn := range setup {
+		fn(pipe)
 	}
 	results := analyzeAll(context.Background(), pipe, corpusSpecs(c, 120), workers)
 	out := make([]analysisSummary, len(results))
@@ -120,6 +124,22 @@ func TestAnalyzeCorpusDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if diffs > 3 {
 		t.Errorf("... and %d more divergent messages", diffs-3)
+	}
+}
+
+// Browsers that re-seed generators from the pipeline's free list draw the
+// streams browsers with generators of their own draw, so every analysis
+// comes out the same, serially and on four workers.
+func TestPooledGeneratorsMatchOwnGenerators(t *testing.T) {
+	own := corpusSummaries(t, 1, func(p *Pipeline) { p.generators = nil })
+	for _, workers := range []int{1, 4} {
+		pooled := corpusSummaries(t, workers)
+		for i := range own {
+			if own[i] != pooled[i] {
+				t.Fatalf("workers=%d message %d diverges:\n  own generators:    %+v\n  pooled generators: %+v",
+					workers, i, own[i], pooled[i])
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"crawlerbox/internal/browser"
 	"crawlerbox/internal/htmlx"
-	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/webnet"
 )
 
@@ -93,13 +92,12 @@ func (p *Pipeline) runDifferentialProbe(ctx context.Context, ex *Execution, url 
 		probe.Evidence = append(probe.Evidence, "navigation diverged: human="+
 			humanRes.FinalURL+" bot="+botRes.FinalURL)
 	}
-	if humanShot, botShot := humanRes.RenderScreenshot(), botRes.RenderScreenshot(); humanShot != nil && botShot != nil {
-		ok, dp, dd := p.Matcher.Match(imaging.Sign(humanShot), imaging.Sign(botShot))
-		if !ok {
-			probe.Cloaked = true
-			probe.Evidence = append(probe.Evidence, "rendered pages differ visually")
-			_ = dp
-			_ = dd
+	if humanSig, ok := p.sign(humanRes); ok {
+		if botSig, ok := p.sign(botRes); ok {
+			if match, _, _ := p.Matcher.Match(humanSig, botSig); !match {
+				probe.Cloaked = true
+				probe.Evidence = append(probe.Evidence, "rendered pages differ visually")
+			}
 		}
 	}
 	if textOf(humanRes.DOM) != textOf(botRes.DOM) && !probe.Cloaked {

@@ -72,14 +72,27 @@ type Pipeline struct {
 	seed atomic.Int64
 	// memo serves ParseMessage's repeat calls on identical bytes.
 	memo parseMemo
+	// signs serves sign's repeat calls on equal display lists.
+	signs signMemo
+	// generators keeps the idle random generators of the browsers finished
+	// analyses released; nil gives every browser its own.
+	generators *browser.Generators
 }
+
+// pipelineGenerators bounds the idle browser generators a pipeline keeps.
+// An analysis holds one per browser that drew until it ends (under one per
+// message on average in a seed-42 replay, a few for a message with several
+// links), so 32 keep eight workers supplied with four each: 157 KB when
+// the list is full.
+const pipelineGenerators = 32
 
 // New returns a pipeline using a NotABot crawler on a mobile egress IP.
 func New(net *webnet.Internet, registry *whois.Registry) *Pipeline {
 	p := &Pipeline{
-		Net:     net,
-		Whois:   registry,
-		Matcher: imaging.DefaultMatcher(),
+		Net:        net,
+		Whois:      registry,
+		Matcher:    imaging.DefaultMatcher(),
+		generators: browser.NewGenerators(pipelineGenerators),
 	}
 	p.NewBrowser = func(seed int64) *browser.Browser {
 		// The egress IP is derived from the seed, not drawn from the shared
@@ -105,7 +118,11 @@ func (p *Pipeline) AddReference(ctx context.Context, brand, loginURL string) err
 	if err != nil {
 		return err
 	}
-	p.References = append(p.References, ReferencePage{Brand: brand, Sig: imaging.Sign(res.RenderScreenshot())})
+	sig, ok := p.sign(res)
+	if !ok {
+		return fmt.Errorf("crawlerbox: reference %s loaded no page", loginURL)
+	}
+	p.References = append(p.References, ReferencePage{Brand: brand, Sig: sig})
 	return nil
 }
 
@@ -353,9 +370,16 @@ func (p *Pipeline) Analyze(ctx context.Context, spec MessageSpec) (*MessageAnaly
 		Session:  ses,
 		seedBase: spec.ID,
 	}
+	ex.browsers = ex.browserBuf[:0]
 	root := ex.Trace.Start(obs.SpanMessage, "message "+strconv.FormatInt(spec.ID, 10))
 	ma, err := p.runStages(ctx, ex)
 	p.finishMessage(ex, root, ma, err)
+	// The analysis is over: its results keep documents and display lists,
+	// but nothing that runs a script or dispatches an event, so no result
+	// draws from its browser's generator again.
+	for _, br := range ex.browsers {
+		br.Release()
+	}
 	return ma, err
 }
 
@@ -608,11 +632,10 @@ func (p *Pipeline) classify(ma *MessageAnalysis) {
 // classifySpearPhish matches the phishing screenshot against the protected
 // brands' reference pages.
 func (p *Pipeline) classifySpearPhish(ma *MessageAnalysis, v *VisitRecord) {
-	shot := v.Result.RenderScreenshot()
-	if shot == nil {
+	sig, ok := p.sign(v.Result)
+	if !ok {
 		return
 	}
-	sig := imaging.Sign(shot)
 	for _, ref := range p.References {
 		if ok, _, _ := p.Matcher.Match(sig, ref.Sig); ok {
 			ma.SpearPhish = true

@@ -69,6 +69,11 @@ type Execution struct {
 	// URLs (as opposed to loading HTML attachments); InteractStage only
 	// follows up on those, matching the original monolithic behavior.
 	urlVisits int
+	// browsers are the browsers attached to this execution, released when
+	// the analysis ends; browserBuf holds the first few without a slice
+	// allocation.
+	browsers   []*browser.Browser
+	browserBuf [4]*browser.Browser
 }
 
 // nextSeed returns the next seed in this execution's deterministic stream.
@@ -86,14 +91,20 @@ func (ex *Execution) NewBrowser() *browser.Browser {
 	return ex.attach(ex.Pipeline.NewBrowser(ex.nextSeed()))
 }
 
-// attach rebinds a browser's clock to the execution's fork and threads the
-// execution's trace buffer and resilience session into it.
+// attach rebinds a browser's clock to the execution's fork, threads the
+// execution's trace buffer and resilience session into it, and has it draw
+// its generator from the pipeline's free list. The analysis releases it
+// when it ends.
 func (ex *Execution) attach(br *browser.Browser) *browser.Browser {
 	if ex.Clock != nil {
 		br.Clock = ex.Clock
 	}
 	br.Trace = ex.Trace
 	br.Resilience = ex.Session
+	if br.Generators == nil {
+		br.Generators = ex.Pipeline.generators
+	}
+	ex.browsers = append(ex.browsers, br)
 	return br
 }
 
