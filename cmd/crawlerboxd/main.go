@@ -1,6 +1,6 @@
 // Command crawlerboxd is the continuous-ingest daemon: the service mode of
 // the CrawlerBox pipeline. Reported message specs stream in over HTTP (or
-// from a canned ingest log), pass through a sharded verdict dedup cache
+// from a canned ingest log), pass through a verdict dedup cache
 // keyed by canonical landing URL, and run the full analysis pipeline on
 // miss — every accepted spec and emitted verdict journals to an
 // append-only ingest log, so a killed daemon resumes where it stopped
@@ -70,7 +70,7 @@ func run(args []string, w io.Writer) error {
 	serve := fs.String("serve", "", "serve the ingest API over HTTP on this address (e.g. :8080)")
 	logPath := fs.String("log", "", "serve mode: journal accepted specs and emitted verdicts to FILE (resumes if it exists)")
 	maxPending := fs.Int("max-pending", 0, "serve mode: shed submissions with 503 when this many are in flight (0 = never shed)")
-	cache := fs.Bool("cache", true, "dedup verdicts through the sharded cache (verdict outcomes are identical either way)")
+	cache := fs.Bool("cache", true, "dedup verdicts through the verdict cache (verdict outcomes are identical either way)")
 	shared := climain.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -61,8 +61,8 @@ func run() error {
 	}
 
 	fmt.Printf("Generating corpus (seed=%d scale=%.2f)...\n", *seed, *scale)
-	// Specs render lazily into the worker pool and aggregates fold through
-	// per-worker census shards, so peak memory is O(workers) however large
+	// Specs render lazily into the worker pool and each result folds into
+	// one census as it commits, so peak memory is O(workers) however large
 	// -scale makes the corpus.
 	c, err := dataset.Stream(dataset.Config{Seed: *seed, Scale: *scale})
 	if err != nil {

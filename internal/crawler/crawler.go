@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"crawlerbox/internal/browser"
-	"crawlerbox/internal/obs"
 	"crawlerbox/internal/webnet"
 )
 
@@ -165,14 +164,6 @@ func defaultHeadless(kind Kind) bool {
 	default:
 		return true
 	}
-}
-
-// Instrument binds a trace buffer to the crawler's browser so its visits
-// and requests are recorded as spans. A nil trace turns tracing off.
-// Returns the crawler for chaining.
-func (c *Crawler) Instrument(tr *obs.Trace) *Crawler {
-	c.Browser.Trace = tr
-	return c
 }
 
 // Visit crawls a URL under the caller's context.

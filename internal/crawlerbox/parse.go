@@ -12,11 +12,9 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"regexp"
 	"strings"
-	"sync"
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
@@ -91,18 +89,26 @@ type ParseResult struct {
 }
 
 // ParseMessage runs the full recursive parsing phase over a raw message.
-// Repeat calls on identical bytes are served from a bounded memo (see
-// parseMemo), so the result is shared: callers must treat it as read-only.
+// Repeat calls on identical bytes are served from a bounded memo, so the
+// result is shared: callers must treat it as read-only. The memo is
+// content-addressed, not pointer-addressed: its key is the caller's slice,
+// compared and never written, so a buffer the caller reuses or mutates
+// gets a fresh parse. Nothing but the bytes feeds the parse, so a hit
+// returns exactly what a fresh parse would. Errors are never memoised.
 func (p *Pipeline) ParseMessage(raw []byte) (*ParseResult, error) {
-	hash, ocr := maphash.Bytes(_parseMemoSeed, raw), p.ocrMinScore()
-	if res := p.memo.get(hash, ocr, raw); res != nil {
+	h := p.parses.Hash(raw)
+	if res, ok := p.parses.Get(h, raw); ok {
 		return res, nil
 	}
 	res, err := p.parseMessage(raw, &zipBudget{bytes: zipMessageMax, members: zipMembersMax})
 	if err != nil {
 		return nil, err
 	}
-	p.memo.put(parseMemoEntry{hash: hash, ocr: ocr, raw: raw, res: res})
+	size := len(raw)
+	for _, a := range res.HTMLAttachments {
+		size += len(a.Content)
+	}
+	p.parses.Put(h, raw, res, size)
 	return res, nil
 }
 
@@ -193,8 +199,8 @@ func (p *Pipeline) parseImage(body []byte, res *ParseResult, seen map[string]boo
 		}
 		return
 	}
-	// OCR pass.
-	for _, line := range imaging.OCR(img, p.ocrMinScore()) {
+	// OCR pass, at the glyph matcher's default threshold.
+	for _, line := range imaging.OCR(img, 0) {
 		lower := strings.ToLower(line)
 		for _, e := range urlx.ExtractLenient(lower) {
 			addURL(res, seen, ExtractedURL{URL: e.URL, Source: ocrSrc})
@@ -329,72 +335,6 @@ const parseMemoSize = 64
 // message whose archive fills its whole budget (zipMessageMax) takes the
 // room of many. Memory stays bounded by these constants, not by uptime.
 const parseMemoBytes = 16 << 20
-
-// _parseMemoSeed keys the memo's content hash. It is drawn per process, so
-// inputs cannot be crafted to collide.
-var _parseMemoSeed = maphash.MakeSeed()
-
-// parseMemo remembers recent successful parses, at most parseMemoSize of
-// them and parseMemoBytes in all, evicting first in, first out. It is
-// content-addressed, not pointer-addressed: an entry matches only bytes
-// with the same hash and equal contents, so a buffer the caller reuses or
-// mutates gets a fresh parse. The OCR threshold is part of the match
-// because the parse output depends on it; nothing else in the pipeline
-// feeds the parse, so a hit returns exactly what a fresh parse would.
-// Errors are never memoised, and neither is a parse larger than the whole
-// byte budget.
-type parseMemo struct {
-	mu      sync.Mutex
-	entries [parseMemoSize]parseMemoEntry // guarded by mu
-	oldest  int                           // guarded by mu
-	n       int                           // entries in use; guarded by mu
-	bytes   int                           // sum of the entries' size; guarded by mu
-}
-
-// parseMemoEntry is one memoised parse. raw is the caller's slice, retained
-// as the key: it is compared, never written.
-type parseMemoEntry struct {
-	hash uint64
-	ocr  float64
-	raw  []byte
-	res  *ParseResult
-	size int
-}
-
-// get returns the memoised parse of raw, or nil.
-func (m *parseMemo) get(hash uint64, ocr float64, raw []byte) *ParseResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.res != nil && e.hash == hash && e.ocr == ocr && bytes.Equal(e.raw, raw) {
-			return e.res
-		}
-	}
-	return nil
-}
-
-// put records a parse, evicting the oldest entries until it fits.
-func (m *parseMemo) put(e parseMemoEntry) {
-	e.size = len(e.raw)
-	for _, a := range e.res.HTMLAttachments {
-		e.size += len(a.Content)
-	}
-	if e.size > parseMemoBytes {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.n == len(m.entries) || m.bytes+e.size > parseMemoBytes {
-		m.bytes -= m.entries[m.oldest].size
-		m.entries[m.oldest] = parseMemoEntry{}
-		m.oldest = (m.oldest + 1) % len(m.entries)
-		m.n--
-	}
-	m.entries[(m.oldest+m.n)%len(m.entries)] = e
-	m.n++
-	m.bytes += e.size
-}
 
 func mergeParse(dst *ParseResult, seen map[string]bool, src *ParseResult) {
 	for _, u := range src.URLs {

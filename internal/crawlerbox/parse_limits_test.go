@@ -167,9 +167,9 @@ func TestParseZIPDeclaredSizeLie(t *testing.T) {
 }
 
 // TestParseMemoByteBudget drives the memo with messages whose archives
-// fill the whole budget (each keeps 8 MiB of markup): the memo pins at
-// most parseMemoBytes, raw messages and kept markup counted, and still
-// serves the latest of them.
+// fill the whole budget (each keeps 8 MiB of markup): raw message and kept
+// markup both count, so two of them pass parseMemoBytes and the memo keeps
+// only the latest, which it still serves.
 func TestParseMemoByteBudget(t *testing.T) {
 	p := newParser()
 	archive := zipOf(t, bigHTML(2)...)
@@ -183,8 +183,8 @@ func TestParseMemoByteBudget(t *testing.T) {
 		if got := htmlBytes(res); got != zipMessageMax {
 			t.Fatalf("message %d kept %d bytes of markup, want %d", i, got, zipMessageMax)
 		}
-		if got := p.ParseMemoBytes(); got > ParseMemoBudget {
-			t.Fatalf("after message %d the memo pins %d bytes, budget %d", i, got, ParseMemoBudget)
+		if n := p.ParseMemoLen(); n != 1 {
+			t.Fatalf("after message %d the memo holds %d parses, want the one that fits its budget", i, n)
 		}
 		if hit, _ := p.ParseMessage(raw); hit != res {
 			t.Errorf("message %d was not memoised", i)

@@ -141,8 +141,8 @@ func TestParseMemoOverBudgetMatchesFresh(t *testing.T) {
 	if got := ingest.PipelineKeyer(keyed)(raw); got != link {
 		t.Fatalf("key = %q, want %q", got, link)
 	}
-	if n := keyed.ParseMemoBytes(); n != 0 {
-		t.Errorf("the memo pins %d bytes after keying an over-budget message, want 0", n)
+	if n := keyed.ParseMemoLen(); n != 0 {
+		t.Errorf("the memo holds %d parses after keying an over-budget message, want 0", n)
 	}
 	got, gotErr := keyed.Analyze(context.Background(), spec)
 	want, wantErr := fresh.Analyze(context.Background(), spec)
@@ -201,8 +201,7 @@ func TestParseMemoBounded(t *testing.T) {
 }
 
 // TestParseMemoMutatedBufferReparses pins content addressing: a buffer
-// mutated in place between keying and analysis is parsed afresh, and so
-// is the same buffer under a different OCR threshold.
+// mutated in place between keying and analysis is parsed afresh.
 func TestParseMemoMutatedBufferReparses(t *testing.T) {
 	pipe := crawlerbox.New(webnet.NewInternet(webnet.NewClock(_memoEpoch)), whois.NewRegistry())
 	key := ingest.PipelineKeyer(pipe)
@@ -218,19 +217,6 @@ func TestParseMemoMutatedBufferReparses(t *testing.T) {
 	}
 	if got := ma.Parse.URLs[0].URL; got != "https://bbbb.example/login" {
 		t.Errorf("after mutation the analysis saw %q, want the mutated link", got)
-	}
-
-	before, err := pipe.ParseMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.OCRMinScore = 0.5
-	after, err := pipe.ParseMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == before {
-		t.Error("a parse memoised under another OCR threshold was served")
 	}
 }
 

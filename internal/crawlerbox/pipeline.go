@@ -16,6 +16,7 @@ import (
 	"crawlerbox/internal/evstore"
 	"crawlerbox/internal/htmlx"
 	"crawlerbox/internal/imaging"
+	"crawlerbox/internal/memo"
 	"crawlerbox/internal/obs"
 	"crawlerbox/internal/resilience"
 	"crawlerbox/internal/urlx"
@@ -44,8 +45,6 @@ type Pipeline struct {
 	References []ReferencePage
 	// Matcher holds the fuzzy-hash thresholds.
 	Matcher imaging.FuzzyMatcher
-	// OCRMinScore tunes the OCR glyph matcher (0 = default).
-	OCRMinScore float64
 	// Stages overrides the analysis chain; nil means DefaultStages().
 	Stages []Stage
 	// Obs, when non-nil, enables the deterministic observability layer:
@@ -70,10 +69,10 @@ type Pipeline struct {
 	// merely order-dependent, never a data race; corpus runs derive seeds
 	// from the message ID instead and never touch it.
 	seed atomic.Int64
-	// memo serves ParseMessage's repeat calls on identical bytes.
-	memo parseMemo
+	// parses serves ParseMessage's repeat calls on identical bytes.
+	parses *memo.Memo[[]byte, *ParseResult]
 	// signs serves sign's repeat calls on equal display lists.
-	signs signMemo
+	signs *memo.Memo[string, imaging.Signature]
 	// generators keeps the idle random generators of the browsers finished
 	// analyses released; nil gives every browser its own.
 	generators *browser.Generators
@@ -92,6 +91,8 @@ func New(net *webnet.Internet, registry *whois.Registry) *Pipeline {
 		Net:        net,
 		Whois:      registry,
 		Matcher:    imaging.DefaultMatcher(),
+		parses:     memo.Bytes[*ParseResult](parseMemoSize, parseMemoBytes),
+		signs:      memo.Strings[imaging.Signature](signMemoSize, signMemoBytes),
 		generators: browser.NewGenerators(pipelineGenerators),
 	}
 	p.NewBrowser = func(seed int64) *browser.Browser {
@@ -101,13 +102,6 @@ func New(net *webnet.Internet, registry *whois.Registry) *Pipeline {
 		return browser.New(net, browser.NotABot(), net.SeededIP(webnet.IPMobile, seed), seed)
 	}
 	return p
-}
-
-func (p *Pipeline) ocrMinScore() float64 {
-	if p.OCRMinScore > 0 {
-		return p.OCRMinScore
-	}
-	return 0.9
 }
 
 // AddReference registers a protected login page by visiting it under the

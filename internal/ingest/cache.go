@@ -1,19 +1,14 @@
 package ingest
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"crawlerbox/internal/tracestore"
 )
 
-// cacheShards is the verdict cache's shard count. Power of two, sized so
-// worker threads rarely contend on one mutex.
-const cacheShards = 16
-
 // cacheEntry is one canonical-URL key's state: a completed verdict, or a
 // pending analysis with the IDs of later submissions waiting on it.
-// Hit-or-miss is decided at admission time under the shard lock, so a
+// Hit-or-miss is decided at admission time under the cache lock, so a
 // key's second submission is always a hit — as a waiter while the first is
 // in flight, or directly once it completed — and the hit/miss assignment
 // is a pure function of submission order, independent of scheduling.
@@ -21,35 +16,22 @@ type cacheEntry struct {
 	done     bool
 	sourceID int64 // ID of the submission whose analysis fills the entry
 	verdict  tracestore.Verdict
-	waiters  []int64 // protected by the owning shard's mu
+	waiters  []int64 // protected by the cache's mu
 }
 
-type cacheShard struct {
+// verdictCache is the singleflight-with-memory dedup cache keyed by
+// canonical URL: one map under one mutex, since admission is already
+// serialized and completions come one per fresh analysis. It has no
+// eviction: the workload's key space is the set of distinct landing URLs,
+// which the paper's measurements put at roughly 1/2.62 of the message
+// volume — the cache IS the scaling lever, not a bounded accelerator.
+type verdictCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry // guarded by mu
 }
 
-// verdictCache is the sharded singleflight-with-memory dedup cache keyed
-// by canonical URL. It has no eviction: the workload's key space is the
-// set of distinct landing URLs, which the paper's measurements put at
-// roughly 1/2.62 of the message volume — the cache IS the scaling lever,
-// not a bounded accelerator.
-type verdictCache struct {
-	shards [cacheShards]cacheShard
-}
-
 func newVerdictCache() *verdictCache {
-	c := &verdictCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cacheEntry)
-	}
-	return c
-}
-
-func (c *verdictCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
+	return &verdictCache{entries: make(map[string]*cacheEntry)}
 }
 
 // admission classifies one keyed submission at admission time.
@@ -68,12 +50,11 @@ const (
 // admit records submission id under key and reports how to proceed. For
 // admitHit the completed entry's verdict and source ID are returned.
 func (c *verdictCache) admit(key string, id int64) (admission, tracestore.Verdict, int64) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
 	if e == nil {
-		sh.entries[key] = &cacheEntry{sourceID: id}
+		c.entries[key] = &cacheEntry{sourceID: id}
 		return admitFresh, tracestore.Verdict{}, 0
 	}
 	if e.done {
@@ -86,10 +67,9 @@ func (c *verdictCache) admit(key string, id int64) (admission, tracestore.Verdic
 // complete stores the key's verdict and returns the waiters to flush,
 // with the source ID the cached emissions should reference.
 func (c *verdictCache) complete(key string, v tracestore.Verdict) (waiters []int64, sourceID int64) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
 	if e == nil || e.done {
 		return nil, 0
 	}
@@ -104,10 +84,18 @@ func (c *verdictCache) complete(key string, v tracestore.Verdict) (waiters []int
 // a fresh done record seeds the cache so the key's remaining submissions
 // hit without re-analysis.
 func (c *verdictCache) warm(key string, sourceID int64, v tracestore.Verdict) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.entries[key] == nil {
-		sh.entries[key] = &cacheEntry{done: true, sourceID: sourceID, verdict: v}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[key] == nil {
+		c.entries[key] = &cacheEntry{done: true, sourceID: sourceID, verdict: v}
 	}
+}
+
+// drop forgets a pending key whose analysis was never queued, so its next
+// submission is admitted fresh. Admission holds the service's admitMu from
+// admit to drop, so no waiter can have joined the entry.
+func (c *verdictCache) drop(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.entries, key)
 }

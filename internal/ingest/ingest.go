@@ -1,7 +1,7 @@
 // Package ingest turns the batch analysis pipeline into a continuous
 // service: reported message specs are submitted one at a time (or over
 // HTTP via cmd/crawlerboxd), journaled to an append-only ingest log,
-// admitted through a sharded verdict dedup cache keyed by canonical URL,
+// admitted through a verdict dedup cache keyed by canonical URL,
 // and fed through one bounded queue, with backpressure and admission
 // control, to the pipeline's worker pool (crawlerbox.AnalyzeStream).
 //
@@ -9,7 +9,7 @@
 // reported messages per landing domain (max 58), so at production volume
 // most submissions are cache hits that re-emit a stored verdict with a
 // "cached" provenance mark instead of running the crawl pipeline. Hit or
-// miss is decided at admission time, under the cache shard lock, in
+// miss is decided at admission time, under the cache lock, in
 // submission order — so provenance marks and hit counters are a pure
 // function of the submission sequence, never of scheduling.
 //
@@ -274,18 +274,6 @@ func (s *Service) Submit(ctx context.Context, spec Spec) error {
 	return s.submitLocked(ctx, spec, false)
 }
 
-// SubmitBatch admits specs in order, stopping at the first error.
-func (s *Service) SubmitBatch(ctx context.Context, specs []Spec) error {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	for _, spec := range specs {
-		if err := s.submitLocked(ctx, spec, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // submitLocked is the admission path; callers hold admitMu. resumed marks
 // specs re-admitted from a recovered journal, which are not re-journaled.
 func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) error {
@@ -361,10 +349,19 @@ func (s *Service) enqueue(ctx context.Context, spec Spec, key string) error {
 		return nil
 	case <-ctx.Done():
 		// The spec is journaled but never ran: it stays pending in the
-		// log and a resume will pick it up.
+		// log and a resume will pick it up. Its key's entry goes too, or
+		// a later submission of the key would wait on it forever; the
+		// caller holds admitMu, so no waiter has joined it yet.
+		if key != "" && s.cache != nil {
+			s.cache.drop(key)
+		}
 		s.mu.Lock()
 		delete(s.inflight, idx)
 		s.pending--
+		s.counters.Fresh--
+		if key == "" {
+			s.counters.Keyless--
+		}
 		s.mu.Unlock()
 		return ctx.Err()
 	}

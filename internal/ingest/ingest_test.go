@@ -128,8 +128,10 @@ func TestKillResumeDeterminism(t *testing.T) {
 	}
 	svc := NewService(pipe, PipelineKeyer(pipe), log, WithWorkers(4))
 	svc.Start(context.Background())
-	if err := svc.SubmitBatch(context.Background(), specs); err != nil {
-		t.Fatal(err)
+	for _, spec := range specs {
+		if err := svc.Submit(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ref, err := svc.Drain()
 	if err != nil {
@@ -456,5 +458,51 @@ func TestDuplicateIDRejected(t *testing.T) {
 	}
 	if state, err := ReadLog(path); err != nil || len(state.Specs) != 2 {
 		t.Fatalf("journal after resume: %v specs, err %v", state, err)
+	}
+}
+
+// TestCancelledEnqueueReleasesKey pins the cancelled-enqueue path: a
+// submission whose context ends while it waits for a full work queue takes
+// back its cache entry, so a later submission of the same key runs fresh
+// instead of waiting forever on an analysis that never started.
+func TestCancelledEnqueueReleasesKey(t *testing.T) {
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	keyer := func(raw []byte) string { return string(raw) }
+	svc := NewService(ba, keyer, nil, WithWorkers(1))
+	ctx := context.Background()
+	svc.Start(ctx)
+	// One worker blocks on the first spec; the third Submit returns only
+	// once the worker took the first, so the two-slot queue is then full.
+	for id := int64(1); id <= 3; id++ {
+		if err := svc.Submit(ctx, Spec{ID: id, Raw: []byte{byte('a' + id)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := svc.Submit(cancelled, Spec{ID: 4, Raw: []byte("x")}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit under a cancelled context = %v, want context.Canceled", err)
+	}
+	ba.Release()
+	if err := svc.Submit(ctx, Spec{ID: 5, Raw: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for _, e := range res.Emitted {
+		ids = append(ids, e.ID)
+		if e.Provenance != ProvenanceFresh {
+			t.Errorf("id %d: provenance %q, want fresh", e.ID, e.Provenance)
+		}
+	}
+	if len(ids) != 4 || ids[3] != 5 {
+		t.Fatalf("emitted ids %v, want 1, 2, 3 and 5", ids)
+	}
+	want := Counters{Submitted: 5, Fresh: 4}
+	if res.Counters != want {
+		t.Fatalf("counters = %+v, want %+v", res.Counters, want)
 	}
 }

@@ -21,7 +21,7 @@
 //   - streamsafe: ranging over (or allocating proportionally to) the whole
 //     corpus message ledger, dataset.Corpus.Messages, is banned outside the
 //     sanctioned streaming site; corpus processing goes through Corpus.Each
-//     and per-worker census shards so peak memory stays O(workers).
+//     and one census fold so peak memory stays O(workers).
 //
 // and three multi-pass analyzers built on the cross-package Facts engine
 // (facts.go), which computes per-package function summaries once, caches

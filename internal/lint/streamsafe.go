@@ -9,12 +9,12 @@ import (
 
 // StreamSafe guards the million-message memory contract (DESIGN.md §12):
 // corpus processing must stream — Corpus.Each renders one message at a
-// time and Analyze folds per-worker census shards — so peak memory is
-// O(workers), not O(corpus). Code that ranges over the whole message
-// ledger (dataset.Corpus.Messages) or preallocates a slice sized by it
-// reintroduces the O(corpus) footprint the streaming API exists to
-// eliminate, and silently sees no message bytes: the ledger holds plans
-// whose Raw stays nil.
+// time and Analyze folds each result into one census as it commits — so
+// peak memory is O(workers), not O(corpus). Code that ranges over the
+// whole message ledger (dataset.Corpus.Messages) or preallocates a slice
+// sized by it reintroduces the O(corpus) footprint the streaming API
+// exists to eliminate, and silently sees no message bytes: the ledger
+// holds plans whose Raw stays nil.
 //
 // The sanctioned site — Each's own iterator — carries an explicit
 // "//cblint:ignore streamsafe <reason>".

@@ -2,7 +2,8 @@ package minijs
 
 import (
 	"strings"
-	"sync"
+
+	"crawlerbox/internal/memo"
 )
 
 // Phishing kits reuse the same scripts across thousands of pages, so
@@ -38,27 +39,14 @@ type cachedProgram struct {
 	err  error
 }
 
-// programCache maps source text to its parse outcome. The Go map hashes the
-// key and compares the full source on every hit, so two scripts share an
-// entry only when their text is identical.
-type programCache struct {
-	mu      sync.Mutex
-	entries map[string]cachedProgram // guarded by mu
-	// order is a ring of the cached sources, oldest at head.
-	order [programCacheEntries]string // guarded by mu
-	head  int                         // guarded by mu
-	// bytes is the total length of the cached sources.
-	bytes int // guarded by mu
-}
-
-var _programs = &programCache{entries: map[string]cachedProgram{}}
+// _programs maps source text to its parse outcome. An entry matches only
+// an identical source, compared in full.
+var _programs = memo.Strings[cachedProgram](programCacheEntries, programCacheBytes)
 
 // compile returns the parse outcome for src, parsing it only on a miss.
-func (c *programCache) compile(src string) (*Program, error) {
-	c.mu.Lock()
-	e, ok := c.entries[src]
-	c.mu.Unlock()
-	if ok {
+func compile(src string) (*Program, error) {
+	h := _programs.Hash(src)
+	if e, ok := _programs.Get(h, src); ok {
 		return e.prog, e.err
 	}
 	if len(src) > programCacheMaxSource {
@@ -70,28 +58,6 @@ func (c *programCache) compile(src string) (*Program, error) {
 	// true count of the source the cache holds.
 	src = strings.Clone(src)
 	prog, err := Parse(src)
-	c.insert(src, cachedProgram{prog: prog, err: err})
+	_programs.Put(h, src, cachedProgram{prog: prog, err: err}, len(src))
 	return prog, err
-}
-
-// insert adds an entry for a source the cache may keep, evicting the
-// oldest until both caps hold.
-func (c *programCache) insert(src string, e cachedProgram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[src]; ok {
-		return // another worker parsed the same source first
-	}
-	for len(c.entries) == programCacheEntries || c.bytes+len(src) > programCacheBytes {
-		// Evict the oldest. The cache is not empty here: a lone source
-		// never passes the byte cap (programCacheMaxSource).
-		old := c.order[c.head]
-		c.order[c.head] = ""
-		c.head = (c.head + 1) % programCacheEntries
-		delete(c.entries, old)
-		c.bytes -= len(old)
-	}
-	c.entries[src] = e
-	c.order[(c.head+len(c.entries)-1)%programCacheEntries] = src
-	c.bytes += len(src)
 }

@@ -32,11 +32,11 @@ func TestCachedProgramRunsOnManyGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := _programs.compile(sharedProgramSrc)
+	prog, err := compile(sharedProgramSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := _programs.compile(sharedProgramSrc); again != prog {
+	if again, _ := compile(sharedProgramSrc); again != prog {
 		t.Fatal("the second compile of a source parsed it again")
 	}
 	var wg sync.WaitGroup
@@ -71,80 +71,70 @@ func TestCachedProgramRunsOnManyGoroutines(t *testing.T) {
 	}
 }
 
+// cached returns the cache's entry for src.
+func cached(src string) (cachedProgram, bool) { return _programs.Get(_programs.Hash(src), src) }
+
 func TestProgramCacheCachesParseErrors(t *testing.T) {
 	src := "var x = ((1 + ;"
 	_, want := Parse(src)
 	if want == nil {
 		t.Fatal("source parses; the test needs a syntax error")
 	}
-	c := &programCache{entries: map[string]cachedProgram{}}
 	for i := 0; i < 2; i++ {
-		if _, err := c.compile(src); err == nil || err.Error() != want.Error() {
+		if _, err := compile(src); err == nil || err.Error() != want.Error() {
 			t.Fatalf("compile %d: err = %v, want %v", i, err, want)
 		}
 	}
-	if e, ok := c.entries[src]; !ok || e.err == nil {
+	if e, ok := cached(src); !ok || e.err == nil {
 		t.Error("the parse error was not cached")
 	}
 }
 
 // Distinct sources without end, such as a daemon fed kit after kit, must
-// leave the cache within both caps.
+// leave the cache within both caps, and a source over the per-entry limit
+// is parsed but never cached. The memo's own tests pin FIFO order and the
+// byte budget; this pins the limits the cache gives it.
 func TestProgramCacheStaysWithinCaps(t *testing.T) {
-	check := func(c *programCache) {
-		t.Helper()
-		if len(c.entries) > programCacheEntries || c.bytes > programCacheBytes {
-			t.Fatalf("cache holds %d entries, %d bytes; caps %d, %d",
-				len(c.entries), c.bytes, programCacheEntries, programCacheBytes)
-		}
-		sum := 0
-		for src := range c.entries {
-			sum += len(src)
-		}
-		if sum != c.bytes {
-			t.Fatalf("cache counts %d bytes, holds %d", c.bytes, sum)
-		}
-	}
-
-	c := &programCache{entries: map[string]cachedProgram{}}
 	for i := 0; i < 10*programCacheEntries; i++ {
-		if _, err := c.compile(fmt.Sprintf("var v%d = %d;", i, i)); err != nil {
+		if _, err := compile(fmt.Sprintf("var v%d = %d;", i, i)); err != nil {
 			t.Fatal(err)
 		}
-		check(c)
+		if n := _programs.Len(); n > programCacheEntries {
+			t.Fatalf("cache holds %d entries, cap %d", n, programCacheEntries)
+		}
 	}
-	if len(c.entries) != programCacheEntries {
-		t.Errorf("small sources fill %d entries, want %d", len(c.entries), programCacheEntries)
+	if n := _programs.Len(); n != programCacheEntries {
+		t.Errorf("small sources fill %d entries, want %d", n, programCacheEntries)
 	}
 	// The newest sources stay; the oldest went first.
-	if _, ok := c.entries[fmt.Sprintf("var v%d = %d;", 10*programCacheEntries-1, 10*programCacheEntries-1)]; !ok {
+	if _, ok := cached(fmt.Sprintf("var v%d = %d;", 10*programCacheEntries-1, 10*programCacheEntries-1)); !ok {
 		t.Error("the newest source was evicted")
 	}
-	if _, ok := c.entries["var v0 = 0;"]; ok {
+	if _, ok := cached("var v0 = 0;"); ok {
 		t.Error("the oldest source survived")
 	}
 
 	// Large sources hit the byte cap long before the entry cap.
-	c = &programCache{entries: map[string]cachedProgram{}}
 	pad := strings.Repeat("x", programCacheMaxSource-32)
 	fits := programCacheBytes / programCacheMaxSource
 	for i := 0; i < 10*fits; i++ {
-		if _, err := c.compile(fmt.Sprintf("// %s\nvar v = %d;", pad, i)); err != nil {
+		if _, err := compile(fmt.Sprintf("// %s\nvar v = %d;", pad, i)); err != nil {
 			t.Fatal(err)
 		}
-		check(c)
 	}
-	if len(c.entries) != fits {
-		t.Errorf("large sources fill %d entries, want %d", len(c.entries), fits)
+	if n := _programs.Len(); n != fits {
+		t.Errorf("large sources fill %d entries, want %d", n, fits)
 	}
 
 	// A source over the per-entry limit runs but is never cached.
 	huge := "// " + strings.Repeat("x", programCacheMaxSource) + "\n1"
-	if _, err := c.compile(huge); err != nil {
+	if _, err := compile(huge); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.entries[huge]; ok {
+	if _, ok := cached(huge); ok {
 		t.Error("a source over the per-entry limit was cached")
 	}
-	check(c)
+	if n := _programs.Len(); n != fits {
+		t.Errorf("caching nothing changed the entries from %d to %d", fits, n)
+	}
 }

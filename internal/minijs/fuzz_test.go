@@ -65,7 +65,7 @@ func FuzzProgramCache(f *testing.F) {
 	f.Add(`}{ not javascript ((`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, src string) {
-		cached, cerr := _programs.compile(src)
+		cached, cerr := compile(src)
 		fresh, ferr := Parse(src)
 		if (cerr == nil) != (ferr == nil) || cerr != nil && cerr.Error() != ferr.Error() {
 			t.Fatalf("cached parse error %v, fresh parse error %v", cerr, ferr)

@@ -178,9 +178,9 @@ func (ip *Interp) Run(prog *Program) error {
 
 // Eval parses and executes source, returning the value of the last
 // expression statement. The Program comes from the process-wide cache, so
-// a source seen before is not parsed again (see programCache).
+// a source seen before is not parsed again (see compile).
 func (ip *Interp) Eval(src string) (Value, error) {
-	prog, err := _programs.compile(src)
+	prog, err := compile(src)
 	if err != nil {
 		return Undefined, err
 	}

@@ -462,13 +462,6 @@ func (n *Internet) Serve(host string, h Handler) {
 	n.servers[strings.ToLower(host)] = h
 }
 
-// Unserve removes a host's handler (server offline, DNS still present).
-func (n *Internet) Unserve(host string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.servers, strings.ToLower(host))
-}
-
 // Do performs one HTTP round trip: DNS resolution, server lookup, handler
 // dispatch, latency accounting, and traffic logging. The round trip
 // is abandoned before DNS resolution when ctx is done. Latency is charged
