@@ -90,22 +90,6 @@ func IPClassBlocklist(net *webnet.Internet, blocked ...webnet.IPClass) Middlewar
 	}
 }
 
-// IPBlocklist hides the page from specific addresses.
-func IPBlocklist(blocked ...string) Middleware {
-	set := make(map[string]bool, len(blocked))
-	for _, ip := range blocked {
-		set[ip] = true
-	}
-	return func(next webnet.Handler) webnet.Handler {
-		return func(req *webnet.Request) *webnet.Response {
-			if set[req.ClientIP] {
-				return benignResponse()
-			}
-			return next(req)
-		}
-	}
-}
-
 // GeoFilter reveals the page only to visitors from the listed countries —
 // the region-targeting the paper inferred from the exfiltrated IP data.
 func GeoFilter(net *webnet.Internet, countries ...string) Middleware {
@@ -124,12 +108,10 @@ func GeoFilter(net *webnet.Internet, countries ...string) Middleware {
 }
 
 // TokenGate reveals the page only for requests whose URL carries a valid
-// token in param (e.g. https://evil-site.com/dhfYWfH -> ?t=dhfYWfH). Tokens
-// can be disabled individually, preventing even known-good URLs from
-// displaying the content again.
+// token in param (e.g. https://evil-site.com/dhfYWfH -> ?t=dhfYWfH).
 type TokenGate struct {
 	Param  string
-	tokens map[string]bool // token -> enabled
+	tokens map[string]bool // the accepted tokens
 }
 
 // NewTokenGate builds a gate accepting the given tokens.
@@ -141,14 +123,7 @@ func NewTokenGate(param string, tokens ...string) *TokenGate {
 	return g
 }
 
-// Disable turns off one token.
-func (g *TokenGate) Disable(token string) {
-	if _, ok := g.tokens[token]; ok {
-		g.tokens[token] = false
-	}
-}
-
-// Valid reports whether a token is known and enabled.
+// Valid reports whether a token is accepted.
 func (g *TokenGate) Valid(token string) bool {
 	return g.tokens[token]
 }
@@ -173,23 +148,6 @@ func queryValue(raw, key string) string {
 		}
 	}
 	return ""
-}
-
-// NthVisitReveal serves the benign page for each client's first n-1
-// requests and the real content from the n-th on — the bot-behavior cloak
-// where "the page is reloaded with malicious content" after a scanner has
-// already rendered its verdict. Clients are keyed by IP.
-func NthVisitReveal(n int) Middleware {
-	visits := map[string]int{}
-	return func(next webnet.Handler) webnet.Handler {
-		return func(req *webnet.Request) *webnet.Response {
-			visits[req.ClientIP]++
-			if visits[req.ClientIP] < n {
-				return benignResponse()
-			}
-			return next(req)
-		}
-	}
 }
 
 // ExfiltrateClientInfo is the server-side-cloaking support script: before

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"crawlerbox/internal/dataset"
-	"crawlerbox/internal/phishkit"
 )
 
 func TestAppendQueryFragment(t *testing.T) {
@@ -202,29 +201,6 @@ func TestStageChainHaltAndCustomStages(t *testing.T) {
 	}
 	if len(log) != 1 || log[0] != "custom" {
 		t.Errorf("custom stage log = %v, want [custom]", log)
-	}
-}
-
-func TestDiffProbeStageInsertion(t *testing.T) {
-	env := newEnv(t)
-	site := phishkit.Deploy(env.net, phishkit.SiteConfig{
-		Host:            "fpcloak-staged.com",
-		Brand:           phishkit.BrandAcmeTravelTech,
-		FingerprintGate: true,
-	})
-	env.pipe.Stages = []Stage{
-		ParseStage{}, CrawlStage{}, InteractStage{}, DiffProbeStage{},
-		ClassifyStage{}, CensusStage{}, EnrichStage{},
-	}
-	ma, err := env.pipe.AnalyzeMessage(buildMsg(t, "Verify your account: "+site.LandingURL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ma.Probes) != 1 {
-		t.Fatalf("probes = %d, want 1", len(ma.Probes))
-	}
-	if !ma.Probes[0].Cloaked {
-		t.Error("fingerprint-gated site must be flagged by the staged probe")
 	}
 }
 

@@ -514,59 +514,6 @@ func buildZip(t *testing.T, files map[string]string) []byte {
 	return b.Bytes()
 }
 
-func TestDifferentialProbeDetectsFingerprintCloaking(t *testing.T) {
-	env := newEnv(t)
-	cloaked := phishkit.Deploy(env.net, phishkit.SiteConfig{
-		Host:            "fpcloak-probe.com",
-		Brand:           phishkit.BrandAcmeTravelTech,
-		FingerprintGate: true,
-	})
-	probe, err := env.pipe.RunDifferentialProbe(cloaked.LandingURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probe.Cloaked {
-		t.Error("fingerprint-gated site must be flagged by the differential probe")
-	}
-	if len(probe.Evidence) == 0 {
-		t.Error("evidence missing")
-	}
-}
-
-func TestDifferentialProbeTurnstileGate(t *testing.T) {
-	env := newEnv(t)
-	ts := botdetect.NewTurnstile(env.net, "turnstile.example")
-	gated := phishkit.Deploy(env.net, phishkit.SiteConfig{
-		Host:      "tsgate-probe.com",
-		Brand:     phishkit.BrandSkyBooker,
-		Turnstile: ts,
-	})
-	probe, err := env.pipe.RunDifferentialProbe(gated.LandingURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probe.Cloaked {
-		t.Error("challenge-gated site must diverge between profiles")
-	}
-}
-
-func TestDifferentialProbeCleanSiteNotFlagged(t *testing.T) {
-	env := newEnv(t)
-	ip := env.net.AllocateIP(webnet.IPDatacenter)
-	env.net.AddDNS("honest.example", ip)
-	env.net.Serve("honest.example", func(*webnet.Request) *webnet.Response {
-		return &webnet.Response{Status: 200, Headers: map[string]string{"Content-Type": "text/html"},
-			Body: []byte(`<html><body><h1>Welcome</h1><p>Plain content for everyone.</p></body></html>`)}
-	})
-	probe, err := env.pipe.RunDifferentialProbe("https://honest.example/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Cloaked {
-		t.Errorf("honest site flagged: %v", probe.Evidence)
-	}
-}
-
 func TestPipelineResilientToCorruptAttachments(t *testing.T) {
 	// Failure injection: corrupt CBI image, truncated PDF, and garbage ZIP
 	// must degrade gracefully — the message still gets a disposition.

@@ -325,7 +325,7 @@ func readMember(f *zip.File, limit int) ([]byte, error) {
 
 // parseMemoSize bounds the parse memo's entries. The ingest service keys
 // a message at admission and parses it again in ParseStage; in between it
-// waits in a queue of 2×workers behind the running analyses, so 64 entries
+// is one of at most 3×workers queued or running analyses, so 64 entries
 // cover up to 20 workers.
 const parseMemoSize = 64
 

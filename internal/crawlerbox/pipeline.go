@@ -64,10 +64,10 @@ type Pipeline struct {
 	// resilience-free behavior exactly.
 	Resilience *resilience.Policy
 
-	// seed feeds browsers created outside a corpus run (AddReference, the
-	// legacy AnalyzeMessage entry point). Atomic so stray concurrent use is
-	// merely order-dependent, never a data race; corpus runs derive seeds
-	// from the message ID instead and never touch it.
+	// seed numbers what runs outside a corpus run: the browser AddReference
+	// visits with and the message ID AnalyzeMessage assigns. Atomic so stray
+	// concurrent use is merely order-dependent, never a data race; corpus
+	// runs derive seeds from the message ID instead and never touch it.
 	seed atomic.Int64
 	// parses serves ParseMessage's repeat calls on identical bytes.
 	parses *memo.Memo[[]byte, *ParseResult]
@@ -107,8 +107,7 @@ func New(net *webnet.Internet, registry *whois.Registry) *Pipeline {
 // AddReference registers a protected login page by visiting it under the
 // caller's context and signing its screenshot.
 func (p *Pipeline) AddReference(ctx context.Context, brand, loginURL string) error {
-	br := p.newBrowser()
-	res, err := br.Visit(ctx, loginURL)
+	res, err := p.NewBrowser(p.nextSeed()).Visit(ctx, loginURL)
 	if err != nil {
 		return err
 	}
@@ -140,10 +139,6 @@ func (p *Pipeline) AddReferences(ctx context.Context, loginURLs map[string]strin
 
 // nextSeed draws from the pipeline-level seed counter (non-corpus paths).
 func (p *Pipeline) nextSeed() int64 { return p.seed.Add(1) }
-
-func (p *Pipeline) newBrowser() *browser.Browser {
-	return p.NewBrowser(p.nextSeed())
-}
 
 // Outcome is the disposition of one analyzed message (the Section V
 // categories).
@@ -309,9 +304,6 @@ type MessageAnalysis struct {
 	// evidence store when SpillEvidence ran (Visits is nil afterwards).
 	// The zero handle means the evidence is still in RAM on Visits.
 	Evidence evstore.Handle
-	// Probes holds differential-cloaking observations when DiffProbeStage
-	// is in the chain.
-	Probes []*DifferentialProbe
 }
 
 // MessageSpec identifies one message for analysis.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	neturl "net/url"
-	"strings"
 	"time"
 
 	"crawlerbox/internal/browser"
@@ -86,16 +85,11 @@ func (ex *Execution) nextSeed() int64 {
 }
 
 // NewBrowser builds a crawler instance bound to this execution: seeded from
-// the per-message stream and ticking the analysis-local clock.
+// the per-message stream, ticking the analysis-local clock, writing into the
+// execution's trace buffer and resilience session, and drawing its generator
+// from the pipeline's free list. The analysis releases it when it ends.
 func (ex *Execution) NewBrowser() *browser.Browser {
-	return ex.attach(ex.Pipeline.NewBrowser(ex.nextSeed()))
-}
-
-// attach rebinds a browser's clock to the execution's fork, threads the
-// execution's trace buffer and resilience session into it, and has it draw
-// its generator from the pipeline's free list. The analysis releases it
-// when it ends.
-func (ex *Execution) attach(br *browser.Browser) *browser.Browser {
+	br := ex.Pipeline.NewBrowser(ex.nextSeed())
 	if ex.Clock != nil {
 		br.Clock = ex.Clock
 	}
@@ -129,8 +123,8 @@ func mixSeed(base, seq int64) int64 {
 }
 
 // DefaultStages returns the standard chain in the paper's order. Callers
-// may copy and splice it (e.g. insert DiffProbeStage before ClassifyStage)
-// and assign the result to Pipeline.Stages.
+// may copy and splice it (e.g. wrap each stage to time it) and assign the
+// result to Pipeline.Stages.
 func DefaultStages() []Stage {
 	return []Stage{
 		ParseStage{},
@@ -288,36 +282,5 @@ func (EnrichStage) Name() string { return "enrich" }
 // Run implements Stage.
 func (EnrichStage) Run(_ context.Context, ex *Execution) error {
 	ex.Pipeline.enrich(ex.Analysis, ex.now())
-	return nil
-}
-
-// DiffProbeStage is the optional differential-cloaking probe run as a
-// pipeline stage: every crawled URL is re-visited with a human profile and
-// an overtly automated one, and material divergence is recorded on the
-// analysis. Insert it anywhere after CrawlStage:
-//
-//	pipe.Stages = append([]crawlerbox.Stage{
-//	    crawlerbox.ParseStage{}, crawlerbox.CrawlStage{},
-//	    crawlerbox.InteractStage{}, crawlerbox.DiffProbeStage{},
-//	}, crawlerbox.ClassifyStage{}, crawlerbox.CensusStage{}, crawlerbox.EnrichStage{})
-type DiffProbeStage struct{}
-
-// Name implements Stage.
-func (DiffProbeStage) Name() string { return "diffprobe" }
-
-// Run implements Stage.
-func (DiffProbeStage) Run(ctx context.Context, ex *Execution) error {
-	ma := ex.Analysis
-	for i := 0; i < ex.urlVisits; i++ {
-		v := ma.Visits[i]
-		if strings.HasPrefix(v.URL, "file:///") {
-			continue
-		}
-		probe, err := ex.Pipeline.runDifferentialProbe(ctx, ex, v.URL)
-		if err != nil {
-			continue
-		}
-		ma.Probes = append(ma.Probes, probe)
-	}
 	return nil
 }

@@ -456,11 +456,6 @@ func ExtractScripts(root *Node) []Script {
 	return out
 }
 
-// Forms returns the document's form elements.
-func Forms(root *Node) []*Node {
-	return Find(root, "form")
-}
-
 // HasPasswordInput reports whether the document contains a password field —
 // the telltale of a credential-harvesting page.
 func HasPasswordInput(root *Node) bool {

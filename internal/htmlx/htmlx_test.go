@@ -175,14 +175,6 @@ func TestHasPasswordInput(t *testing.T) {
 	}
 }
 
-func TestForms(t *testing.T) {
-	doc := Parse(`<form action="/a"></form><div><form action="/b"></form></div>`)
-	forms := Forms(doc)
-	if len(forms) != 2 {
-		t.Fatalf("forms = %d", len(forms))
-	}
-}
-
 func TestDecodeEntities(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"a&amp;b", "a&b"},

@@ -208,20 +208,6 @@ func (m *Image) ResizeBox(w, h int) (*Image, error) {
 	return out, nil
 }
 
-// Crop returns the sub-image [x0,x1) x [y0,y1), clipped to bounds.
-func (m *Image) Crop(x0, y0, x1, y1 int) (*Image, error) {
-	x0, y0 = max(0, x0), max(0, y0)
-	x1, y1 = min(m.W, x1), min(m.H, y1)
-	if x1 <= x0 || y1 <= y0 {
-		return nil, fmt.Errorf("%w: crop [%d,%d)x[%d,%d)", ErrBadDimensions, x0, x1, y0, y1)
-	}
-	out := &Image{W: x1 - x0, H: y1 - y0, Pix: make([]RGB, (x1-x0)*(y1-y0))}
-	for y := y0; y < y1; y++ {
-		copy(out.Pix[(y-y0)*out.W:(y-y0+1)*out.W], m.Pix[y*m.W+x0:y*m.W+x1])
-	}
-	return out, nil
-}
-
 // AddNoise perturbs every channel by a uniform value in [-amplitude,
 // +amplitude], clamped to [0, 255]. It mutates the image in place.
 func (m *Image) AddNoise(rng *rand.Rand, amplitude int) {

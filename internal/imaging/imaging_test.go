@@ -92,24 +92,6 @@ func TestResizePreservesFlatColor(t *testing.T) {
 	}
 }
 
-func TestCrop(t *testing.T) {
-	img := MustNew(10, 10, White)
-	img.Set(5, 5, Black)
-	sub, err := img.Crop(4, 4, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.W != 4 || sub.H != 4 {
-		t.Fatalf("crop dims = %dx%d", sub.W, sub.H)
-	}
-	if sub.At(1, 1) != Black {
-		t.Error("cropped pixel content wrong")
-	}
-	if _, err := img.Crop(5, 5, 5, 9); err == nil {
-		t.Error("empty crop should error")
-	}
-}
-
 func TestHueRotateZeroIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	img := MustNew(8, 8, White)

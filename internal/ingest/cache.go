@@ -91,11 +91,10 @@ func (c *verdictCache) warm(key string, sourceID int64, v tracestore.Verdict) {
 	}
 }
 
-// drop forgets a pending key whose analysis was never queued, so its next
-// submission is admitted fresh. Admission holds the service's admitMu from
-// admit to drop, so no waiter can have joined the entry.
-func (c *verdictCache) drop(key string) {
+// has reports whether key has an entry, in flight or stored: admit of a
+// key without one is admitFresh.
+func (c *verdictCache) has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.entries, key)
+	return c.entries[key] != nil
 }

@@ -155,9 +155,10 @@ type options struct {
 // Option configures one aspect of a Service.
 type Option func(*options)
 
-// WithWorkers sets the analysis worker-pool size (default 1). The work
-// queue holds two specs per worker; a full queue blocks Submit — the
-// backpressure that keeps peak memory O(workers).
+// WithWorkers sets the analysis worker-pool size (default 1). At most
+// three fresh analyses per worker are queued or running; a fresh
+// submission beyond that blocks Submit — the backpressure that keeps peak
+// memory O(workers).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -185,10 +186,10 @@ type job struct {
 }
 
 // Service is the continuous-ingest daemon core. Submissions flow through
-// admission (journal, admission control, cache consult) into one bounded
-// work queue drained by crawlerbox.AnalyzeStream; each completed analysis
-// fills its cache entry, flushing any waiters. Drain stops intake, waits
-// for in-flight work, and returns the Result.
+// admission (admission control, cache consult, queue slot, journal) into
+// one bounded work queue drained by crawlerbox.AnalyzeStream; each
+// completed analysis fills its cache entry, flushing any waiters. Drain
+// stops intake, waits for in-flight work, and returns the Result.
 type Service struct {
 	analyzer Analyzer
 	keyer    KeyFunc
@@ -196,8 +197,11 @@ type Service struct {
 	log      *Log
 	cache    *verdictCache
 	jobs     chan crawlerbox.IndexedSpec
-	wg       sync.WaitGroup
-	started  bool
+	// slots holds one token per fresh analysis queued or running; it has
+	// the capacity of jobs, so a send to jobs by a slot holder never blocks.
+	slots   chan struct{}
+	wg      sync.WaitGroup
+	started bool
 
 	// admitMu serializes admission so journal order, cache consults, and
 	// counters all see one total submission order.
@@ -227,11 +231,13 @@ func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
 	if o.workers < 1 {
 		o.workers = 1
 	}
+	// One running and two queued analyses per worker keep every worker
+	// fed while Submit blocks for backpressure.
+	depth := 3 * o.workers
 	s := &Service{
 		analyzer: a, keyer: keyer, o: o, log: log,
-		// Two queued specs per worker keep every worker fed while Submit
-		// blocks for backpressure.
-		jobs:     make(chan crawlerbox.IndexedSpec, 2*o.workers),
+		jobs:     make(chan crawlerbox.IndexedSpec, depth),
+		slots:    make(chan struct{}, depth),
 		inflight: map[int]job{},
 		ids:      map[int64]struct{}{},
 	}
@@ -258,16 +264,20 @@ func (s *Service) Start(ctx context.Context) {
 				j := s.inflight[res.Index]
 				delete(s.inflight, res.Index)
 				s.mu.Unlock()
+				<-s.slots
 				s.complete(j, tracestore.VerdictOf(j.id, res.Analysis, res.Err))
 			})
 	}()
 }
 
-// Submit admits one reported message: journal, admission control, cache
-// consult, then either an immediate cached emission or a queued fresh
-// analysis. Submissions are totally ordered; a full work queue blocks
-// (backpressure) until a worker frees a slot or ctx is cancelled. An ID
-// already accepted fails with ErrDuplicateID before anything is journaled.
+// Submit admits one reported message: admission control, cache consult,
+// then either an immediate cached emission or a queued fresh analysis.
+// Submissions are totally ordered. A fresh analysis first waits for a
+// queue slot (backpressure) until a worker frees one or ctx is cancelled;
+// only then is the spec journaled and its ID taken, so a submission that
+// gives up leaves no trace and can be retried. A cache hit never waits.
+// An ID already accepted fails with ErrDuplicateID before anything is
+// journaled.
 func (s *Service) Submit(ctx context.Context, spec Spec) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
@@ -292,79 +302,66 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 		s.mu.Unlock()
 		return ErrOverloaded
 	}
-	s.counters.Submitted++
 	s.mu.Unlock()
+
+	// The consult is exact: only admission, which admitMu serializes,
+	// adds a key, and a completion only turns an in-flight key into a
+	// stored one — a hit either way.
+	key := s.keyer(spec.Raw)
+	cacheable := key != "" && s.cache != nil
+	fresh := !cacheable || !s.cache.has(key)
+	if fresh {
+		select {
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 	if !resumed {
 		if err := s.log.AppendSpec(spec); err != nil {
+			if fresh {
+				<-s.slots
+			}
 			return fmt.Errorf("ingest: journaling spec %d: %w", spec.ID, err)
 		}
 	}
 	s.ids[spec.ID] = struct{}{}
+	s.mu.Lock()
+	s.counters.Submitted++
+	s.mu.Unlock()
 
-	key := s.keyer(spec.Raw)
-	if key == "" || s.cache == nil {
+	if fresh {
+		if cacheable {
+			s.cache.admit(key, spec.ID)
+		}
 		s.mu.Lock()
 		if key == "" {
 			s.counters.Keyless++
 		}
 		s.counters.Fresh++
 		s.pending++
+		idx := s.nextJob
+		s.nextJob++
+		// Registered before the send: a worker may complete the job
+		// before the send returns.
+		s.inflight[idx] = job{id: spec.ID, key: key}
 		s.mu.Unlock()
-		return s.enqueue(ctx, spec, key)
+		s.jobs <- crawlerbox.IndexedSpec{Index: idx, Spec: crawlerbox.MessageSpec{Raw: spec.Raw, ID: spec.ID, At: spec.At}}
+		return nil
 	}
 
-	switch adm, v, sourceID := s.cache.admit(key, spec.ID); adm {
-	case admitHit:
-		s.mu.Lock()
-		s.counters.CacheHits++
-		s.mu.Unlock()
+	adm, v, sourceID := s.cache.admit(key, spec.ID)
+	s.mu.Lock()
+	s.counters.CacheHits++
+	if adm == admitWait {
+		s.pending++
+	}
+	s.mu.Unlock()
+	if adm == admitHit {
 		s.emit(cachedEmission(spec.ID, key, sourceID, v), true)
 		return s.emitError()
-	case admitWait:
-		s.mu.Lock()
-		s.counters.CacheHits++
-		s.pending++
-		s.mu.Unlock()
-		return nil
-	default: // admitFresh
-		s.mu.Lock()
-		s.counters.Fresh++
-		s.pending++
-		s.mu.Unlock()
-		return s.enqueue(ctx, spec, key)
 	}
-}
-
-// enqueue pushes a fresh analysis onto the work queue, blocking for
-// backpressure. The job is registered before the send because a worker
-// may complete it before the send returns.
-func (s *Service) enqueue(ctx context.Context, spec Spec, key string) error {
-	s.mu.Lock()
-	idx := s.nextJob
-	s.nextJob++
-	s.inflight[idx] = job{id: spec.ID, key: key}
-	s.mu.Unlock()
-	select {
-	case s.jobs <- crawlerbox.IndexedSpec{Index: idx, Spec: crawlerbox.MessageSpec{Raw: spec.Raw, ID: spec.ID, At: spec.At}}:
-		return nil
-	case <-ctx.Done():
-		// The spec is journaled but never ran: it stays pending in the
-		// log and a resume will pick it up. Its key's entry goes too, or
-		// a later submission of the key would wait on it forever; the
-		// caller holds admitMu, so no waiter has joined it yet.
-		if key != "" && s.cache != nil {
-			s.cache.drop(key)
-		}
-		s.mu.Lock()
-		delete(s.inflight, idx)
-		s.pending--
-		s.counters.Fresh--
-		if key == "" {
-			s.counters.Keyless--
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
+	return nil
 }
 
 // complete records a fresh verdict, fills the cache entry, and flushes

@@ -462,17 +462,17 @@ func TestDuplicateIDRejected(t *testing.T) {
 }
 
 // TestCancelledEnqueueReleasesKey pins the cancelled-enqueue path: a
-// submission whose context ends while it waits for a full work queue takes
-// back its cache entry, so a later submission of the same key runs fresh
-// instead of waiting forever on an analysis that never started.
+// submission whose context ends while it waits for a queue slot leaves no
+// cache entry and is not counted, so a later submission of the same key
+// runs fresh instead of waiting forever on an analysis that never started.
 func TestCancelledEnqueueReleasesKey(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
 	svc := NewService(ba, keyer, nil, WithWorkers(1))
 	ctx := context.Background()
 	svc.Start(ctx)
-	// One worker blocks on the first spec; the third Submit returns only
-	// once the worker took the first, so the two-slot queue is then full.
+	// One worker blocks on the first spec; three fresh submissions fill
+	// its three slots.
 	for id := int64(1); id <= 3; id++ {
 		if err := svc.Submit(ctx, Spec{ID: id, Raw: []byte{byte('a' + id)}}); err != nil {
 			t.Fatal(err)
@@ -501,8 +501,89 @@ func TestCancelledEnqueueReleasesKey(t *testing.T) {
 	if len(ids) != 4 || ids[3] != 5 {
 		t.Fatalf("emitted ids %v, want 1, 2, 3 and 5", ids)
 	}
-	want := Counters{Submitted: 5, Fresh: 4}
+	want := Counters{Submitted: 4, Fresh: 4}
 	if res.Counters != want {
 		t.Fatalf("counters = %+v, want %+v", res.Counters, want)
 	}
+}
+
+// TestCancelledSubmitCanRetry pins that a submission cancelled while it
+// waits for a queue slot is neither journaled nor remembered: its client
+// retries the same ID, which is accepted, journaled once and emitted.
+func TestCancelledSubmitCanRetry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	log, err := CreateLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	keyer := func(raw []byte) string { return string(raw) }
+	svc := NewService(ba, keyer, log, WithWorkers(1))
+	ctx := context.Background()
+	svc.Start(ctx)
+	for id := int64(1); id <= 3; id++ {
+		if err := svc.Submit(ctx, Spec{ID: id, Raw: []byte{byte('a' + id)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The queue is full: the worker is blocked on ID 1.
+	waiting, cancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() { done <- svc.Submit(waiting, Spec{ID: 4, Raw: []byte("x")}) }()
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit cancelled behind a full queue = %v, want context.Canceled", err)
+	}
+	if counters, _ := svc.Stats(); counters.Submitted != 3 {
+		t.Fatalf("counters after the cancelled Submit = %+v, want 3 submitted", counters)
+	}
+	ba.Release()
+	if err := svc.Submit(ctx, Spec{ID: 4, Raw: []byte("x")}); err != nil {
+		t.Fatalf("retry of the cancelled ID = %v", err)
+	}
+	res, err := svc.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emitted) != 4 || res.Emitted[3].ID != 4 || res.Emitted[3].Provenance != ProvenanceFresh {
+		t.Fatalf("emitted %+v, want IDs 1-4, the retried ID 4 fresh", res.Emitted)
+	}
+	if want := (Counters{Submitted: 4, Fresh: 4}); res.Counters != want {
+		t.Fatalf("counters = %+v, want %+v", res.Counters, want)
+	}
+	state, err := ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state.Specs) != 4 || len(state.Done) != 4 {
+		t.Fatalf("journal holds %d specs and %d done records, want 4 of each", len(state.Specs), len(state.Done))
+	}
+}
+
+// TestJournalFailureLeavesNoTrace pins admission's order: a spec the
+// journal refuses takes no queue slot, no cache entry, no ID and no count.
+func TestJournalFailureLeavesNoTrace(t *testing.T) {
+	log, err := CreateLog(filepath.Join(t.TempDir(), "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	keyer := func(raw []byte) string { return string(raw) }
+	svc := NewService(ba, keyer, log, WithWorkers(1))
+	ctx := context.Background()
+	svc.Start(ctx)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("a")}); err == nil {
+		t.Fatal("Submit journaled to a closed log")
+	}
+	if counters, pending := svc.Stats(); counters != (Counters{}) || pending != 0 {
+		t.Fatalf("counters = %+v, pending %d after a refused spec", counters, pending)
+	}
+	if len(svc.slots) != 0 || svc.cache.has("a") || len(svc.ids) != 0 {
+		t.Fatalf("refused spec left state: %d slots, cache entry %v, %d ids", len(svc.slots), svc.cache.has("a"), len(svc.ids))
+	}
+	// Drain stops the workers; its error is the log closed a second time.
+	_, _ = svc.Drain()
 }

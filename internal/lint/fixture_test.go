@@ -122,10 +122,6 @@ func TestTaintFlowFixture(t *testing.T) {
 	checkFixture(t, TaintFlow{}, "taintfix", 1)
 }
 
-func TestShardPureFixture(t *testing.T) {
-	checkFixture(t, ShardPure{}, "shardfix", 1)
-}
-
 func TestHotAllocFixture(t *testing.T) {
 	checkFixture(t, HotAlloc{}, "hotfix", 1)
 }
@@ -167,7 +163,7 @@ func TestRegistryOrder(t *testing.T) {
 		names = append(names, a.Name())
 	}
 	want := []string{"determinism", "maprange", "ctxflow", "guarded", "resilience", "streamsafe",
-		"taintflow", "shardpure", "hotalloc"}
+		"taintflow", "hotalloc"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("Registry() order = %v, want %v", names, want)
 	}

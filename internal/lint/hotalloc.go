@@ -237,10 +237,9 @@ func checkHotMapWrite(pkg *Package, fd *ast.FuncDecl, lhs ast.Expr) []Diagnostic
 	}}
 }
 
-// bodyLocal reports whether v is declared inside the function body. Unlike
-// shardpure's localDef, the receiver and parameters do NOT count: they are
-// state from the caller's frame, so slices and maps reached through them
-// outlive the hot call.
+// bodyLocal reports whether v is declared inside the function body. The
+// receiver and parameters do NOT count: they are state from the caller's
+// frame, so slices and maps reached through them outlive the hot call.
 func bodyLocal(obj types.Object, fd *ast.FuncDecl) bool {
 	return fd.Body != nil && obj.Pos() >= fd.Body.Pos() && obj.Pos() <= fd.Body.End()
 }
@@ -272,4 +271,43 @@ func mentionsIdentity(pkg *Package, key ast.Expr) bool {
 		return true
 	})
 	return found
+}
+
+// writeRoot resolves the base object of an assignable expression.
+func writeRoot(pkg *Package, expr ast.Expr) types.Object {
+	for {
+		switch e := expr.(type) {
+		case *ast.Ident:
+			if obj := pkg.Info.Uses[e]; obj != nil {
+				return obj
+			}
+			return pkg.Info.Defs[e]
+		case *ast.SelectorExpr:
+			// A package-qualified selector roots at the selected object.
+			if id, ok := e.X.(*ast.Ident); ok {
+				if _, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
+					return pkg.Info.Uses[e.Sel]
+				}
+			}
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.ParenExpr:
+			expr = e.X
+		default:
+			return nil
+		}
+	}
+}
+
+// isMapExpr reports whether the expression has map type.
+func isMapExpr(pkg *Package, expr ast.Expr) bool {
+	tv, ok := pkg.Info.Types[expr]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }

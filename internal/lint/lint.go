@@ -1,7 +1,7 @@
 // Package lint is cblint: a from-scratch static-analysis suite, built on
 // nothing but the standard library's go/parser, go/build, and go/types, that
 // machine-checks the invariants the pipeline's reproducibility and
-// bounded-memory guarantees rest on (DESIGN.md §9, §13). Nine analyzers ship
+// bounded-memory guarantees rest on (DESIGN.md §9, §13). Eight analyzers ship
 // today — six per-package passes:
 //
 //   - determinism: wall-clock reads and global math/rand calls are banned in
@@ -23,7 +23,7 @@
 //     sanctioned streaming site; corpus processing goes through Corpus.Each
 //     and one census fold so peak memory stays O(workers).
 //
-// and three multi-pass analyzers built on the cross-package Facts engine
+// and two multi-pass analyzers built on the cross-package Facts engine
 // (facts.go), which computes per-package function summaries once, caches
 // them by content hash, and serves them to downstream packages:
 //
@@ -34,10 +34,6 @@
 //     length, an unchecked unsigned-to-signed integer conversion,
 //     regexp.MustCompile of a tainted pattern — is a finding, with
 //     interprocedural propagation through function summaries.
-//   - shardpure: a type with a Merge method (obs.Registry, …)
-//     must only write receiver-reachable state, must pin order-dependent
-//     slice folds with a comparator, and worker goroutines must not touch
-//     package-level mutable variables.
 //   - hotalloc: a function annotated //cblint:hotpath (the per-message
 //     stream/census/evidence path) must not allocate proportionally to
 //     corpus size — no append into captured slices, no fmt.Sprintf-family
@@ -66,7 +62,7 @@ import (
 // baselines, and the facts cache. Bump it whenever an analyzer's findings or
 // the facts format change shape: a version mismatch invalidates cached facts
 // and marks baselines as needing regeneration.
-const Version = "2.0.0"
+const Version = "2.1.0"
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
 type Diagnostic struct {
@@ -112,7 +108,6 @@ func Registry() []Analyzer {
 		Resilience{},
 		StreamSafe{},
 		TaintFlow{},
-		ShardPure{},
 		HotAlloc{},
 	}
 }

@@ -16,54 +16,52 @@ func promDump(t *testing.T, r *Registry) string {
 	return buf.String()
 }
 
-// TestRegistryMergeMatchesDirect pins the Merge contract: folding
-// per-worker registries together must export the same bytes as writing
-// every operation into one shared registry.
+// foldAll folds each registry's snapshot into a fresh registry, in order.
+func foldAll(regs ...*Registry) *Registry {
+	out := NewRegistry()
+	for _, r := range regs {
+		out.MergePoints(r.Snapshot())
+	}
+	return out
+}
+
+// TestRegistryMergeMatchesDirect pins the MergePoints contract: folding the
+// snapshots of several registries together must export the same bytes as
+// writing every operation into one shared registry, in any order and any
+// grouping.
 func TestRegistryMergeMatchesDirect(t *testing.T) {
-	ops := func(r *Registry, worker int) {
+	ops := func(r *Registry, part int) {
 		r.Inc("requests_total", "status", "2xx")
 		r.Add("requests_total", 2, "status", "4xx")
-		r.Add("bytes_total", float64(100*(worker+1)))
+		r.Add("bytes_total", float64(100*(part+1)))
 		r.Observe("latency_ns", 2e6)
 		r.Observe("latency_ns", 4e9)
 		r.Set("build_info", 1, "version", "7")
 	}
 
 	direct := NewRegistry()
-	shards := make([]*Registry, 3)
-	for w := range shards {
-		shards[w] = NewRegistry()
-		ops(direct, w)
-		ops(shards[w], w)
+	parts := make([]*Registry, 3)
+	for i := range parts {
+		parts[i] = NewRegistry()
+		ops(direct, i)
+		ops(parts[i], i)
 	}
 
-	merged := NewRegistry()
-	for _, s := range shards {
-		merged.Merge(s)
-	}
+	merged := foldAll(parts...)
 	if got, want := promDump(t, merged), promDump(t, direct); got != want {
-		t.Errorf("merged registries diverge from direct writes:\n--- merged ---\n%s--- direct ---\n%s", got, want)
+		t.Errorf("folded snapshots diverge from direct writes:\n--- folded ---\n%s--- direct ---\n%s", got, want)
 	}
 
-	// Commutativity: merging the shards in reverse order exports the same
-	// bytes (the gauge is set identically by every shard, per Set's rule).
-	reversed := NewRegistry()
-	for i := len(shards) - 1; i >= 0; i-- {
-		reversed.Merge(shards[i])
-	}
-	if got, want := promDump(t, reversed), promDump(t, merged); got != want {
-		t.Error("merge order changed the exported snapshot")
+	// Commutativity: folding in reverse order exports the same bytes (the
+	// gauge is set identically by every part, per Set's rule).
+	if got, want := promDump(t, foldAll(parts[2], parts[1], parts[0])), promDump(t, merged); got != want {
+		t.Error("fold order changed the exported snapshot")
 	}
 
-	// Associativity: pre-merging a pair then folding the rest matches too.
-	paired := NewRegistry()
-	pair := NewRegistry()
-	pair.Merge(shards[0])
-	pair.Merge(shards[1])
-	paired.Merge(pair)
-	paired.Merge(shards[2])
-	if got, want := promDump(t, paired), promDump(t, merged); got != want {
-		t.Error("pre-merged pair changed the exported snapshot")
+	// Associativity: pre-folding a pair then folding the rest matches too.
+	pair := foldAll(parts[0], parts[1])
+	if got, want := promDump(t, foldAll(pair, parts[2])), promDump(t, merged); got != want {
+		t.Error("pre-folded pair changed the exported snapshot")
 	}
 }
 
@@ -80,25 +78,27 @@ func droppedCount(r *Registry, reason string) float64 {
 func TestRegistryMergeConflictsAndNil(t *testing.T) {
 	r := NewRegistry()
 	r.Inc("m")
-	other := NewRegistry()
-	other.Set("m", 5) // type conflict: counter vs gauge
-	other.DefineBuckets("h", []float64{1, 2})
-	other.Observe("h", 1.5)
-	r.Observe("h", 1.5) // default buckets: layout conflict with other's
-	r.Merge(other)
+	r.Observe("h", 1.5) // default buckets
+	// A snapshot written by a build with other histogram buckets: the
+	// route by which a restored tracestore segment can disagree.
+	foreign := []Point{
+		{Name: "m", Type: typeGauge, Value: 5}, // type conflict: counter vs gauge
+		{Name: "h", Type: typeHistogram, Sum: 1.5, Counts: []uint64{0, 1, 0}, Bounds: []float64{1, 2}},
+	}
+	r.MergePoints(foreign)
 
 	// The conflicting series are skipped, not merged: the counter keeps
-	// its value and the histogram its original bucket layout.
+	// its value and the histogram its original bucket layout and counts.
 	for _, p := range r.Snapshot() {
 		switch {
 		case p.Name == "m" && (p.Type != typeCounter || p.Value != 1):
 			t.Errorf("type-conflicted series mutated: %+v", p)
-		case p.Name == "h" && len(p.Counts) != len(DefaultBuckets)+1:
+		case p.Name == "h" && (len(p.Counts) != len(DefaultBuckets)+1 || p.Sum != 1.5):
 			t.Errorf("bucket-conflicted series mutated: %+v", p)
 		}
 	}
-	// ...and each skip is itself observed (satellite self-observability):
-	// one type-conflict drop, one bucket-conflict drop.
+	// ...and each skip is itself observed: one type-conflict drop, one
+	// bucket-conflict drop.
 	if got := droppedCount(r, "type-conflict"); got != 1 {
 		t.Errorf("type-conflict drops = %v, want 1", got)
 	}
@@ -106,16 +106,25 @@ func TestRegistryMergeConflictsAndNil(t *testing.T) {
 		t.Errorf("bucket-conflict drops = %v, want 1", got)
 	}
 
+	// A registry that never observed the histogram adopts the foreign
+	// bounds as they are.
+	fresh := NewRegistry()
+	fresh.MergePoints(foreign[1:])
+	if snap := fresh.Snapshot(); len(snap) != 1 || len(snap[0].Bounds) != 2 || snap[0].Counts[1] != 1 {
+		t.Errorf("fresh fold of a foreign histogram = %+v", snap)
+	}
+
 	after := promDump(t, r)
-	r.Merge(nil)
+	r.MergePoints(nil)
 	var nilReg *Registry
-	nilReg.Merge(r) // must not panic
+	r.MergePoints(nilReg.Snapshot())
+	nilReg.MergePoints(r.Snapshot()) // must not panic
 	if promDump(t, r) != after {
-		t.Error("nil merges mutated the registry")
+		t.Error("nil folds mutated the registry")
 	}
 }
 
-// TestMergeDroppedCounterAccumulates pins that repeated conflicting merges
+// TestMergeDroppedCounterAccumulates pins that repeated conflicting folds
 // keep counting — the counter is a plain commutative series, visible in
 // snapshots and Prometheus dumps like any other metric.
 func TestMergeDroppedCounterAccumulates(t *testing.T) {
@@ -124,15 +133,13 @@ func TestMergeDroppedCounterAccumulates(t *testing.T) {
 	other := NewRegistry()
 	other.Set("m", 5)
 	for i := 0; i < 3; i++ {
-		r.Merge(other)
+		r.MergePoints(other.Snapshot())
 	}
 	if got := droppedCount(r, "type-conflict"); got != 3 {
-		t.Errorf("drops after 3 conflicting merges = %v, want 3", got)
+		t.Errorf("drops after 3 conflicting folds = %v, want 3", got)
 	}
-	// A clean merge of the dropped counter itself folds like any counter.
-	agg := NewRegistry()
-	agg.Merge(r)
-	agg.Merge(r)
+	// A clean fold of the dropped counter itself adds like any counter.
+	agg := foldAll(r, r)
 	if got := droppedCount(agg, "type-conflict"); got != 6 {
 		t.Errorf("aggregated drops = %v, want 6", got)
 	}

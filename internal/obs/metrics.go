@@ -15,9 +15,9 @@ const (
 	typeHistogram = "histogram"
 )
 
-// DefaultBuckets are the histogram bounds used when a metric has no
-// explicit DefineBuckets call: virtual-latency nanoseconds from 1ms to 30s,
-// matching the simulation's 50ms round trips and 30s event-loop windows.
+// DefaultBuckets are the bounds of every histogram the registry observes:
+// virtual-latency nanoseconds from 1ms to 30s, matching the simulation's
+// 50ms round trips and 30s event-loop windows.
 var DefaultBuckets = []float64{
 	1e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8,
 	1e9, 2.5e9, 5e9, 1e10, 3e10,
@@ -46,28 +46,12 @@ type series struct {
 // branch on whether metrics are enabled.
 type Registry struct {
 	mu     sync.Mutex
-	series map[string]*series   // guarded by mu
-	bounds map[string][]float64 // guarded by mu
+	series map[string]*series // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		series: map[string]*series{},
-		bounds: map[string][]float64{},
-	}
-}
-
-// DefineBuckets sets the histogram bounds for name (ascending, +Inf
-// implicit). Must be called before the first Observe of that name;
-// later calls are ignored once the first series exists.
-func (r *Registry) DefineBuckets(name string, bounds []float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bounds[name] = append([]float64(nil), bounds...)
+	return &Registry{series: map[string]*series{}}
 }
 
 // Inc adds 1 to a counter. Labels are alternating key, value pairs.
@@ -105,8 +89,7 @@ func (r *Registry) Set(name string, v float64, labels ...string) {
 	s.value = v
 }
 
-// Observe records v into a histogram (bounds from DefineBuckets, else
-// DefaultBuckets).
+// Observe records v into a histogram with DefaultBuckets.
 //
 //cblint:hotpath
 func (r *Registry) Observe(name string, v float64, labels ...string) {
@@ -120,12 +103,8 @@ func (r *Registry) Observe(name string, v float64, labels ...string) {
 		return
 	}
 	if s.counts == nil {
-		b := r.bounds[name]
-		if b == nil {
-			b = DefaultBuckets
-		}
-		s.bounds = b
-		s.counts = make([]uint64, len(b)+1)
+		s.bounds = DefaultBuckets
+		s.counts = make([]uint64, len(DefaultBuckets)+1)
 	}
 	idx := len(s.bounds) // +Inf bucket
 	for i, bound := range s.bounds {
@@ -176,34 +155,26 @@ func seriesKey(name string, attrs []Attr) string {
 	return key
 }
 
-// MergeDroppedMetric counts series a Merge/MergePoints fold had to skip
+// MergeDroppedMetric counts series a MergePoints fold had to skip
 // because their type or histogram bucket layout conflicted with an existing
 // series. The "reason" label distinguishes type-conflict from
 // bucket-conflict. A clean deployment never populates it, so its presence
 // in an export is itself the alert.
 const MergeDroppedMetric = "obs_merge_dropped_total"
 
-// Merge folds another registry's series into r: counter values add,
+// MergePoints folds a point snapshot into r: counter values add,
 // histograms add their sums and per-bucket counts (r adopts the source's
 // bounds when it has never observed the metric), and gauges overwrite —
-// the same last-write-wins contract Set has. Counter and histogram merges
-// are commutative and associative, so per-worker registries merged in any
-// order export identical snapshots; gauge order only matters when
-// schedules set different values, which the Set contract already forbids.
-// A series whose type or bucket layout conflicts with an existing one is
-// skipped — and the skip is itself counted in MergeDroppedMetric, so a
-// misconfigured fleet shows up in its own exports instead of silently
-// losing data. Merging a nil source, or into a nil registry, is a no-op.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	r.MergePoints(o.Snapshot())
-}
-
-// MergePoints folds a point snapshot into r under the same contract as
-// Merge. It is the restore path for snapshots that crossed a serialization
-// boundary (the tracestore's KindMetrics records) as well as Merge's core.
+// the same last-write-wins contract Set has. Counter and histogram folds
+// are commutative and associative, so snapshots folded in any order export
+// identical state; gauge order only matters when schedules set different
+// values, which the Set contract already forbids. It is the restore path
+// for snapshots that crossed a serialization boundary (the tracestore's
+// KindMetrics records), so a point may come from a build with other
+// buckets: a series whose type or bucket layout conflicts with an existing
+// one is skipped, and the skip is itself counted in MergeDroppedMetric, so
+// the conflict shows up in the exports instead of silently losing data.
+// Folding into a nil registry, or a nil snapshot, is a no-op.
 func (r *Registry) MergePoints(points []Point) {
 	if r == nil {
 		return

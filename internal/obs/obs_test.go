@@ -77,7 +77,6 @@ func TestNilSafety(t *testing.T) {
 	r.Add("c", 2)
 	r.Set("g", 1)
 	r.Observe("h", 5)
-	r.DefineBuckets("h", []float64{1})
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot must be nil")
 	}
@@ -88,14 +87,13 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryProm(t *testing.T) {
 	r := NewRegistry()
-	r.DefineBuckets("lat", []float64{10, 100})
 	r.Inc("reqs", "status", "2xx")
 	r.Inc("reqs", "status", "2xx")
 	r.Inc("reqs", "status", "4xx")
 	r.Set("up", 1)
-	r.Observe("lat", 5)
-	r.Observe("lat", 50)
-	r.Observe("lat", 5000)
+	r.Observe("lat", 5e5)
+	r.Observe("lat", 2e6)
+	r.Observe("lat", 5e10)
 
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -103,10 +101,21 @@ func TestRegistryProm(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"# TYPE lat histogram",
-		"lat_bucket{le=\"10\"} 1",
-		"lat_bucket{le=\"100\"} 2",
+		"lat_bucket{le=\"1e+06\"} 1",
+		"lat_bucket{le=\"5e+06\"} 2",
+		"lat_bucket{le=\"1e+07\"} 2",
+		"lat_bucket{le=\"2.5e+07\"} 2",
+		"lat_bucket{le=\"5e+07\"} 2",
+		"lat_bucket{le=\"1e+08\"} 2",
+		"lat_bucket{le=\"2.5e+08\"} 2",
+		"lat_bucket{le=\"5e+08\"} 2",
+		"lat_bucket{le=\"1e+09\"} 2",
+		"lat_bucket{le=\"2.5e+09\"} 2",
+		"lat_bucket{le=\"5e+09\"} 2",
+		"lat_bucket{le=\"1e+10\"} 2",
+		"lat_bucket{le=\"3e+10\"} 2",
 		"lat_bucket{le=\"+Inf\"} 3",
-		"lat_sum 5055",
+		"lat_sum 5.00025e+10",
 		"lat_count 3",
 		"# TYPE reqs counter",
 		"reqs{status=\"2xx\"} 2",

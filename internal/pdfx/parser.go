@@ -235,25 +235,3 @@ func inflate(data []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// RenderPage rasterizes a logical page the way the original pipeline
-// screenshots PDF pages before OCR/QR scanning: text lines are drawn with
-// the bitmap font and placed images are blitted at their positions. The
-// raster is scaled down 2:1 from page points to keep images compact.
-func RenderPage(page Page) *imaging.Image {
-	const scale = 2
-	img := imaging.MustNew(pageWidth/scale, pageHeight/scale, imaging.White)
-	y := (pageHeight - marginTopY) / scale
-	for _, line := range page.TextLines {
-		imaging.DrawText(img, marginX/scale, y, line, imaging.Black)
-		y += leading / scale * 2
-	}
-	for _, pi := range page.Images {
-		for sy := 0; sy < pi.Img.H; sy++ {
-			for sx := 0; sx < pi.Img.W; sx++ {
-				img.Set(pi.X/scale+sx, pi.Y/scale+sy, pi.Img.At(sx, sy))
-			}
-		}
-	}
-	return img
-}

@@ -9,7 +9,6 @@ import (
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/qrcode"
-	"crawlerbox/internal/urlx"
 )
 
 func buildSimpleDoc() *Document {
@@ -173,25 +172,6 @@ func TestQRInPDFEndToEnd(t *testing.T) {
 	}
 	if dec.Payload != payload {
 		t.Errorf("payload = %q, want %q", dec.Payload, payload)
-	}
-}
-
-func TestRenderPageOCRPath(t *testing.T) {
-	// The screenshot path: render the page, then OCR the raster to find
-	// the URL, the way CrawlerBox screenshots PDF pages.
-	page := Page{TextLines: []string{"VISIT HTTPS://PHISH.RU/A1B2"}}
-	img := RenderPage(page)
-	lines := imaging.OCR(img, 0.9)
-	var found bool
-	for _, line := range lines {
-		for _, e := range urlx.ExtractLenient(strings.ToLower(line)) {
-			if strings.Contains(e.URL, "phish.ru") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Errorf("URL not recovered from rendered page; OCR = %q", lines)
 	}
 }
 

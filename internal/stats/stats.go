@@ -1,7 +1,6 @@
 // Package stats provides the statistical estimators used throughout the
-// CrawlerBox reproduction: central moments (mean, variance, skewness,
-// kurtosis), order statistics (median, percentiles), a paired-samples
-// t-test, histogram construction, and Hamming distance on bit strings.
+// CrawlerBox reproduction: central moments (mean, variance, kurtosis), the
+// median, a paired-samples t-test, and Hamming distance on bit strings.
 //
 // The paper reports a handful of specific statistics that these functions
 // regenerate: monthly message means and standard deviations (Figure 2), the
@@ -73,32 +72,6 @@ func Median(xs []float64) (float64, error) {
 	return (cp[n/2-1] + cp[n/2]) / 2, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks, matching the common "exclusive of
-// extremes" definition used by numpy's default.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
-
 // Kurtosis returns the sample excess kurtosis of xs using the standard
 // bias-corrected estimator (the same one SciPy reports with fisher=true and
 // bias=false). Fat-tailed distributions such as the paper's deployment
@@ -124,29 +97,6 @@ func Kurtosis(xs []float64) (float64, error) {
 	// Bias correction.
 	k := ((n+1)*g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
 	return k, nil
-}
-
-// Skewness returns the adjusted Fisher–Pearson standardized moment
-// coefficient (the bias-corrected sample skewness).
-func Skewness(xs []float64) (float64, error) {
-	n := float64(len(xs))
-	if n < 3 {
-		return 0, fmt.Errorf("stats: skewness needs >= 3 samples, have %d", len(xs))
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0, errors.New("stats: skewness undefined for zero-variance sample")
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2), nil
 }
 
 // TTestResult holds the outcome of a paired-samples t-test.
@@ -262,62 +212,6 @@ func HammingDistance64(a, b uint64) int {
 	return bits.OnesCount64(a ^ b)
 }
 
-// Histogram is a fixed-width-bin histogram over a half-open range
-// [Min, Max); values outside the range are counted in Underflow/Overflow.
-type Histogram struct {
-	Min, Max  float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-}
-
-// NewHistogram builds a histogram of xs with the given number of equal-width
-// bins covering [min, max).
-func NewHistogram(xs []float64, bins int, min, max float64) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", bins)
-	}
-	if max <= min {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", min, max)
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-	width := (max - min) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < min:
-			h.Underflow++
-		case x >= max:
-			h.Overflow++
-		default:
-			idx := int((x - min) / width)
-			if idx >= bins { // guard float edge cases
-				idx = bins - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h, nil
-}
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 {
-	return (h.Max - h.Min) / float64(len(h.Counts))
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.BinWidth()
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // IntsToFloats converts an int slice to float64 for use with the estimators.
 func IntsToFloats(xs []int) []float64 {
 	out := make([]float64, len(xs))
@@ -325,46 +219,4 @@ func IntsToFloats(xs []int) []float64 {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// MedianInts is a convenience wrapper around Median for integer samples.
-func MedianInts(xs []int) (float64, error) {
-	return Median(IntsToFloats(xs))
-}
-
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// CountIf returns how many elements satisfy pred.
-func CountIf(xs []float64, pred func(float64) bool) int {
-	var n int
-	for _, x := range xs {
-		if pred(x) {
-			n++
-		}
-	}
-	return n
 }

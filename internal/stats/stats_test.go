@@ -82,31 +82,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4},
-	}
-	for _, tt := range tests {
-		got, err := Percentile(xs, tt.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", tt.p, err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("Percentile(101) should error")
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("Percentile on empty should error")
-	}
-}
-
 func TestKurtosisNormalIsNearZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 20000)
@@ -146,32 +121,6 @@ func TestKurtosisErrors(t *testing.T) {
 	}
 	if _, err := Kurtosis([]float64{5, 5, 5, 5}); err == nil {
 		t.Error("Kurtosis of constant sample should error")
-	}
-}
-
-func TestSkewness(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sym := make([]float64, 20000)
-	for i := range sym {
-		sym[i] = rng.NormFloat64()
-	}
-	s, err := Skewness(sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s) > 0.1 {
-		t.Errorf("skewness of normal sample = %v, want ~0", s)
-	}
-	right := make([]float64, 20000)
-	for i := range right {
-		right[i] = rng.ExpFloat64()
-	}
-	s, err = Skewness(right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 1.5 {
-		t.Errorf("skewness of exponential sample = %v, want ~2 (right-skewed)", s)
 	}
 }
 
@@ -288,97 +237,5 @@ func TestHammingTriangleInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 5, 10, 15, 89.9, 90, 200}
-	h, err := NewHistogram(xs, 9, 0, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("Underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("Overflow = %d, want 2 (90 and 200)", h.Overflow)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	// Bins are width 10: bin0=[0,10): {0,5}; bin1=[10,20): {10,15};
-	// bin8=[80,90): {89.9}.
-	if h.Counts[0] != 2 || h.Counts[1] != 2 || h.Counts[8] != 1 {
-		t.Errorf("Counts = %v, want bin0=2 bin1=2 bin8=1", h.Counts)
-	}
-	if !almostEqual(h.BinWidth(), 10, 1e-12) {
-		t.Errorf("BinWidth = %v, want 10", h.BinWidth())
-	}
-	if !almostEqual(h.BinCenter(0), 5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 5", h.BinCenter(0))
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 0, 1); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := NewHistogram(nil, 3, 5, 5); err == nil {
-		t.Error("empty range should error")
-	}
-}
-
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		h, err := NewHistogram(xs, 7, -10, 10)
-		if err != nil {
-			return false
-		}
-		return h.Total()+h.Underflow+h.Overflow == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", min, max)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestIntsToFloatsAndMedianInts(t *testing.T) {
-	got, err := MedianInts([]int{5, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("MedianInts = %v, want 3", got)
-	}
-}
-
-func TestCountIf(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := CountIf(xs, func(x float64) bool { return x > 2 }); got != 3 {
-		t.Errorf("CountIf = %d, want 3", got)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1.5, 2.5, -1}); !almostEqual(got, 3, 1e-12) {
-		t.Errorf("Sum = %v, want 3", got)
 	}
 }

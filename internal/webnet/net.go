@@ -161,13 +161,12 @@ type Internet struct {
 	Metrics *obs.Registry
 
 	mu        sync.Mutex
-	dns       map[string]string         // guarded by mu
-	ipClass   map[string]IPClass        // guarded by mu
-	ipCountry map[string]string         // guarded by mu
-	banners   map[string]string         // guarded by mu
-	servers   map[string]Handler        // guarded by mu
-	certs     map[string][]*Certificate // guarded by mu
-	ctLog     []*Certificate            // guarded by mu
+	dns       map[string]string       // guarded by mu
+	ipClass   map[string]IPClass      // guarded by mu
+	ipCountry map[string]string       // guarded by mu
+	banners   map[string]string       // guarded by mu
+	servers   map[string]Handler      // guarded by mu
+	certs     map[string]*Certificate // guarded by mu
 	// queryAgg is the passive-DNS ledger: injected victim queries per
 	// host-day. The crawler's own lookups are never recorded.
 	queryAgg   map[string]map[string]int // guarded by mu
@@ -195,7 +194,7 @@ func NewInternet(clock *Clock) *Internet {
 		dns:            map[string]string{},
 		ipClass:        map[string]IPClass{},
 		servers:        map[string]Handler{},
-		certs:          map[string][]*Certificate{},
+		certs:          map[string]*Certificate{},
 		nextIP:         [4]int{198, 18, 0, 1},
 		RequestLatency: 50 * time.Millisecond,
 	}
@@ -415,7 +414,7 @@ func (n *Internet) BackgroundQueryVolume(host string, window time.Duration, unti
 	return total, maxDaily
 }
 
-// IssueCert creates a TLS certificate for host, appends it to the CT log,
+// IssueCert creates a TLS certificate for host, replacing any earlier one,
 // and returns it.
 func (n *Internet) IssueCert(host, issuer string, issuedAt time.Time) *Certificate {
 	n.mu.Lock()
@@ -428,8 +427,7 @@ func (n *Internet) IssueCert(host, issuer string, issuedAt time.Time) *Certifica
 		NotAfter:  issuedAt.Add(90 * 24 * time.Hour),
 		SerialNum: n.nextSerial,
 	}
-	n.certs[cert.Host] = append(n.certs[cert.Host], cert)
-	n.ctLog = append(n.ctLog, cert)
+	n.certs[cert.Host] = cert
 	return cert
 }
 
@@ -437,22 +435,8 @@ func (n *Internet) IssueCert(host, issuer string, issuedAt time.Time) *Certifica
 func (n *Internet) CertFor(host string) (*Certificate, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	certs := n.certs[strings.ToLower(host)]
-	if len(certs) == 0 {
-		return nil, false
-	}
-	return certs[len(certs)-1], true
-}
-
-// CTLog returns a copy of the certificate-transparency log in issuance
-// order — the public data source prior phishing studies crawled.
-func (n *Internet) CTLog() []*Certificate {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Certificate, len(n.ctLog))
-	copy(out, n.ctLog)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].IssuedAt.Before(out[j].IssuedAt) })
-	return out
+	cert, ok := n.certs[strings.ToLower(host)]
+	return cert, ok
 }
 
 // Serve registers a handler for a host name.

@@ -7,7 +7,6 @@ package whois
 
 import (
 	"errors"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -102,23 +101,6 @@ func (r *Registry) IsNewDomain(domain string, at time.Time) (bool, error) {
 		return false, err
 	}
 	return age < NewDomainThreshold, nil
-}
-
-// All returns a copy of every record, sorted by domain so callers that
-// render or aggregate the registry see a stable order.
-func (r *Registry) All() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	domains := make([]string, 0, len(r.records))
-	for d := range r.records {
-		domains = append(domains, d)
-	}
-	sort.Strings(domains)
-	out := make([]Record, 0, len(domains))
-	for _, d := range domains {
-		out = append(out, r.records[d])
-	}
-	return out
 }
 
 // RussianRegistrars are the .ru registrars observed in the corpus.
