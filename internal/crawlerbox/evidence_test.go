@@ -92,7 +92,7 @@ func TestEvidenceRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		img, err := imaging.DecodeCBI(ev.Screenshot)
+		img, err := imaging.DecodeCBI(ev.Screenshot, nil)
 		if err != nil {
 			t.Fatalf("visit %d: screenshot decode: %v", i, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"regexp"
 	"strings"
+	"sync"
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/mime"
@@ -130,6 +131,9 @@ func (p *Pipeline) parseMessage(raw []byte, budget *zipBudget) (*ParseResult, er
 		p.parsePart(part, res, seen, budget)
 		return nil
 	})
+	// Every consumer above copies what it keeps out of a body, so the
+	// decoded bodies can go back to the parser's pool.
+	root.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +184,27 @@ func (p *Pipeline) sniffOctetStream(body []byte, res *ParseResult, seen map[stri
 	}
 }
 
-// parseImage scans a raster for QR codes and for visible URL text.
+// pixPool holds the pixel slices parseImage decodes images into; a slice
+// over maxPooledPixels is not kept.
+var pixPool sync.Pool
+
+const maxPooledPixels = 1 << 20
+
+// parseImage scans a raster for QR codes and for visible URL text. The
+// raster lives only for this call, in a pixel slice from pixPool.
 func (p *Pipeline) parseImage(body []byte, res *ParseResult, seen map[string]bool, qrSrc, ocrSrc URLSource) {
-	img, err := imaging.DecodeCBI(body)
+	pix, _ := pixPool.Get().(*[]imaging.RGB)
+	if pix == nil {
+		pix = new([]imaging.RGB)
+	}
+	img, err := imaging.DecodeCBI(body, *pix)
 	if err != nil {
+		pixPool.Put(pix)
 		return
+	}
+	if len(img.Pix) <= maxPooledPixels {
+		*pix = img.Pix
+		defer pixPool.Put(pix)
 	}
 	// QR pass.
 	if dec, err := qrcode.DecodeImage(img); err == nil {

@@ -50,13 +50,32 @@ func bareMessage(link string) []byte {
 }
 
 // cloneParse deep-copies a parse result, as a snapshot to compare against.
+// Strings are copied too, so a result whose strings share memory with a
+// buffer that is later overwritten differs from its snapshot.
 func cloneParse(r *crawlerbox.ParseResult) crawlerbox.ParseResult {
 	s := *r
+	s.Subject, s.From = strings.Clone(r.Subject), strings.Clone(r.From)
+	s.Auth = mime.AuthResults{SPF: strings.Clone(r.Auth.SPF), DKIM: strings.Clone(r.Auth.DKIM), DMARC: strings.Clone(r.Auth.DMARC)}
 	s.URLs = slices.Clone(r.URLs)
+	for i := range s.URLs {
+		s.URLs[i].URL = strings.Clone(s.URLs[i].URL)
+	}
 	s.HTMLAttachments = slices.Clone(r.HTMLAttachments)
-	s.HTAURLs = slices.Clone(r.HTAURLs)
-	s.OTPCodes = slices.Clone(r.OTPCodes)
+	for i, a := range s.HTMLAttachments {
+		s.HTMLAttachments[i] = crawlerbox.HTMLAttachmentFile{Filename: strings.Clone(a.Filename), Content: strings.Clone(a.Content)}
+	}
+	s.HTAURLs = cloneStrings(r.HTAURLs)
+	s.OTPCodes = cloneStrings(r.OTPCodes)
 	return s
+}
+
+// cloneStrings copies a string slice and every string in it.
+func cloneStrings(in []string) []string {
+	out := slices.Clone(in)
+	for i := range out {
+		out[i] = strings.Clone(out[i])
+	}
+	return out
 }
 
 // verdictBytes renders the analysis as its triage verdict row and its

@@ -75,7 +75,7 @@ func TestSpillLeavesScreenshotsUnrendered(t *testing.T) {
 			}
 			continue
 		}
-		got, err := imaging.DecodeCBI(evidence[i].Screenshot)
+		got, err := imaging.DecodeCBI(evidence[i].Screenshot, nil)
 		if err != nil {
 			t.Fatalf("visit %d: %v", i, err)
 		}

@@ -46,8 +46,11 @@ func AppendCBI(dst []byte, img *Image) []byte {
 	return dst
 }
 
-// DecodeCBI parses CBI bytes back into an image.
-func DecodeCBI(data []byte) (*Image, error) {
+// DecodeCBI parses CBI bytes back into an image. The pixels are written
+// into pix when its capacity holds them, and into a fresh slice otherwise,
+// so a caller that decodes many images can hand back the Pix of one it is
+// done with; nil always allocates.
+func DecodeCBI(data []byte, pix []RGB) (*Image, error) {
 	if len(data) < 12 || string(data[:4]) != string(CBIMagic) {
 		return nil, ErrNotCBI
 	}
@@ -60,7 +63,10 @@ func DecodeCBI(data []byte) (*Image, error) {
 	if len(data) < need {
 		return nil, fmt.Errorf("imaging: truncated CBI: have %d bytes, need %d", len(data), need)
 	}
-	img := &Image{W: w, H: h, Pix: make([]RGB, w*h)}
+	if cap(pix) < w*h {
+		pix = make([]RGB, w*h)
+	}
+	img := &Image{W: w, H: h, Pix: pix[:w*h]}
 	for i := range img.Pix {
 		off := 12 + 3*i
 		img.Pix[i] = RGB{R: data[off], G: data[off+1], B: data[off+2]}

@@ -20,7 +20,7 @@ func TestAppendCBIMatchesEncodeCBI(t *testing.T) {
 	if !bytes.Equal(got[:3], []byte{0xAA, 0xAA, 0xAA}) || !bytes.Equal(got[3:], want) {
 		t.Fatalf("AppendCBI after a prefix:\n got %x\nwant AAAAAA%x", got, want)
 	}
-	dec, err := DecodeCBI(got[3:])
+	dec, err := DecodeCBI(got[3:], nil)
 	if err != nil || !dec.Equal(img) {
 		t.Fatalf("round trip: %v", err)
 	}

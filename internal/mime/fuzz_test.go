@@ -2,6 +2,9 @@ package mime
 
 import (
 	"bytes"
+	"encoding/base64"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,7 +14,12 @@ import (
 // and hostile variants. The contract: never panic, never return a nil
 // *Part without an error, and never write to the input — neither its bytes
 // nor the spare capacity behind them, which every input here carries,
-// filled with sentinels. The seed corpus runs as ordinary test cases;
+// filled with sentinels. The tree must match refParse's, which normalizes
+// line ends and reads headers with textproto at every entity. Each input
+// is parsed twice, with a Release in
+// between, so the second parse decodes into the buffers the first gave
+// back: it must return the same bodies, and Release must leave no Body
+// behind. The seed corpus runs as ordinary test cases;
 // `go test -fuzz=FuzzParseMessage` explores beyond it.
 func FuzzParseMessage(f *testing.F) {
 	at := time.Date(2024, 3, 1, 9, 0, 0, 0, time.UTC)
@@ -40,6 +48,14 @@ func FuzzParseMessage(f *testing.F) {
 	// uncopied by normalizeCRLF, and the header parse appended CRLF to it,
 	// writing into the caller's spare capacity.
 	f.Add([]byte("Subject: hi"))
+	// Bare LF line ends: in the message itself, and in an attached message
+	// that transfer decoding produces, which is normalized on its own.
+	f.Add(bytes.ReplaceAll(nested, []byte("\r\n"), []byte("\n")))
+	inner := "Subject: inner\nContent-Type: text/plain\n\nline one\nline two\n"
+	f.Add([]byte("Subject: b64 eml\r\nContent-Type: message/rfc822\r\nContent-Transfer-Encoding: base64\r\n\r\n" +
+		base64.StdEncoding.EncodeToString([]byte(inner)) + "\r\n"))
+	f.Add([]byte("Subject: qp eml\nContent-Type: message/rfc822\nContent-Transfer-Encoding: quoted-printable\n\n" +
+		"Subject: inner=0A=0Abody=0Aline\n"))
 	// Multipart nested to the depth bound and past it (ErrTooDeep).
 	f.Add(nestedMultipart(MaxDepth))
 	f.Add(nestedMultipart(MaxDepth + 1))
@@ -55,6 +71,31 @@ func FuzzParseMessage(f *testing.F) {
 		if err == nil && p == nil {
 			t.Fatal("Parse returned nil *Part with nil error")
 		}
+		want, wantErr := refParse(bytes.Clone(raw), 0)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Parse error = %v, reference %v", err, wantErr)
+		}
+		if err == nil {
+			if d := diffParse(p, want, "root"); d != "" {
+				t.Fatalf("Parse diverges from the reference parse: %s", d)
+			}
+			first := leafBodies(p)
+			p.Release()
+			_ = Walk(p, func(q *Part) error {
+				if q.Body != nil {
+					t.Fatal("Release left a Body in the tree")
+				}
+				return nil
+			})
+			again, err := Parse(buf)
+			if err != nil {
+				t.Fatalf("second parse failed: %v", err)
+			}
+			if second := leafBodies(again); !slices.EqualFunc(first, second, bytes.Equal) {
+				t.Fatalf("second parse after Release returned other bodies: %q, want %q", second, first)
+			}
+			again.Release()
+		}
 		if !bytes.Equal(buf, raw) {
 			t.Fatalf("Parse modified its input: %q, want %q", buf, raw)
 		}
@@ -64,6 +105,15 @@ func FuzzParseMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// leafBodies copies the body of every leaf part, in document order.
+func leafBodies(p *Part) [][]byte {
+	var out [][]byte
+	for _, l := range Leaves(p) {
+		out = append(out, bytes.Clone(l.Body))
+	}
+	return out
 }
 
 // normalizeCRLFReference is the byte-at-a-time rewrite normalizeCRLF

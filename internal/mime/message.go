@@ -8,14 +8,12 @@
 package mime
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
 	stdmime "mime"
-	"net/textproto"
 	"strings"
 )
 
@@ -32,8 +30,8 @@ var (
 // Part is one node of a parsed message tree. The root Part is the message
 // itself; multipart containers carry Children; leaves carry decoded Body.
 type Part struct {
-	// Header holds the part's headers with canonical MIME keys.
-	Header textproto.MIMEHeader
+	// Header holds the part's header fields.
+	Header Header
 	// ContentType is the lowercase media type (e.g. "text/html").
 	ContentType string
 	// Params holds content-type parameters (charset, boundary, name...).
@@ -46,11 +44,35 @@ type Part struct {
 	Body []byte
 	// Children are the sub-parts of multipart/* and message/rfc822 parts.
 	Children []*Part
+	// buf is the pooled buffer Body was decoded into, for Release.
+	buf *[]byte
 }
 
-// Parse parses a raw RFC-5322 message into a part tree.
+// Parse parses a raw RFC-5322 message into a part tree. Line ends are
+// normalized once, here: every entity below is a subslice of the
+// normalized message, or of a message/rfc822 body that transfer decoding
+// produced and that is normalized in turn.
+//
+// Base64 bodies are decoded into pooled buffers. A caller that is done
+// with the tree may give them back with Release; one that never does
+// keeps ordinary bodies that the garbage collector reclaims.
 func Parse(raw []byte) (*Part, error) {
-	return parseEntity(raw, 0)
+	return parseEntity(normalizeCRLF(raw), 0)
+}
+
+// Release gives the buffers the tree's bodies were decoded into back to
+// the parser's pool and sets every Body in the tree to nil: a later parse
+// may decode into the same memory, so nothing read from a Body may be kept
+// past Release unless it was copied.
+func (p *Part) Release() {
+	_ = Walk(p, func(q *Part) error {
+		if q.buf != nil {
+			putBodyBuf(q.buf)
+			q.buf = nil
+		}
+		q.Body = nil
+		return nil
+	})
 }
 
 func parseEntity(raw []byte, depth int) (*Part, error) {
@@ -106,12 +128,17 @@ func parseEntity(raw []byte, depth int) (*Part, error) {
 			p.Children = append(p.Children, child)
 		}
 	case p.ContentType == "message/rfc822":
-		decoded, err := decodeTransfer(body, header.Get("Content-Transfer-Encoding"))
+		cte := header.Get("Content-Transfer-Encoding")
+		decoded, buf, err := decodeTransfer(body, cte)
 		if err != nil {
 			return nil, err
 		}
-		p.Body = decoded
-		child, err := parseEntity(decoded, depth+1)
+		p.Body, p.buf = decoded, buf
+		inner := decoded
+		if !identityEncoding(cte) {
+			inner = normalizeCRLF(decoded)
+		}
+		child, err := parseEntity(inner, depth+1)
 		if err != nil {
 			// A corrupt attached EML is kept as an opaque body; the walker
 			// will still surface it.
@@ -119,46 +146,38 @@ func parseEntity(raw []byte, depth int) (*Part, error) {
 		}
 		p.Children = append(p.Children, child)
 	default:
-		decoded, err := decodeTransfer(body, header.Get("Content-Transfer-Encoding"))
+		decoded, buf, err := decodeTransfer(body, header.Get("Content-Transfer-Encoding"))
 		if err != nil {
 			return nil, err
 		}
-		p.Body = decoded
+		p.Body, p.buf = decoded, buf
 	}
 	return p, nil
 }
 
-// splitHeaderBody separates the header block from the body and parses
-// headers with unfolding.
-func splitHeaderBody(raw []byte) (textproto.MIMEHeader, []byte, error) {
-	// Normalize bare LF to CRLF for the textproto reader.
-	normalized := normalizeCRLF(raw)
-	idx := bytes.Index(normalized, []byte("\r\n\r\n"))
-	// block is the header block with the blank line that ends it, the
-	// form the textproto reader wants. normalized may be the caller's own
-	// bytes: body is capped with a full slice expression so an append to
-	// it cannot write into their spare capacity, and a header-only entity
-	// gets its blank line on a copy.
-	var block, body []byte
+// splitHeaderBody separates the header block of a normalized entity from
+// its body and reads the block. body is capped with a full slice
+// expression, so an append to it cannot write into the caller's spare
+// capacity.
+func splitHeaderBody(raw []byte) (Header, []byte, error) {
+	idx := bytes.Index(raw, blankLine)
+	var hdr, body []byte
 	if idx < 0 {
 		// Header-only entity (empty body) is legal.
-		if len(bytes.TrimSpace(normalized)) == 0 {
-			return nil, nil, ErrNoHeaders
+		if len(bytes.TrimSpace(raw)) == 0 {
+			return Header{}, nil, ErrNoHeaders
 		}
-		block = append(normalized[:len(normalized):len(normalized)], '\r', '\n')
+		hdr = raw
 	} else {
-		if len(bytes.TrimSpace(normalized[:idx+2])) == 0 {
-			return nil, nil, ErrNoHeaders
+		if len(bytes.TrimSpace(raw[:idx+2])) == 0 {
+			return Header{}, nil, ErrNoHeaders
 		}
-		block = normalized[:idx+4]
-		body = normalized[idx+4 : len(normalized) : len(normalized)]
+		hdr = raw[:idx+2]
+		body = raw[idx+4 : len(raw) : len(raw)]
 	}
-	// The reader's buffer holds the whole block, not bufio's default
-	// 4 KiB: one entity's headers are read once and never refilled.
-	r := textproto.NewReader(bufio.NewReaderSize(bytes.NewReader(block), len(block)))
-	header, err := r.ReadMIMEHeader()
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, nil, fmt.Errorf("mime: parsing headers: %w", err)
+	header, err := readHeader(hdr)
+	if err != nil {
+		return Header{}, nil, fmt.Errorf("mime: parsing headers: %w", err)
 	}
 	return header, body, nil
 }
@@ -249,42 +268,59 @@ func splitMultipart(body []byte, boundary string) ([][]byte, error) {
 	return chunks, nil
 }
 
-// The byte patterns splitMultipart scans for.
+// The byte patterns the splitters scan for.
 var (
 	crlf            = []byte("\r\n")
+	blankLine       = []byte("\r\n\r\n")
 	delimPrefix     = []byte("--")
 	lineDelimPrefix = []byte("\r\n--")
 )
 
-// decodeTransfer decodes a Content-Transfer-Encoding.
-func decodeTransfer(body []byte, encoding string) ([]byte, error) {
+// decodeTransfer decodes a Content-Transfer-Encoding. An identity encoding
+// returns body itself. A base64 body is decoded into a pooled buffer, and
+// buf is its handle for Release (nil for a body too large to pool).
+func decodeTransfer(body []byte, encoding string) (out []byte, buf *[]byte, err error) {
+	if identityEncoding(encoding) {
+		return body, nil, nil
+	}
 	switch strings.ToLower(strings.TrimSpace(encoding)) {
-	case "", "7bit", "8bit", "binary":
-		return body, nil
 	case "base64":
 		// The decoder skips CR and LF itself, so a body without spaces or
 		// tabs decodes without a stripped copy. On an error the stripped
 		// copy is decoded anyway: its error text, whose offset counts the
 		// stripped input, is the one callers see.
 		if bytes.IndexByte(body, ' ') < 0 && bytes.IndexByte(body, '\t') < 0 {
-			if out, err := decodeBase64(body); err == nil {
-				return out, nil
+			out, buf, err := decodeBase64(body)
+			if err == nil {
+				return out, buf, nil
 			}
+			putBodyBuf(buf)
 		}
-		out, err := decodeBase64(removeWhitespace(body))
+		out, buf, err := decodeBase64(removeWhitespace(body))
 		if err != nil {
-			return nil, fmt.Errorf("mime: decoding base64 body: %w", err)
+			putBodyBuf(buf)
+			return nil, nil, fmt.Errorf("mime: decoding base64 body: %w", err)
 		}
-		return out, nil
+		return out, buf, nil
 	case "quoted-printable":
 		out, err := decodeQP(body)
 		if err != nil {
-			return nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
+			return nil, nil, fmt.Errorf("mime: decoding quoted-printable body: %w", err)
 		}
-		return out, nil
+		return out, nil, nil
 	default:
-		return nil, fmt.Errorf("mime: unsupported transfer encoding %q", encoding)
+		return nil, nil, fmt.Errorf("mime: unsupported transfer encoding %q", encoding)
 	}
+}
+
+// identityEncoding reports whether a Content-Transfer-Encoding leaves the
+// body as it is.
+func identityEncoding(encoding string) bool {
+	switch strings.ToLower(strings.TrimSpace(encoding)) {
+	case "", "7bit", "8bit", "binary":
+		return true
+	}
+	return false
 }
 
 // decodeQP decodes a quoted-printable body in memory, into an output sized
@@ -382,14 +418,15 @@ func qpHex(b byte) (byte, error) {
 
 var lf = []byte("\n")
 
-// decodeBase64 decodes standard base64, skipping CR and LF.
-func decodeBase64(src []byte) ([]byte, error) {
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+// decodeBase64 decodes standard base64, skipping CR and LF, into a pooled
+// buffer, and returns the buffer's handle with the decoded bytes.
+func decodeBase64(src []byte) ([]byte, *[]byte, error) {
+	out, buf := bodyBuf(base64.StdEncoding.DecodedLen(len(src)))
 	n, err := base64.StdEncoding.Decode(out, src)
 	if n > len(out) {
 		n = len(out)
 	}
-	return out[:n], err
+	return out[:n:n], buf, err
 }
 
 func removeWhitespace(b []byte) []byte {

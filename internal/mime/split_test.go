@@ -163,7 +163,8 @@ func FuzzDecodeBase64(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
-		got, err := decodeTransfer(body, "base64")
+		got, buf, err := decodeTransfer(body, "base64")
+		defer putBodyBuf(buf)
 		want, wantErr := refDecodeBase64(orig)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("decodeTransfer(%q) error = %v, want %v", orig, err, wantErr)
@@ -222,7 +223,7 @@ func FuzzDecodeQP(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
-		got, err := decodeTransfer(body, "quoted-printable")
+		got, _, err := decodeTransfer(body, "quoted-printable")
 		want, wantErr := refDecodeQP(orig)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("decodeTransfer(%q) error = %v, want %v", orig, err, wantErr)
@@ -241,7 +242,7 @@ func FuzzDecodeQP(f *testing.F) {
 func TestDecodeQPAllocatesOnce(t *testing.T) {
 	body := []byte(strings.Repeat("caf=C3=A9 cr=C3=A8me br=C3=BBl=C3=A9e, soft=\r\nbreaks\r\n", 200))
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeTransfer(body, "quoted-printable"); err != nil {
+		if _, _, err := decodeTransfer(body, "quoted-printable"); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,5 +147,34 @@ func TestMergeDroppedCounterAccumulates(t *testing.T) {
 	dump := promDump(t, agg)
 	if !strings.Contains(dump, MergeDroppedMetric+`{reason="type-conflict"} 6`) {
 		t.Errorf("dropped counter missing from Prometheus dump:\n%s", dump)
+	}
+}
+
+// TestMergePointsSameCountOtherBounds pins that a restored histogram with
+// as many buckets as the series but other bounds is a bucket conflict: its
+// counts describe other ranges, so adding them bucket by bucket would
+// file them under the wrong bounds.
+func TestMergePointsSameCountOtherBounds(t *testing.T) {
+	r := NewRegistry()
+	r.Observe("h", 2e6)
+	before := promDump(t, r)
+	bounds := make([]float64, len(DefaultBuckets))
+	counts := make([]uint64, len(DefaultBuckets)+1)
+	for i := range bounds {
+		bounds[i] = float64(i + 1) // 1 ns .. 13 ns
+		counts[i] = 1
+	}
+	counts[len(bounds)] = 1 // 14 observations in all
+	r.MergePoints([]Point{{Name: "h", Type: typeHistogram, Sum: 92, Counts: counts, Bounds: bounds}})
+	if got := droppedCount(r, "bucket-conflict"); got != 1 {
+		t.Errorf("bucket-conflict drops = %v, want 1", got)
+	}
+	for _, p := range r.Snapshot() {
+		if p.Name == "h" && (p.Sum != 2e6 || !slices.Equal(p.Bounds, DefaultBuckets)) {
+			t.Errorf("conflicting point was folded in: %+v", p)
+		}
+	}
+	if after := promDump(t, r); !strings.Contains(after, "h_count 1\n") {
+		t.Errorf("histogram count changed:\nbefore\n%safter\n%s", before, after)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -171,8 +172,9 @@ const MergeDroppedMetric = "obs_merge_dropped_total"
 // values, which the Set contract already forbids. It is the restore path
 // for snapshots that crossed a serialization boundary (the tracestore's
 // KindMetrics records), so a point may come from a build with other
-// buckets: a series whose type or bucket layout conflicts with an existing
-// one is skipped, and the skip is itself counted in MergeDroppedMetric, so
+// buckets: a series whose type conflicts with an existing one, or whose
+// histogram bounds differ from its bounds (as many buckets or not), is
+// skipped, and the skip is itself counted in MergeDroppedMetric, so
 // the conflict shows up in the exports instead of silently losing data.
 // Folding into a nil registry, or a nil snapshot, is a no-op.
 func (r *Registry) MergePoints(points []Point) {
@@ -207,7 +209,7 @@ func (r *Registry) MergePoints(points []Point) {
 				s.bounds = p.Bounds
 				s.counts = make([]uint64, len(p.Counts))
 			}
-			if len(s.counts) != len(p.Counts) {
+			if len(s.counts) != len(p.Counts) || !slices.Equal(s.bounds, p.Bounds) {
 				r.countDroppedLocked("bucket-conflict")
 				continue
 			}

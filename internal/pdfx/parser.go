@@ -64,7 +64,7 @@ func Parse(data []byte) (*Parsed, error) {
 		}
 		switch {
 		case strings.Contains(obj.dict, "/CBIDecode") || imaging.IsCBI(obj.stream):
-			if img, err := imaging.DecodeCBI(obj.stream); err == nil {
+			if img, err := imaging.DecodeCBI(obj.stream, nil); err == nil {
 				out.Images = append(out.Images, img)
 			}
 		default:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"crawlerbox/internal/imaging"
 )
@@ -71,9 +72,23 @@ func (f *finderCandidate) cx() float64     { return f.sumX / f.n }
 func (f *finderCandidate) cy() float64     { return f.sumY / f.n }
 func (f *finderCandidate) module() float64 { return f.sumModule / f.n }
 
+// darkPool holds the bitmaps locate binarizes images into; a bitmap over
+// maxPooledDark pixels is not kept.
+var darkPool sync.Pool
+
+const maxPooledDark = 1 << 20
+
 // locate finds the three finder patterns of an upright QR code.
 func locate(img *imaging.Image) (location, error) {
-	dark := binarize(img)
+	buf, _ := darkPool.Get().(*[]bool)
+	if buf == nil {
+		buf = new([]bool)
+	}
+	dark := binarize(img, *buf)
+	if len(dark) <= maxPooledDark {
+		*buf = dark
+		defer darkPool.Put(buf)
+	}
 	var candidates []*finderCandidate
 	// Run buffers are reused across scan rows; rowRuns used to allocate a
 	// fresh pair per row, which dominated the locator's allocation count.
@@ -128,14 +143,31 @@ func locate(img *imaging.Image) (location, error) {
 	}, nil
 }
 
-func binarize(img *imaging.Image) []bool {
-	dark := make([]bool, img.W*img.H)
+// binarize marks the dark pixels of img, writing into buf when its
+// capacity holds them and into a fresh slice otherwise.
+func binarize(img *imaging.Image, buf []bool) []bool {
+	if cap(buf) < len(img.Pix) {
+		buf = make([]bool, len(img.Pix))
+	}
+	dark := buf[:len(img.Pix)]
 	// Direct pixel reads: Image.Gray routes every sample through a
 	// bounds-checked At call, which this whole-image pass doesn't need.
 	for i, c := range img.Pix {
-		dark[i] = grayOf(c) < 128
+		dark[i] = isDark(c)
 	}
 	return dark
+}
+
+// isDark reports whether grayOf(c) < 128, in integer arithmetic: the
+// weighted sum 299R+587G+114B is 1000 times the luma exactly, so it decides
+// every pixel but those where it equals 128000, whose luma the float
+// expression may round to either side of 128; those keep the float test.
+func isDark(c imaging.RGB) bool {
+	sum := 299*int(c.R) + 587*int(c.G) + 114*int(c.B)
+	if sum == 128000 {
+		return grayOf(c) < 128
+	}
+	return sum < 128000
 }
 
 // grayOf is the ITU-R BT.601 luma of one pixel, identical to
@@ -278,7 +310,7 @@ func sample(img *imaging.Image, loc location) (*Matrix, error) {
 			for y := y0; y <= y1; y++ {
 				row := img.Pix[y*img.W+x0 : y*img.W+x1+1]
 				for _, c := range row {
-					if grayOf(c) < 128 {
+					if isDark(c) {
 						darkVotes++
 					}
 				}

@@ -496,3 +496,14 @@ func TestEncodeDecodePropertyRandomPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestIsDarkMatchesFloatLuma checks the integer dark test against the
+// float luma for every one of the 2^24 colours.
+func TestIsDarkMatchesFloatLuma(t *testing.T) {
+	for v := 0; v < 1<<24; v++ {
+		c := imaging.RGB{R: uint8(v >> 16), G: uint8(v >> 8), B: uint8(v)}
+		if got, want := isDark(c), grayOf(c) < 128; got != want {
+			t.Fatalf("isDark(%v) = %v, grayOf = %v", c, got, grayOf(c))
+		}
+	}
+}
