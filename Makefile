@@ -54,15 +54,18 @@ race:
 	$(GO) test -race ./...
 
 # perfsmoke is the executed benchmark in check: the repository benchmark
-# (perfbench/, BENCHMARK.json) on the rereport, replay and batch workloads
-# at 5% scale for one second each. The ingest runs record journals, replay
-# them, and fail on any of perfbench's correctness checks; the batch run
-# spills evidence and checks its triage segment against a replay. Build
-# products stay under .bench_build/.
+# (perfbench/, BENCHMARK.json) on the rereport, replay, batch and daemon
+# workloads at 5% scale for one second each. The ingest runs record
+# journals, replay them, and fail on any of perfbench's correctness
+# checks; the batch run spills evidence and checks its triage segment
+# against a replay; the daemon run drives the crawlerboxd binary over HTTP
+# and checks its verdicts against a replay. Build products stay under
+# .bench_build/.
 perfsmoke:
 	bash perfbench/run.sh --workload rereport --scale 0.05 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload replay --scale 0.05 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload batch --scale 0.05 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload daemon --scale 0.05 --seconds 1
 
 # Each golden gate below writes its runs into a mktemp -d directory and
 # removes it from an EXIT trap, so a failing gate leaves nothing behind and

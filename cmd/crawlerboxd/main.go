@@ -214,17 +214,12 @@ func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int
 		return err
 	}
 
-	// Recover before reopening: a pre-existing journal replays its done
+	// A pre-existing journal is continued: Resume replays its done
 	// records and re-enqueues its unfinished specs.
-	var state *ingest.LogState
-	if _, statErr := os.Stat(logPath); statErr == nil {
-		state, err = ingest.ReadLog(logPath)
-		if err != nil {
-			return err
-		}
-	}
+	_, statErr := os.Stat(logPath)
+	resume := statErr == nil
 	var log *ingest.Log
-	if state != nil {
+	if resume {
 		log, err = ingest.OpenLog(logPath)
 	} else {
 		log, err = ingest.CreateLog(logPath)
@@ -238,8 +233,8 @@ func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int
 		ingest.WithMaxPending(maxPending),
 		ingest.WithCache(cache))
 	svc.Start(ctx)
-	if state != nil {
-		if err := svc.Resume(ctx, state); err != nil {
+	if resume {
+		if err := svc.Resume(ctx, logPath); err != nil {
 			svc.Drain()
 			return err
 		}

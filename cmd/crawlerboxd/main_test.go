@@ -275,11 +275,11 @@ func TestSubmitDuplicateIDConflict(t *testing.T) {
 	keyer := func(raw []byte) string { return string(raw) }
 	ra := &releasableAnalyzer{release: make(chan struct{})}
 	ra.Release()
-	start := func(log *ingest.Log, state *ingest.LogState) (*ingest.Service, *httptest.Server) {
+	start := func(log *ingest.Log, resume bool) (*ingest.Service, *httptest.Server) {
 		svc := ingest.NewService(ra, keyer, log, ingest.WithWorkers(1))
 		svc.Start(context.Background())
-		if state != nil {
-			if err := svc.Resume(context.Background(), state); err != nil {
+		if resume {
+			if err := svc.Resume(context.Background(), journal); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -298,7 +298,7 @@ func TestSubmitDuplicateIDConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, ts := start(log, nil)
+	svc, ts := start(log, false)
 	if got := post(ts, `{"id":1,"raw":"YQ=="}`); got != http.StatusAccepted {
 		t.Fatalf("first submit of id 1: status %d, want 202", got)
 	}
@@ -320,7 +320,7 @@ func TestSubmitDuplicateIDConflict(t *testing.T) {
 	if log, err = ingest.OpenLog(journal); err != nil {
 		t.Fatal(err)
 	}
-	svc, ts = start(log, state)
+	svc, ts = start(log, true)
 	defer ts.Close()
 	if got := post(ts, `{"id":1,"raw":"Yw=="}`); got != http.StatusConflict {
 		t.Fatalf("restarted daemon, submit of id 1: status %d, want 409", got)

@@ -161,7 +161,7 @@ func (p *Pipeline) parsePart(part *mime.Part, res *ParseResult, seen map[string]
 	case strings.HasPrefix(part.ContentType, "image/"):
 		p.parseImage(part.Body, res, seen, SourceImageQR, SourceImageOCR)
 	case part.ContentType == "application/pdf":
-		p.parsePDF(part.Body, res, seen)
+		p.parsePDF(part.Body, res, seen, budget)
 	case part.ContentType == "application/zip":
 		p.parseZIP(part.Body, res, seen, budget)
 	case part.ContentType == "application/octet-stream":
@@ -178,7 +178,7 @@ func (p *Pipeline) sniffOctetStream(body []byte, res *ParseResult, seen map[stri
 	case imaging.IsCBI(body):
 		p.parseImage(body, res, seen, SourceImageQR, SourceImageOCR)
 	case bytes.HasPrefix(body, []byte("%PDF")):
-		p.parsePDF(body, res, seen)
+		p.parsePDF(body, res, seen, budget)
 	case bytes.HasPrefix(body, []byte("PK\x03\x04")):
 		p.parseZIP(body, res, seen, budget)
 	}
@@ -229,12 +229,14 @@ func (p *Pipeline) parseImage(body []byte, res *ParseResult, seen map[string]boo
 }
 
 // parsePDF extracts annotation URIs, text URLs, and QR codes in embedded
-// images.
-func (p *Pipeline) parsePDF(body []byte, res *ParseResult, seen map[string]bool) {
-	parsed, err := pdfx.Parse(body)
+// images. The PDF's compressed streams inflate within what is left of
+// the message's budget of decompressed bytes, and spend it.
+func (p *Pipeline) parsePDF(body []byte, res *ParseResult, seen map[string]bool, budget *zipBudget) {
+	parsed, err := pdfx.Parse(body, budget.bytes)
 	if err != nil {
 		return
 	}
+	budget.bytes -= parsed.Inflated
 	for _, uri := range parsed.LinkURIs {
 		for _, e := range urlx.ExtractLenient(uri) {
 			addURL(res, seen, ExtractedURL{URL: e.URL, Source: SourcePDFLink})
@@ -266,14 +268,16 @@ func (p *Pipeline) parsePDF(body []byte, res *ParseResult, seen map[string]bool)
 // included, share one budget of decompressed bytes and one count of
 // members: a member is read up to zipMemberMax bytes or what is left of
 // the budget, whichever is less, and once either runs out the remaining
-// members are skipped.
+// members are skipped. The message's PDFs inflate their compressed
+// streams from the same bytes (parsePDF).
 const (
 	zipMemberMax  = 4 << 20 // bytes read from one member
-	zipMessageMax = 8 << 20 // bytes decompressed from one message's archives
+	zipMessageMax = 8 << 20 // bytes decompressed from one message's archives and PDFs
 	zipMembersMax = 64      // members opened for one message
 )
 
-// zipBudget is what is left of one message's archive limits.
+// zipBudget is what is left of one message's archive limits; its bytes
+// also bound what the message's PDFs inflate.
 type zipBudget struct {
 	bytes   int
 	members int
@@ -312,7 +316,7 @@ func (p *Pipeline) parseZIP(body []byte, res *ParseResult, seen map[string]bool,
 		case strings.HasSuffix(name, ".txt"):
 			addURLs(res, seen, extractFromText(string(content)), SourceZIP)
 		case strings.HasSuffix(name, ".pdf") || bytes.HasPrefix(content, []byte("%PDF")):
-			p.parsePDF(content, res, seen)
+			p.parsePDF(content, res, seen, budget)
 		case imaging.IsCBI(content):
 			p.parseImage(content, res, seen, SourceImageQR, SourceImageOCR)
 		case strings.HasSuffix(name, ".eml"):

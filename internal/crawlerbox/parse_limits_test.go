@@ -3,6 +3,7 @@ package crawlerbox
 import (
 	"archive/zip"
 	"bytes"
+	"compress/zlib"
 	"fmt"
 	"hash/crc32"
 	"runtime"
@@ -235,5 +236,52 @@ func TestParseZIPBudgetSharedWithNestedEML(t *testing.T) {
 	}
 	if len(res.URLs) != 0 {
 		t.Errorf("URLs = %+v: a member past the spent budget was read", res.URLs)
+	}
+}
+
+// TestParsePDFInflateBudget pins the PDF side of the message's budget
+// against the amplification probe: a PDF of about 65 KB whose one content
+// stream inflates to 64 MiB of spaces. Without a cap the parse allocated
+// over 400 MB; now the stream is skipped once it crosses the budget, the
+// rest of the document is still read, and a later PDF of the same message
+// finds the budget spent.
+func TestParsePDFInflateBudget(t *testing.T) {
+	// pdf returns a one-object PDF whose content stream is the chunks,
+	// Flate-compressed, next to a link annotation.
+	pdf := func(chunks ...[]byte) []byte {
+		var z bytes.Buffer
+		zw := zlib.NewWriter(&z)
+		for _, c := range chunks {
+			if _, err := zw.Write(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return []byte("%PDF-1.4\n1 0 obj\n<< /Filter /FlateDecode /URI (https://annot.example/a) >>\nstream\n" +
+			z.String() + "\nendstream\nendobj\n")
+	}
+	spaces := make([][]byte, 64)
+	for i, mib := 0, bytes.Repeat([]byte(" "), 1<<20); i < len(spaces); i++ {
+		spaces[i] = mib
+	}
+	raw := mime.NewBuilder("attacker@phish.ru", "victim@corp.example", "Invoice", _epoch).
+		Text("See the attached invoice.").
+		Attach("application/pdf", "invoice.pdf", pdf(spaces...)).
+		Attach("application/pdf", "second.pdf", pdf([]byte("BT (Visit https://after-budget.example/x now) Tj ET"))).Build()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := newParser().ParseMessage(raw)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*zipMessageMax {
+		t.Errorf("parse allocated %d MiB, want at most %d MiB", alloc>>20, 3*zipMessageMax>>20)
+	}
+	if len(res.URLs) != 1 || res.URLs[0].URL != "https://annot.example/a" {
+		t.Errorf("URLs = %+v, want only the annotation: the second PDF's stream is past the spent budget", res.URLs)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -217,7 +218,7 @@ type Service struct {
 	draining bool        // read/written under admitMu (see submitLocked/Drain)
 	emitErr  error       // guarded by mu
 	// ids holds every accepted or resumed message ID; read/written under
-	// admitMu (see submitLocked/Resume).
+	// admitMu (see submitLocked/resumeDone).
 	ids map[int64]struct{}
 }
 
@@ -411,44 +412,68 @@ func (s *Service) emitError() error {
 	return s.emitErr
 }
 
-// Resume re-admits a recovered journal's state: done records re-emit
-// verbatim (their provenance preserved, no re-journaling), fresh done
-// records warm the cache, and the remaining specs re-enter admission in
-// log order. A daemon restarted on its own log therefore neither loses
-// nor re-analyzes work. Every recovered ID counts as accepted, so a later
-// Submit of one fails with ErrDuplicateID.
-func (s *Service) Resume(ctx context.Context, state *LogState) error {
+// Resume recovers the ingest log at path: done records re-emit verbatim
+// (their provenance preserved, no re-journaling), fresh done records warm
+// the cache, and the remaining specs re-enter admission in log order. A
+// daemon restarted on its own log therefore neither loses nor re-analyzes
+// work. Every recovered ID counts as accepted, so a later Submit of one
+// fails with ErrDuplicateID.
+//
+// The log is read in two passes (openJournal, then journal.each). The first
+// decodes the done records and the spec IDs, and fails a log with a
+// duplicate spec ID or a done record for an unknown ID before anything is
+// admitted. The second never decodes a checkpointed spec's message, and
+// copies an admitted one once, as it admits it: recovery holds the done
+// records and the specs in flight, not the whole journal. Resume only
+// reads path, so the service's own Log may be appending to the same file.
+func (s *Service) Resume(ctx context.Context, path string) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if !s.started {
 		return errors.New("ingest: service not started")
 	}
-	for _, spec := range state.Specs {
-		if e, ok := state.Done[spec.ID]; ok {
-			s.ids[spec.ID] = struct{}{}
-			if s.cache != nil && e.Provenance == ProvenanceFresh && e.Key != "" {
-				s.cache.warm(e.Key, e.ID, e.Verdict)
-			}
-			s.mu.Lock()
-			s.counters.Submitted++
-			s.counters.Resumed++
-			if e.Provenance == ProvenanceCached {
-				s.counters.CacheHits++
-			} else {
-				s.counters.Fresh++
-				if e.Key == "" {
-					s.counters.Keyless++
-				}
-			}
-			s.mu.Unlock()
-			s.emit(e, false)
-			continue
+	j, err := openJournal(path)
+	if err != nil {
+		return err
+	}
+	defer j.ev.Close()
+	s.mu.Lock()
+	s.emitted = slices.Grow(s.emitted, j.specs)
+	s.mu.Unlock()
+	return j.each(func(id int64, payload []byte) error {
+		if e, ok := j.done[id]; ok {
+			s.resumeDone(e)
+			return nil
 		}
-		if err := s.submitLocked(ctx, spec, true); err != nil {
-			return err
+		spec, err := decodeSpec(payload)
+		if err != nil {
+			return fmt.Errorf("ingest: decoding spec record: %w", err)
+		}
+		return s.submitLocked(ctx, spec, true)
+	}, nil)
+}
+
+// resumeDone accepts a checkpointed spec: it re-emits the spec's done
+// record e without journaling it and counts it; a fresh done record also
+// warms the cache. Callers hold admitMu.
+func (s *Service) resumeDone(e Emitted) {
+	s.ids[e.ID] = struct{}{}
+	if s.cache != nil && e.Provenance == ProvenanceFresh && e.Key != "" {
+		s.cache.warm(e.Key, e.ID, e.Verdict)
+	}
+	s.mu.Lock()
+	s.counters.Submitted++
+	s.counters.Resumed++
+	if e.Provenance == ProvenanceCached {
+		s.counters.CacheHits++
+	} else {
+		s.counters.Fresh++
+		if e.Key == "" {
+			s.counters.Keyless++
 		}
 	}
-	return nil
+	s.mu.Unlock()
+	s.emit(e, false)
 }
 
 // Drain stops intake, waits for every in-flight analysis and waiter

@@ -54,18 +54,7 @@ func corpusSpecs(c *dataset.Corpus) []Spec {
 // recordLog writes a canned spec-only ingest log.
 func recordLog(t testing.TB, path string, specs []Spec) {
 	t.Helper()
-	log, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		if err := log.AppendSpec(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, path, specs, nil)
 }
 
 // replayStream replays a log against a fresh world and renders the
@@ -444,7 +433,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 	}
 	svc = NewService(ba, keyer, log, WithWorkers(1))
 	svc.Start(ctx)
-	if err := svc.Resume(ctx, state); err != nil {
+	if err := svc.Resume(ctx, path); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("c")}); !errors.Is(err, ErrDuplicateID) {

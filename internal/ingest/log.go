@@ -59,8 +59,28 @@ func appendSpecHeader(b []byte, s Spec) ([]byte, error) {
 // errShortSpec reports a binary spec record cut short of its header.
 var errShortSpec = errors.New("binary spec record shorter than its header")
 
+// specID reads only the message ID of a KindIngestSpec payload: bytes 1-9
+// of a binary record, the id field alone of a JSON one. The time and the
+// message are not decoded, so a checkpointed spec costs no copy.
+func specID(payload []byte) (int64, error) {
+	if len(payload) == 0 || payload[0] != specRecordV1 {
+		var s struct {
+			ID int64 `json:"id"`
+		}
+		err := json.Unmarshal(payload, &s)
+		return s.ID, err
+	}
+	if len(payload) < 1+8+1 {
+		return 0, errShortSpec
+	}
+	return int64(binary.BigEndian.Uint64(payload[1:9])), nil
+}
+
 // decodeSpec decodes one KindIngestSpec payload in either form. Raw is
-// copied out of payload, which may alias a mapping the caller unmaps.
+// copied out of payload, which may alias a mapping the caller unmaps; the
+// copy is also what lets Raw key the parse memo, which keeps its key by
+// reference. Recovery decodes only the specs it admits (Service.Resume),
+// so each admitted message is copied exactly once.
 func decodeSpec(payload []byte) (Spec, error) {
 	var s Spec
 	if len(payload) == 0 || payload[0] != specRecordV1 {
@@ -109,8 +129,8 @@ func CreateLog(path string) (*Log, error) {
 }
 
 // OpenLog opens an existing ingest log for appending — the restarted
-// daemon's path: recover state with ReadLog, then continue journaling to
-// the same file.
+// daemon's path: continue journaling to the same file, and recover its
+// state with Service.Resume.
 func OpenLog(path string) (*Log, error) {
 	ev, err := evstore.OpenAppend(path)
 	if err != nil {
@@ -160,6 +180,85 @@ func (l *Log) Close() error {
 	return l.ev.Close()
 }
 
+// journal is an ingest log opened for recovery, after the first of its
+// two passes: every done record by message ID, and the number of spec
+// records. The second pass walks the spec records in log order (each with
+// no done callback). Service.Resume and ReadLog both read a log this way.
+type journal struct {
+	ev    *evstore.Store
+	done  map[int64]Emitted
+	specs int
+}
+
+// openJournal opens the log at path and runs the first pass: it decodes
+// every done record and only the ID of every spec record (specID). A spec
+// ID seen twice, or a done record for an ID no spec has, fails the log
+// here, before a caller has acted on any record. The caller closes j.ev.
+func openJournal(path string) (*journal, error) {
+	ev, err := evstore.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	j := &journal{ev: ev, done: map[int64]Emitted{}}
+	seen := map[int64]struct{}{}
+	err = j.each(func(id int64, _ []byte) error {
+		if _, dup := seen[id]; dup {
+			return fmt.Errorf("ingest: duplicate spec id %d in log", id)
+		}
+		seen[id] = struct{}{}
+		j.specs++
+		return nil
+	}, func(payload []byte) error {
+		var e Emitted
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return fmt.Errorf("ingest: decoding done record: %w", err)
+		}
+		j.done[e.ID] = e
+		return nil
+	})
+	if err == nil {
+		for id := range j.done {
+			if _, ok := seen[id]; !ok {
+				err = fmt.Errorf("ingest: done record for unknown spec id %d", id)
+				break
+			}
+		}
+	}
+	if err != nil {
+		ev.Close()
+		return nil, err
+	}
+	return j, nil
+}
+
+// each is the journal's one record scanner: spec gets every spec record
+// with its ID, done (if not nil) every done record, in log order. The
+// first error, a callback's or the store's, ends the scan. A payload
+// aliases the store and is valid only during the call.
+func (j *journal) each(spec func(id int64, payload []byte) error, done func(payload []byte) error) error {
+	var cbErr error
+	err := j.ev.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
+		switch kind {
+		case evstore.KindIngestSpec:
+			id, err := specID(payload)
+			if err != nil {
+				cbErr = fmt.Errorf("ingest: decoding spec record: %w", err)
+			} else {
+				cbErr = spec(id, payload)
+			}
+		case evstore.KindIngestDone:
+			if done != nil {
+				cbErr = done(payload)
+			}
+		}
+		return cbErr == nil
+	})
+	if cbErr != nil {
+		return cbErr
+	}
+	return err
+}
+
 // LogState is the decoded content of an ingest log: the accepted specs in
 // submission order and the verdicts already emitted, keyed by message ID.
 type LogState struct {
@@ -167,51 +266,26 @@ type LogState struct {
 	Done  map[int64]Emitted
 }
 
-// ReadLog scans an ingest log. Both Replay (batch-to-completion) and a
-// restarting daemon recover their state from this one view.
+// ReadLog decodes a whole ingest log, every message included, for callers
+// that inspect a journal. Recovery does not use it: Service.Resume reads
+// the log with the same two passes but decodes only the specs it admits.
 func ReadLog(path string) (*LogState, error) {
-	ev, err := evstore.Open(path)
+	j, err := openJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	defer ev.Close()
-	state := &LogState{Done: map[int64]Emitted{}}
-	seen := map[int64]bool{}
-	var scanErr error
-	err = ev.Each(func(_ evstore.Handle, kind evstore.Kind, payload []byte) bool {
-		switch kind {
-		case evstore.KindIngestSpec:
-			s, err := decodeSpec(payload)
-			if err != nil {
-				scanErr = fmt.Errorf("ingest: decoding spec record: %w", err)
-				return false
-			}
-			if seen[s.ID] {
-				scanErr = fmt.Errorf("ingest: duplicate spec id %d in log", s.ID)
-				return false
-			}
-			seen[s.ID] = true
-			state.Specs = append(state.Specs, s)
-		case evstore.KindIngestDone:
-			var e Emitted
-			if err := json.Unmarshal(payload, &e); err != nil {
-				scanErr = fmt.Errorf("ingest: decoding done record: %w", err)
-				return false
-			}
-			state.Done[e.ID] = e
+	defer j.ev.Close()
+	state := &LogState{Specs: make([]Spec, 0, j.specs), Done: j.done}
+	err = j.each(func(_ int64, payload []byte) error {
+		s, err := decodeSpec(payload)
+		if err != nil {
+			return fmt.Errorf("ingest: decoding spec record: %w", err)
 		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
+		state.Specs = append(state.Specs, s)
+		return nil
+	}, nil)
 	if err != nil {
 		return nil, err
-	}
-	for id := range state.Done {
-		if !seen[id] {
-			return nil, fmt.Errorf("ingest: done record for unknown spec id %d", id)
-		}
 	}
 	return state, nil
 }

@@ -8,20 +8,19 @@ import (
 )
 
 // Replay runs an ingest log to completion: this is the batch mode of the
-// service API. The log is read, done records re-emit verbatim, and every
-// spec without a done record is analyzed, all under the same admission
-// path a live daemon uses — so the returned verdict stream is
-// byte-identical for any worker count, and identical whether the log is
-// replayed in one pass or killed and resumed partway through. Replay
-// never writes to the log; it is a pure function of the log's content.
+// service API. The log is recovered with Service.Resume, the path a
+// restarted daemon takes: done records re-emit verbatim, and every spec
+// without a done record is analyzed, all under the same admission path a
+// live daemon uses — so the returned verdict stream is byte-identical for
+// any worker count, and identical whether the log is replayed in one pass
+// or killed and resumed partway through. Replay never writes to the log;
+// it is a pure function of the log's content. The log's messages are
+// never all in memory at once: Resume copies only the specs it admits,
+// and admission holds at most 3×workers fresh analyses.
 func Replay(ctx context.Context, logPath string, a Analyzer, keyer KeyFunc, opts ...Option) (*Result, error) {
-	state, err := ReadLog(logPath)
-	if err != nil {
-		return nil, err
-	}
 	s := NewService(a, keyer, nil, opts...)
 	s.Start(ctx)
-	if err := s.Resume(ctx, state); err != nil {
+	if err := s.Resume(ctx, logPath); err != nil {
 		// Drain what was admitted before surfacing the error, so workers
 		// never leak.
 		s.Drain()

@@ -35,7 +35,7 @@ func FuzzParsePDF(f *testing.F) {
 			"<< /URI (https://deep.example/a) >>" + strings.Repeat(" ]", depth)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Parse(data)
+		p, err := Parse(data, inflateMax)
 		if err == nil && p == nil {
 			t.Fatal("Parse returned nil *Parsed with nil error")
 		}

@@ -29,6 +29,10 @@ type Parsed struct {
 	LinkURIs []string
 	// Images is every recovered embedded raster.
 	Images []*imaging.Image
+	// Inflated is the number of bytes the document's Flate streams
+	// inflated to, skipped streams included; it is at most the cap Parse
+	// was given.
+	Inflated int
 }
 
 // rawObject is one indirect object scanned out of the file.
@@ -47,7 +51,12 @@ var (
 // images. It does not trust the xref table: objects are located by scanning
 // for "N G obj" markers, which also recovers content from documents with
 // corrupt or truncated trailers.
-func Parse(data []byte) (*Parsed, error) {
+//
+// The document's Flate streams may inflate to at most inflateMax bytes in
+// all: a few kilobytes of PDF can hold gigabytes of compressible text. A
+// stream that would cross the cap is skipped, as a corrupt one is, and
+// the bytes it inflated before it crossed are spent.
+func Parse(data []byte, inflateMax int) (*Parsed, error) {
 	if !bytes.HasPrefix(data, []byte("%PDF")) {
 		return nil, ErrNotPDF
 	}
@@ -55,6 +64,7 @@ func Parse(data []byte) (*Parsed, error) {
 	if len(objects) == 0 {
 		return nil, ErrNoObjects
 	}
+	inflateMax = max(inflateMax, 0)
 	out := &Parsed{}
 	for _, obj := range objects {
 		// URI annotations live in object dictionaries.
@@ -70,7 +80,8 @@ func Parse(data []byte) (*Parsed, error) {
 		default:
 			content := obj.stream
 			if strings.Contains(obj.dict, "/FlateDecode") {
-				decompressed, err := inflate(content)
+				decompressed, err := inflate(content, inflateMax-out.Inflated)
+				out.Inflated += len(decompressed)
 				if err != nil {
 					// Corrupt stream: skip it rather than failing the
 					// document, mirroring resilient scanner behavior.
@@ -223,15 +234,93 @@ func pdfStringSpan(src string) int {
 	return len(src)
 }
 
-func inflate(data []byte) ([]byte, error) {
-	r, err := zlib.NewReader(bytes.NewReader(data))
+// inflater is a zlib reader with the source it reads from.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // nil until a stream with a valid header
+}
+
+// inflaters holds an idle inflater between Flate streams, the way
+// zlibWriters holds a writer. Reset makes a zlib reader equivalent to a
+// new one, so reuse does not change what a stream inflates to; it spares
+// each stream the decompressor's 32 KiB window and tables, the largest
+// allocation of a PDF parse. Each parse inflates one stream at a time, so
+// one idle inflater serves a parse's every stream after the first, and
+// serves the next parse; parses running at once build their own.
+var inflaters = make(chan *inflater, 1)
+
+// putInflater keeps an inflater for reuse unless the free list is full.
+// Its source is emptied first, so an idle inflater pins no document.
+func putInflater(in *inflater) {
+	in.src.Reset(nil)
+	select {
+	case inflaters <- in:
+	default:
+	}
+}
+
+// errInflateCap reports a stream that inflates past what is left of the
+// document's cap.
+var errInflateCap = errors.New("pdfx: stream inflates past the cap")
+
+// inflate decompresses one zlib-wrapped Flate stream of at most limit
+// bytes; a longer one fails with errInflateCap. What was inflated is
+// returned on failure too.
+func inflate(data []byte, limit int) ([]byte, error) {
+	var in *inflater
+	select {
+	case in = <-inflaters:
+	default:
+		in = new(inflater)
+	}
+	defer putInflater(in)
+	in.src.Reset(data)
+	var err error
+	if in.zr == nil {
+		in.zr, err = zlib.NewReader(&in.src)
+	} else {
+		err = in.zr.(zlib.Resetter).Reset(&in.src, nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("pdfx: opening flate stream: %w", err)
 	}
-	defer func() { _ = r.Close() }()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("pdfx: inflating stream: %w", err)
+	out, err := readAtMost(in.zr, limit)
+	if err != nil && err != errInflateCap {
+		err = fmt.Errorf("pdfx: inflating stream: %w", err)
 	}
-	return out, nil
+	return out, err
+}
+
+// readAtMost reads r to its end into a buffer that doubles as it fills,
+// up to limit bytes. If r holds more, it fails with errInflateCap once it
+// reads a byte past limit, which it does not keep: the buffer never grows
+// beyond limit.
+func readAtMost(r io.Reader, limit int) ([]byte, error) {
+	out := make([]byte, 0, min(512, limit))
+	for {
+		if len(out) == cap(out) {
+			if len(out) == limit {
+				var probe [1]byte
+				_, err := io.ReadFull(r, probe[:])
+				switch err {
+				case nil:
+					return out, errInflateCap
+				case io.EOF:
+					return out, nil
+				}
+				return out, err
+			}
+			grown := make([]byte, len(out), min(2*cap(out), limit))
+			copy(grown, out)
+			out = grown
+		}
+		n, err := r.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+	}
 }

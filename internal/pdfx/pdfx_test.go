@@ -5,11 +5,16 @@ import (
 	"compress/zlib"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"crawlerbox/internal/imaging"
 	"crawlerbox/internal/qrcode"
 )
+
+// inflateMax is the cap the tests give Parse: the budget of decompressed
+// bytes the pipeline gives one message.
+const inflateMax = 8 << 20
 
 func buildSimpleDoc() *Document {
 	return &Document{Pages: []Page{{
@@ -26,7 +31,7 @@ func TestBuildParseRoundTripUncompressed(t *testing.T) {
 	if !bytes.HasPrefix(data, []byte("%PDF-1.4")) {
 		t.Fatal("missing PDF header")
 	}
-	parsed, err := Parse(data)
+	parsed, err := Parse(data, inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestBuildParseRoundTripUncompressed(t *testing.T) {
 
 func TestBuildParseRoundTripCompressed(t *testing.T) {
 	data := Build(buildSimpleDoc(), true)
-	parsed, err := Parse(data)
+	parsed, err := Parse(data, inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestEscapedParensRoundTrip(t *testing.T) {
 		TextLines: []string{`weird (paren) line \ with backslash`},
 		LinkURIs:  []string{"https://x.example/a(b)c"},
 	}}}
-	parsed, err := Parse(Build(doc, false))
+	parsed, err := Parse(Build(doc, false), inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestMultiPage(t *testing.T) {
 		{TextLines: []string{"page one"}, LinkURIs: []string{"https://a.example/1"}},
 		{TextLines: []string{"page two"}, LinkURIs: []string{"https://b.example/2"}},
 	}}
-	parsed, err := Parse(Build(doc, true))
+	parsed, err := Parse(Build(doc, true), inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,7 @@ func TestEmbeddedImageRoundTrip(t *testing.T) {
 		TextLines: []string{"scan the code below"},
 		Images:    []PlacedImage{{X: 100, Y: 200, Img: img}},
 	}}}
-	parsed, err := Parse(Build(doc, false))
+	parsed, err := Parse(Build(doc, false), inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,7 @@ func TestQRInPDFEndToEnd(t *testing.T) {
 		TextLines: []string{"Please scan to verify your account"},
 		Images:    []PlacedImage{{X: 200, Y: 300, Img: qrImg}},
 	}}}
-	parsed, err := Parse(Build(doc, true))
+	parsed, err := Parse(Build(doc, true), inflateMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +181,10 @@ func TestQRInPDFEndToEnd(t *testing.T) {
 }
 
 func TestParseRejectsNonPDF(t *testing.T) {
-	if _, err := Parse([]byte("not a pdf")); err == nil {
+	if _, err := Parse([]byte("not a pdf"), inflateMax); err == nil {
 		t.Error("non-PDF input should fail")
 	}
-	if _, err := Parse([]byte("%PDF-1.4\njust a header")); err == nil {
+	if _, err := Parse([]byte("%PDF-1.4\njust a header"), inflateMax); err == nil {
 		t.Error("PDF with no objects should fail")
 	}
 }
@@ -191,7 +196,7 @@ func TestParseTruncatedPDF(t *testing.T) {
 	if cut < 0 {
 		t.Fatal("no xref in built PDF")
 	}
-	parsed, err := Parse(data[:cut])
+	parsed, err := Parse(data[:cut], inflateMax)
 	if err != nil {
 		t.Fatalf("truncated parse: %v", err)
 	}
@@ -211,7 +216,7 @@ func TestParseCorruptFlateStreamSkipped(t *testing.T) {
 	for i := idx + 20; i < idx+30 && i < len(corrupted); i++ {
 		corrupted[i] ^= 0xFF
 	}
-	parsed, err := Parse(corrupted)
+	parsed, err := Parse(corrupted, inflateMax)
 	if err != nil {
 		t.Fatalf("corrupt stream must degrade, not fail: %v", err)
 	}
@@ -240,4 +245,127 @@ func TestReadPDFString(t *testing.T) {
 			t.Errorf("readPDFString(%q) = (%q, %v), want (%q, %v)", tt.src, got, ok, tt.want, tt.wantOK)
 		}
 	}
+}
+
+// flatePDF returns a one-object PDF whose content stream is content,
+// Flate-compressed, next to a link annotation.
+func flatePDF(content []byte) []byte {
+	var z bytes.Buffer
+	zw := zlib.NewWriter(&z)
+	_, _ = zw.Write(content)
+	_ = zw.Close()
+	return []byte("%PDF-1.4\n1 0 obj\n<< /Filter /FlateDecode /URI (https://annot.example/a) >>\nstream\n" +
+		z.String() + "\nendstream\nendobj\n")
+}
+
+// A stream that inflates past the cap is skipped like a corrupt one,
+// the rest of the document is still read, and the cap is spent; a stream
+// of exactly the cap is read.
+func TestParseInflateCap(t *testing.T) {
+	content := []byte("BT (https://in-stream.example/x) Tj ET")
+	data := flatePDF(content)
+	for _, tc := range []struct {
+		max      int
+		wantText bool
+	}{
+		{len(content), true},
+		{len(content) - 1, false},
+		{0, false},
+	} {
+		parsed, err := Parse(data, tc.max)
+		if err != nil {
+			t.Fatalf("cap %d: %v", tc.max, err)
+		}
+		if got := len(parsed.TextLines) == 1; got != tc.wantText {
+			t.Errorf("cap %d: text lines %q, want the stream read: %v", tc.max, parsed.TextLines, tc.wantText)
+		}
+		if len(parsed.LinkURIs) != 1 {
+			t.Errorf("cap %d: LinkURIs = %v, want the annotation", tc.max, parsed.LinkURIs)
+		}
+		if parsed.Inflated != tc.max {
+			t.Errorf("cap %d: Inflated = %d, want the whole cap spent", tc.max, parsed.Inflated)
+		}
+	}
+}
+
+// A reused zlib reader inflates what a new one does, after a corrupt
+// stream too, and an idle one allocates no new decompressor: inflating a
+// small stream again allocates far less than the decompressor's 32 KiB
+// window.
+func TestInflaterReuse(t *testing.T) {
+	data := Build(buildSimpleDoc(), true)
+	want, err := Parse(data, inflateMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{flatePDF(nil)[:60], []byte("%PDF-1.4\n1 0 obj\n<< /Filter /FlateDecode >>\nstream\nxx\nendstream\nendobj\n")} {
+		_, _ = Parse(bad, inflateMax)
+		got, err := Parse(data, inflateMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got.TextLines, "\n") != strings.Join(want.TextLines, "\n") || got.Inflated != want.Inflated {
+			t.Fatalf("after a corrupt stream: text %q (%d B inflated), want %q (%d B)",
+				got.TextLines, got.Inflated, want.TextLines, want.Inflated)
+		}
+	}
+	var z bytes.Buffer
+	zw := zlib.NewWriter(&z)
+	_, _ = zw.Write([]byte("BT (https://in-stream.example/x) Tj ET"))
+	_ = zw.Close()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := inflate(z.Bytes(), inflateMax); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+		t.Errorf("an inflate allocated %d B, want at most %d: its zlib reader was not reused", per, 4<<10)
+	}
+	select {
+	case in := <-inflaters:
+		if in.src.Size() != 0 {
+			t.Errorf("the idle inflater still reads a %d-byte stream", in.src.Size())
+		}
+		putInflater(in)
+	default:
+		t.Error("no idle inflater after a parse")
+	}
+}
+
+// Parses running at once share the idle inflater without a race and each
+// inflate what a lone parse does.
+func TestInflaterConcurrent(t *testing.T) {
+	docs := [][]byte{Build(buildSimpleDoc(), true), flatePDF([]byte("BT (https://other.example/y) Tj ET"))}
+	var want []string
+	for _, d := range docs {
+		p, err := Parse(d, inflateMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, strings.Join(p.TextLines, "\n"))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(docs)
+				p, err := Parse(docs[k], inflateMax)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := strings.Join(p.TextLines, "\n"); got != want[k] {
+					t.Errorf("doc %d: text %q, want %q", k, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
