@@ -55,23 +55,35 @@ func (l *verdictLog) lookup(clientIP string) (Verdict, bool) {
 	return v, ok
 }
 
+// scriptResponse answers a request for a detector's script with body, the
+// script's bytes built when the service was installed. Every response
+// shares them: no consumer of a response writes into its body.
+func scriptResponse(body []byte) *webnet.Response {
+	return &webnet.Response{Status: 200, Body: body,
+		Headers: map[string]string{"Content-Type": "text/javascript"}}
+}
+
 // BotD is the basic open-source detection library. Its probe script runs on
 // any page that includes it and reports the result to the BotD host.
 type BotD struct {
 	host string
-	log  *verdictLog
+	// script is the probe script, built once; body holds its bytes, which
+	// every /botd.js response shares (see scriptResponse).
+	script string
+	body   []byte
+	log    *verdictLog
 }
 
 // NewBotD installs the BotD service on the network at the given host.
 func NewBotD(net *webnet.Internet, host string) *BotD {
-	b := &BotD{host: host, log: newVerdictLog()}
+	b := &BotD{host: host, script: botdScript(host), log: newVerdictLog()}
+	b.body = []byte(b.script)
 	ip := net.AllocateIP(webnet.IPDatacenter)
 	net.AddDNS(host, ip)
 	net.Serve(host, func(req *webnet.Request) *webnet.Response {
 		switch req.Path {
 		case "/botd.js":
-			return &webnet.Response{Status: 200, Body: []byte(b.Script()),
-				Headers: map[string]string{"Content-Type": "text/javascript"}}
+			return scriptResponse(b.body)
 		case "/report":
 			v := parseReport(req.Body)
 			b.log.record(req.ClientIP, v)
@@ -88,7 +100,10 @@ func (b *BotD) Host() string { return b.host }
 
 // Script returns the client-side probe. The checks mirror the real BotD's
 // core heuristics.
-func (b *BotD) Script() string {
+func (b *BotD) Script() string { return b.script }
+
+// botdScript builds the probe script of the service at host.
+func botdScript(host string) string {
 	return `
 	var __botd_reasons = [];
 	if (navigator.webdriver) { __botd_reasons.push("webdriver"); }
@@ -96,7 +111,7 @@ func (b *BotD) Script() string {
 	if (typeof cdc_adoQpoasnfa76pfcZLmcfl_Array !== "undefined") { __botd_reasons.push("cdc-artifact"); }
 	if (typeof window.__webdriver_evaluate !== "undefined") { __botd_reasons.push("webdriver-eval"); }
 	var __botd_xhr = new XMLHttpRequest();
-	__botd_xhr.open("POST", "https://` + b.host + `/report", false);
+	__botd_xhr.open("POST", "https://` + host + `/report", false);
 	__botd_xhr.send(JSON.stringify({bot: __botd_reasons.length > 0, reasons: __botd_reasons.join(",")}));
 	`
 }

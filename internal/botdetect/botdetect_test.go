@@ -328,3 +328,53 @@ func containsReason(reasons []string, want string) bool {
 	}
 	return false
 }
+
+// Each detector builds its script once, and every script response shares
+// those bytes. After a browser has fetched and run all three scripts, two
+// more fetches of each still return exactly Script(), from one array: no
+// consumer of a response writes into the shared body.
+func TestScriptBodiesBuiltOnce(t *testing.T) {
+	w := newWorld(t)
+	rc := NewReCaptchaV3(w.net, "recaptcha.example")
+	ip := w.net.AllocateIP(webnet.IPDatacenter)
+	w.net.AddDNS("all.example", ip)
+	w.net.Serve("all.example", func(*webnet.Request) *webnet.Response {
+		return &webnet.Response{Status: 200, Body: []byte(`<html><body>` +
+			`<script src="https://botd.example/botd.js"></script>` +
+			`<script src="https://turnstile.example/challenge.js"></script>` +
+			`<script src="https://recaptcha.example/api.js"></script></body></html>`)}
+	})
+	ctx := context.Background()
+	br := w.browse(browser.NotABot())
+	if _, err := br.Visit(ctx, "https://all.example/"); err != nil {
+		t.Fatal(err)
+	}
+	if v := w.botd.VerdictFor(br.ClientIP); v.Bot {
+		t.Fatalf("the visit did not run the BotD probe: %v", v.Reasons)
+	}
+	if v := rc.VerdictFor(br.ClientIP); v.Bot {
+		t.Fatalf("the visit did not run the reCAPTCHA probe: %v", v.Reasons)
+	}
+	for _, tc := range []struct {
+		host, path, script string
+	}{
+		{"botd.example", "/botd.js", w.botd.Script()},
+		{"turnstile.example", "/challenge.js", w.ts.Script()},
+		{"recaptcha.example", "/api.js", rc.Script()},
+	} {
+		var bodies [2][]byte
+		for i := range bodies {
+			resp, err := w.net.Do(ctx, &webnet.Request{Method: "GET", Host: tc.host, Path: tc.path, ClientIP: br.ClientIP})
+			if err != nil {
+				t.Fatalf("%s%s: %v", tc.host, tc.path, err)
+			}
+			if string(resp.Body) != tc.script {
+				t.Errorf("%s%s fetch %d differs from Script()", tc.host, tc.path, i+1)
+			}
+			bodies[i] = resp.Body
+		}
+		if &bodies[0][0] != &bodies[1][0] {
+			t.Errorf("%s%s: each response copies the script", tc.host, tc.path)
+		}
+	}
+}

@@ -14,19 +14,23 @@ import (
 // challenges — this service reproduces that background role.
 type ReCaptchaV3 struct {
 	host string
-	log  *verdictLog
+	// script is the background probe, built once; body holds its bytes,
+	// which every /api.js response shares (see scriptResponse).
+	script string
+	body   []byte
+	log    *verdictLog
 }
 
 // NewReCaptchaV3 installs the service on the network.
 func NewReCaptchaV3(net *webnet.Internet, host string) *ReCaptchaV3 {
-	r := &ReCaptchaV3{host: host, log: newVerdictLog()}
+	r := &ReCaptchaV3{host: host, script: recaptchaScript(host), log: newVerdictLog()}
+	r.body = []byte(r.script)
 	ip := net.AllocateIP(webnet.IPDatacenter)
 	net.AddDNS(host, ip)
 	net.Serve(host, func(req *webnet.Request) *webnet.Response {
 		switch req.Path {
 		case "/api.js":
-			return &webnet.Response{Status: 200, Body: []byte(r.Script()),
-				Headers: map[string]string{"Content-Type": "text/javascript"}}
+			return scriptResponse(r.body)
 		case "/score":
 			reasons := headerChecks(req, false)
 			if idx := strings.Index(req.Body, `"reasons":"`); idx >= 0 {
@@ -53,7 +57,10 @@ func NewReCaptchaV3(net *webnet.Internet, host string) *ReCaptchaV3 {
 func (r *ReCaptchaV3) Host() string { return r.host }
 
 // Script returns the silent background probe.
-func (r *ReCaptchaV3) Script() string {
+func (r *ReCaptchaV3) Script() string { return r.script }
+
+// recaptchaScript builds the background probe of the service at host.
+func recaptchaScript(host string) string {
 	return `
 	(function() {
 		var reasons = [];
@@ -61,7 +68,7 @@ func (r *ReCaptchaV3) Script() string {
 		if (navigator.userAgent.indexOf("HeadlessChrome") >= 0) { reasons.push("headless-ua"); }
 		if (navigator.plugins.length === 0) { reasons.push("no-plugins"); }
 		var xhr = new XMLHttpRequest();
-		xhr.open("POST", "https://` + r.host + `/score", false);
+		xhr.open("POST", "https://` + host + `/score", false);
 		xhr.send(JSON.stringify({reasons: reasons.join(",")}));
 	})();
 	`

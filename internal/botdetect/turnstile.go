@@ -16,7 +16,11 @@ import (
 // The paper found Turnstile guarding 74.4% of credential-harvesting
 // phishing messages — attackers use the same free tooling defenders do.
 type Turnstile struct {
-	host      string
+	host string
+	// script is the challenge script, built once; body holds its bytes,
+	// which every /challenge.js response shares (see scriptResponse).
+	script    string
+	body      []byte
 	log       *verdictLog
 	mu        sync.Mutex
 	tokens    map[string]bool // guarded by mu
@@ -25,14 +29,14 @@ type Turnstile struct {
 
 // NewTurnstile installs the service on the network.
 func NewTurnstile(net *webnet.Internet, host string) *Turnstile {
-	t := &Turnstile{host: host, log: newVerdictLog(), tokens: map[string]bool{}}
+	t := &Turnstile{host: host, script: turnstileScript(host), log: newVerdictLog(), tokens: map[string]bool{}}
+	t.body = []byte(t.script)
 	ip := net.AllocateIP(webnet.IPDatacenter)
 	net.AddDNS(host, ip)
 	net.Serve(host, func(req *webnet.Request) *webnet.Response {
 		switch req.Path {
 		case "/challenge.js":
-			return &webnet.Response{Status: 200, Body: []byte(t.Script()),
-				Headers: map[string]string{"Content-Type": "text/javascript"}}
+			return scriptResponse(t.body)
 		case "/verify":
 			return t.handleVerify(req)
 		default:
@@ -48,7 +52,10 @@ func (t *Turnstile) Host() string { return t.host }
 // Script returns the challenge script. It defines __turnstileRun(), which
 // posts the signal bundle and invokes the global __turnstileDone callback
 // with the token ("" on failure).
-func (t *Turnstile) Script() string {
+func (t *Turnstile) Script() string { return t.script }
+
+// turnstileScript builds the challenge script of the service at host.
+func turnstileScript(host string) string {
 	return `
 	function __turnstileCollect() {
 		var reasons = [];
@@ -85,7 +92,7 @@ func (t *Turnstile) Script() string {
 	function __turnstileRun(done) {
 		var reasons = __turnstileCollect();
 		var xhr = new XMLHttpRequest();
-		xhr.open("POST", "https://` + t.host + `/verify", false);
+		xhr.open("POST", "https://` + host + `/verify", false);
 		xhr.send(JSON.stringify({reasons: reasons.join(",")}));
 		var token = "";
 		if (xhr.status === 200 && xhr.responseText.indexOf("token:") === 0) {

@@ -8,10 +8,29 @@ import (
 	"crawlerbox/internal/minijs"
 )
 
+// Property counts of the host objects the realm builds, so that each is
+// built with its property storage allocated once (minijs Object.Grow).
+// TestHostObjectSizes checks them against the builders.
+const (
+	elementProps     = 9  // newElementObject
+	innerHTMLProps   = 3  // installInnerHTML
+	documentProps    = 10 // documentObject, before fillRoots
+	rootProps        = 3  // fillRoots
+	navigatorProps   = 8
+	screenProps      = 5
+	locationProps    = 11
+	windowProps      = 7 // before the profile's optional globals
+	xhrProps         = 6
+	eventProps       = 5
+	consoleProps     = 5
+	performanceProps = 1
+)
+
 // elementObject wraps an htmlx node as a script-visible element, caching
 // wrappers so identity comparisons hold across lookups. The wrappers of
-// body, head and html are the document's (see wrapRoots).
-func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
+// body, head and html are the document's (see wrapRoots). extra is how
+// many properties the caller adds to a new wrapper.
+func (pg *page) elementObject(node *htmlx.Node, extra int) *minijs.Object {
 	if obj, ok := pg.domCache[node]; ok {
 		return obj
 	}
@@ -19,17 +38,19 @@ func (pg *page) elementObject(node *htmlx.Node) *minijs.Object {
 		pg.wrapRoots()
 		return pg.domCache[node]
 	}
-	return pg.newElementObject(node)
+	return pg.newElementObject(node, extra)
 }
 
-// newElementObject builds and caches the wrapper of an unwrapped node.
-func (pg *page) newElementObject(node *htmlx.Node) *minijs.Object {
+// newElementObject builds and caches the wrapper of an unwrapped node,
+// with room for extra properties beyond its own.
+func (pg *page) newElementObject(node *htmlx.Node, extra int) *minijs.Object {
 	obj := minijs.NewObject()
 	if pg.domCache == nil {
 		pg.domCache = map[*htmlx.Node]*minijs.Object{}
 	}
 	pg.domCache[node] = obj
-	obj.HostData = node
+	obj.SetHostData(node)
+	obj.Grow(elementProps + extra)
 
 	obj.Set("tagName", minijs.String(strings.ToUpper(node.Tag)))
 	obj.Set("id", minijs.String(node.Attr("id")))
@@ -71,7 +92,7 @@ func (pg *page) newElementObject(node *htmlx.Node) *minijs.Object {
 		if childObj == nil {
 			return minijs.Undefined, nil
 		}
-		childNode, ok := childObj.HostData.(*htmlx.Node)
+		childNode, ok := childObj.HostData().(*htmlx.Node)
 		if !ok {
 			return minijs.Undefined, nil
 		}
@@ -113,7 +134,9 @@ func (pg *page) newElementObject(node *htmlx.Node) *minijs.Object {
 // the declarations of its style attribute, keyed in camel case.
 func styleObject(node *htmlx.Node) *minijs.Object {
 	style := minijs.NewObject()
-	for _, kv := range parseStyle(node.Attr("style")) {
+	decls := parseStyle(node.Attr("style"))
+	style.Grow(len(decls))
+	for _, kv := range decls {
 		style.Set(cssToCamel(kv[0]), minijs.String(kv[1]))
 	}
 	return style
@@ -173,7 +196,7 @@ func (pg *page) wrapRoots() {
 		return
 	}
 	for _, node := range [...]*htmlx.Node{pg.body, pg.head, pg.html} {
-		pg.installInnerHTML(pg.newElementObject(node), node)
+		pg.installInnerHTML(pg.newElementObject(node, innerHTMLProps), node)
 	}
 }
 
@@ -182,6 +205,7 @@ func (pg *page) wrapRoots() {
 // the document does not hold yet.
 func (pg *page) fillRoots(doc *minijs.Object) {
 	pg.wrapRoots()
+	doc.Grow(rootProps)
 	doc.Set("body", minijs.ObjectValue(pg.domCache[pg.body]))
 	doc.Set("head", minijs.ObjectValue(pg.domCache[pg.head]))
 	doc.Set("documentElement", minijs.ObjectValue(pg.domCache[pg.html]))
@@ -190,6 +214,7 @@ func (pg *page) fillRoots(doc *minijs.Object) {
 // documentObject builds the document global.
 func (pg *page) documentObject() *minijs.Object {
 	doc := minijs.NewObject()
+	doc.Grow(documentProps)
 	body := pg.body
 
 	doc.Set("title", minijs.String(pg.docTitle()))
@@ -202,7 +227,7 @@ func (pg *page) documentObject() *minijs.Object {
 		if node == nil {
 			return minijs.Null, nil
 		}
-		obj := pg.elementObject(node)
+		obj := pg.elementObject(node, innerHTMLProps+1)
 		pg.installInnerHTML(obj, node)
 		pg.installLiveProps(obj, node)
 		return minijs.ObjectValue(obj), nil
@@ -213,7 +238,7 @@ func (pg *page) documentObject() *minijs.Object {
 			return minijs.ObjectValue(arr), nil
 		}
 		for _, n := range htmlx.Find(pg.doc, strings.ToLower(args[0].ToString())) {
-			arr.Elems = append(arr.Elems, minijs.ObjectValue(pg.elementObject(n)))
+			arr.Elems = append(arr.Elems, minijs.ObjectValue(pg.elementObject(n, 0)))
 		}
 		return minijs.ObjectValue(arr), nil
 	}))
@@ -223,7 +248,7 @@ func (pg *page) documentObject() *minijs.Object {
 			tag = strings.ToLower(args[0].ToString())
 		}
 		node := &htmlx.Node{Kind: htmlx.KindElement, Tag: tag, Attrs: map[string]string{}}
-		obj := pg.elementObject(node)
+		obj := pg.elementObject(node, innerHTMLProps+1)
 		pg.installInnerHTML(obj, node)
 		obj.Set("src", minijs.String("")) // settable before attach
 		return minijs.ObjectValue(obj), nil

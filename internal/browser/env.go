@@ -163,6 +163,7 @@ func objectGlobal(build func(pg *page) *minijs.Object) globalBuilder {
 // methods, a corpus behavior seen on 295+ messages.
 func (pg *page) consoleObject() *minijs.Object {
 	console := minijs.NewObject()
+	console.Grow(consoleProps)
 	for _, level := range []string{"log", "warn", "error", "info", "debug"} {
 		lv := level
 		console.Set(lv, minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
@@ -184,28 +185,29 @@ func (pg *page) navigator() *minijs.Object {
 	}
 	prof := pg.br.Profile
 	nav := minijs.NewObject()
+	nav.Grow(navigatorProps)
 	nav.Set("userAgent", minijs.String(prof.UserAgent))
 	nav.Set("webdriver", minijs.Bool(prof.WebdriverFlag))
 	nav.Set("language", minijs.String(prof.Language))
-	langs := minijs.NewArray()
-	for _, l := range prof.Languages {
-		langs.Elems = append(langs.Elems, minijs.String(l))
+	langs := make([]minijs.Value, len(prof.Languages))
+	for i, l := range prof.Languages {
+		langs[i] = minijs.String(l)
 	}
-	nav.Set("languages", minijs.ObjectValue(langs))
+	nav.Set("languages", minijs.ObjectValue(minijs.NewArray(langs...)))
 	nav.Set("platform", minijs.String(prof.Platform))
 	nav.Set("cookieEnabled", minijs.Bool(prof.CookiesEnabled))
-	plugins := minijs.NewArray()
+	plugins := make([]minijs.Value, max(0, prof.PluginCount))
 	names := prof.PluginNames
-	for i := 0; i < prof.PluginCount; i++ {
+	for i := range plugins {
 		p := minijs.NewObject()
 		name := "Plugin " + string(rune('A'+i%26))
 		if i < len(names) {
 			name = names[i]
 		}
 		p.Set("name", minijs.String(name))
-		plugins.Elems = append(plugins.Elems, minijs.ObjectValue(p))
+		plugins[i] = minijs.ObjectValue(p)
 	}
-	nav.Set("plugins", minijs.ObjectValue(plugins))
+	nav.Set("plugins", minijs.ObjectValue(minijs.NewArray(plugins...)))
 	nav.Set("hardwareConcurrency", minijs.Number(8))
 	pg.navObj = nav
 	return nav
@@ -218,6 +220,7 @@ func (pg *page) screen() *minijs.Object {
 	}
 	prof := pg.br.Profile
 	screen := minijs.NewObject()
+	screen.Grow(screenProps)
 	screen.Set("width", minijs.Number(float64(prof.ScreenW)))
 	screen.Set("height", minijs.Number(float64(prof.ScreenH)))
 	screen.Set("availWidth", minijs.Number(float64(prof.ScreenW)))
@@ -264,6 +267,7 @@ func (pg *page) location() *minijs.Object {
 func (pg *page) performanceObject() *minijs.Object {
 	prof := pg.br.Profile
 	perf := minijs.NewObject()
+	perf.Grow(performanceProps)
 	startWall := pg.start
 	perf.Set("now", minijs.NewHostFunc(func(interp *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
 		wallMs := float64(pg.br.clock().Now().Sub(startWall).Microseconds()) / 1000
@@ -327,6 +331,7 @@ func (pg *page) window() *minijs.Object {
 	}
 	prof := pg.br.Profile
 	window := minijs.NewObject()
+	window.Grow(windowProps + countTrue(prof.ChromeObject, prof.CDPArtifacts, prof.ChromedriverArtifacts))
 	window.Set("navigator", minijs.ObjectValue(pg.navigator()))
 	window.Set("screen", minijs.ObjectValue(pg.screen()))
 	window.Set("location", minijs.ObjectValue(pg.location()))
@@ -352,9 +357,21 @@ func (pg *page) window() *minijs.Object {
 	return window
 }
 
+// countTrue returns how many of bs are true.
+func countTrue(bs ...bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // buildLocation constructs the location object for the page URL.
 func (pg *page) buildLocation() *minijs.Object {
 	loc := minijs.NewObject()
+	loc.Grow(locationProps)
 	loc.Set("href", minijs.String(pg.url.String()))
 	loc.Set("protocol", minijs.String(pg.url.Scheme+":"))
 	loc.Set("hostname", minijs.String(pg.url.Hostname()))
@@ -479,6 +496,7 @@ func (pg *page) dispatchEvent(nodeKey any, eventType string, trusted bool) {
 		}
 		if event == nil {
 			event = minijs.NewObject()
+			event.Grow(eventProps)
 			event.Set("type", minijs.String(eventType))
 			event.Set("isTrusted", minijs.Bool(trusted))
 			event.Set("clientX", minijs.Number(x))
@@ -525,6 +543,7 @@ func (pg *page) xhrConstructor(_ *minijs.Interp, this minijs.Value, _ []minijs.V
 	}
 	var method, target string
 	reqHeaders := map[string]string{}
+	obj.Grow(xhrProps)
 	obj.Set("readyState", minijs.Number(0))
 	obj.Set("status", minijs.Number(0))
 	obj.Set("responseText", minijs.String(""))

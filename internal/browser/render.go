@@ -37,7 +37,7 @@ func newShotState(pg *page) *shotState {
 	st := &shotState{doc: pg.doc}
 	for node, obj := range pg.domCache {
 		style := obj.Get("style")
-		if style.Kind() != minijs.KindObject || len(style.Object().Props) == 0 {
+		if style.Kind() != minijs.KindObject || style.Object().NumProps() == 0 {
 			continue // an empty style object sets no property
 		}
 		if st.styles == nil {
@@ -54,7 +54,7 @@ func newShotState(pg *page) *shotState {
 		if _, wrapped := pg.domCache[node]; wrapped || node.Attr("style") == "" {
 			continue
 		}
-		if style := styleObject(node); len(style.Props) > 0 {
+		if style := styleObject(node); style.NumProps() > 0 {
 			if st.styles == nil {
 				st.styles = map[*htmlx.Node]*minijs.Object{}
 			}

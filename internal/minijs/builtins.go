@@ -301,6 +301,7 @@ func mathBuiltin() Value {
 
 func jsonBuiltin() Value {
 	j := NewObject()
+	j.Grow(2)
 	j.Set("stringify", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Undefined, nil
@@ -325,6 +326,7 @@ func jsonBuiltin() Value {
 
 func objectBuiltin() Value {
 	o := NewObject()
+	o.Grow(3)
 	o.Set("keys", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		arr := NewArray()
 		if len(args) > 0 && args[0].kind == KindObject {
@@ -344,7 +346,7 @@ func objectBuiltin() Value {
 		arr := NewArray()
 		if len(args) > 0 && args[0].kind == KindObject {
 			for _, k := range args[0].obj.Keys() {
-				arr.Elems = append(arr.Elems, args[0].obj.Props[k])
+				arr.Elems = append(arr.Elems, args[0].obj.own(k))
 			}
 		}
 		return ObjectValue(arr), nil
@@ -357,7 +359,7 @@ func objectBuiltin() Value {
 		for _, src := range args[1:] {
 			if src.kind == KindObject {
 				for _, k := range src.obj.Keys() {
-					dst.Set(k, src.obj.Props[k])
+					dst.Set(k, src.obj.own(k))
 				}
 			}
 		}
@@ -461,7 +463,8 @@ func regexpBuiltin() Value {
 		if obj == nil {
 			obj = NewObject()
 		}
-		obj.HostData = compiled
+		obj.SetHostData(compiled)
+		obj.Grow(4)
 		obj.Set("source", String(pattern))
 		obj.Set("flags", String(flags))
 		obj.Set("test", NewHostFunc(func(_ *Interp, _ Value, args []Value) (Value, error) {
@@ -524,7 +527,7 @@ func jsonStringifyDepth(v Value, depth int) string {
 		default:
 			var parts []string
 			for _, k := range v.obj.Keys() {
-				pv := v.obj.Props[k]
+				pv := v.obj.own(k)
 				if pv.kind == KindObject && pv.obj.Callable() {
 					continue
 				}

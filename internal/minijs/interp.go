@@ -35,15 +35,24 @@ var ErrCallDepth = errors.New("minijs: call stack depth exceeded")
 // Array.prototype.map: far inside Go's 1 GB limit.
 const maxEvalDepth = 50_000
 
-// environment is a lexical scope. vars is nil until the scope's first
-// binding: most block scopes declare nothing.
+// environment is a lexical scope. A construct whose statements bind no
+// name runs in its parent's scope instead of making one (see scope).
 type environment struct {
-	vars   map[string]Value
+	vars   propTable
 	parent *environment
 }
 
-func newEnvironment(parent *environment) *environment {
-	return &environment{parent: parent}
+// scope returns the scope for a construct that binds at most n names when
+// it runs in env: a new one with room for them, or env itself when n is 0.
+// A scope that never binds a name reads and assigns exactly like its
+// parent, and the closures made in it see the same bindings.
+func scope(env *environment, n int) *environment {
+	if n == 0 {
+		return env
+	}
+	inner := &environment{parent: env}
+	inner.vars.grow(n)
+	return inner
 }
 
 // lookup resolves name from e outwards. A name that reaches the global
@@ -54,7 +63,7 @@ func newEnvironment(parent *environment) *environment {
 func (e *environment) lookup(ip *Interp, name string) (Value, bool) {
 	env := e
 	for {
-		if v, ok := env.vars[name]; ok {
+		if v, ok := env.vars.get(name); ok {
 			return v, true
 		}
 		if env.parent == nil {
@@ -87,8 +96,7 @@ func (e *environment) builtin(ip *Interp, name string) (Value, bool) {
 
 func (e *environment) assign(name string, v Value) bool {
 	for env := e; env != nil; env = env.parent {
-		if _, ok := env.vars[name]; ok {
-			env.vars[name] = v
+		if env.vars.set(name, v) {
 			return true
 		}
 	}
@@ -96,10 +104,7 @@ func (e *environment) assign(name string, v Value) bool {
 }
 
 func (e *environment) define(name string, v Value) {
-	if e.vars == nil {
-		e.vars = map[string]Value{}
-	}
-	e.vars[name] = v
+	e.vars.put(name, v)
 }
 
 // Interp executes programs against a global environment.
@@ -137,12 +142,16 @@ func New(fuel int64) *Interp {
 		fuel = DefaultFuel
 	}
 	ip := &Interp{
-		global:  newEnvironment(nil),
+		global:  &environment{},
 		fuel:    fuel,
 		granted: fuel,
 		Random:  func() float64 { return 0.5 },
 		Now:     func() float64 { return 1704067200000 }, // 2024-01-01T00:00:00Z
 	}
+	// The global scope takes every builtin and embedder global a script
+	// names, besides the script's own globals: it starts with room for as
+	// many names as a table holds before it needs its index.
+	ip.global.vars.grow(indexMin)
 	return ip
 }
 
@@ -168,12 +177,6 @@ func (ip *Interp) FuelSpent() int64 { return ip.granted - ip.fuel }
 func (ip *Interp) AddFuel(n int64) {
 	ip.fuel += n
 	ip.granted += n
-}
-
-// Run executes a parsed program.
-func (ip *Interp) Run(prog *Program) error {
-	_, err := ip.eval(prog)
-	return err
 }
 
 // Eval parses and executes source, returning the value of the last
@@ -240,7 +243,7 @@ func (ip *Interp) runStmts(stmts []stmt, env *environment) (Value, error) {
 	// Hoist function declarations.
 	for _, s := range stmts {
 		if fd, ok := s.(*funcDeclStmt); ok {
-			env.define(fd.Name, ip.makeFunction(fd.Fn, env, nil))
+			env.define(fd.Name, ip.makeFunction(fd.Fn, env))
 		}
 	}
 	var last Value
@@ -294,8 +297,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 	case *exprStmt:
 		return ip.evalExpr(n.E, env)
 	case *blockStmt:
-		inner := newEnvironment(env)
-		_, err := ip.runStmts(n.Stmts, inner)
+		_, err := ip.runStmts(n.Stmts, scope(env, n.decls))
 		return Undefined, err
 	case *ifStmt:
 		cond, err := ip.evalExpr(n.Cond, env)
@@ -336,7 +338,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 			}
 		}
 	case *forStmt:
-		inner := newEnvironment(env)
+		inner := scope(env, n.decls)
 		if n.Init != nil {
 			if _, err := ip.execStmt(n.Init, inner); err != nil {
 				return Undefined, err
@@ -366,7 +368,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		inner := newEnvironment(env)
+		inner := scope(env, n.decls)
 		inner.define(n.Name, Undefined)
 		var items []Value
 		switch {
@@ -381,7 +383,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 		case obj.kind == KindObject:
 			for _, k := range obj.obj.Keys() {
 				if n.Of {
-					items = append(items, obj.obj.Props[k])
+					items = append(items, obj.obj.own(k))
 				} else {
 					items = append(items, String(k))
 				}
@@ -392,7 +394,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 			}
 		}
 		for _, item := range items {
-			inner.vars[n.Name] = item
+			inner.vars.set(n.Name, item)
 			if stop, err := ip.loopBody(n.Body, inner); stop || err != nil {
 				return Undefined, err
 			}
@@ -423,7 +425,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 	case *tryStmt:
 		_, err := ip.execStmt(n.Block, env)
 		if ts, ok := err.(*throwSignal); ok && n.Catch != nil {
-			inner := newEnvironment(env)
+			inner := scope(env, n.catchDecls)
 			if n.CatchName != "" {
 				inner.define(n.CatchName, ts.value)
 			}
@@ -445,7 +447,7 @@ func (ip *Interp) exec(s stmt, env *environment) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		inner := newEnvironment(env)
+		inner := scope(env, n.decls)
 		matched := false
 		defaultIdx := -1
 		for idx, c := range n.Cases {
@@ -508,13 +510,10 @@ func (ip *Interp) loopBody(body stmt, env *environment) (bool, error) {
 	return false, err
 }
 
-func (ip *Interp) makeFunction(fn *funcLit, env *environment, boundThis *Value) Value {
-	return ObjectValue(&Object{
-		Class:     ClassFunction,
-		fn:        fn,
-		env:       env,
-		boundThis: boundThis,
-	})
+// makeFunction closes fn over env. An arrow function binds no this of its
+// own (see call), so it reads the this of the scope it was made in.
+func (ip *Interp) makeFunction(fn *funcLit, env *environment) Value {
+	return ObjectValue(&Object{Class: ClassFunction, fn: fn, env: env})
 }
 
 // evalExpr evaluates one expression and counts its level for
@@ -563,6 +562,7 @@ func (ip *Interp) evalExprThis(e expr, env *environment, this Value) (Value, err
 		return ObjectValue(arr), nil
 	case *objectLit:
 		obj := NewObject()
+		obj.Grow(len(n.Keys))
 		for i, key := range n.Keys {
 			v, err := ip.evalExpr(n.Values[i], env)
 			if err != nil {
@@ -572,11 +572,7 @@ func (ip *Interp) evalExprThis(e expr, env *environment, this Value) (Value, err
 		}
 		return ObjectValue(obj), nil
 	case *funcLit:
-		if n.Arrow {
-			captured, _ := env.lookup(ip, "this")
-			return ip.makeFunction(n, env, &captured), nil
-		}
-		return ip.makeFunction(n, env, nil), nil
+		return ip.makeFunction(n, env), nil
 	case *unaryExpr:
 		return ip.evalUnary(n, env)
 	case *updateExpr:
@@ -731,12 +727,14 @@ func (ip *Interp) call(fn Value, this Value, args []Value, line int) (Value, err
 	if ip.depth >= maxEvalDepth {
 		return Undefined, ErrCallDepth
 	}
-	callEnv := newEnvironment(o.env)
-	effectiveThis := this
-	if o.boundThis != nil {
-		effectiveThis = *o.boundThis
+	callEnv := &environment{parent: o.env}
+	callEnv.vars.grow(o.fn.scopeSize)
+	// this is never bound by a script, and an arrow function's scope leaves
+	// it out: its lookups reach the this of the scope the arrow was made
+	// in, the value it had there.
+	if !o.fn.Arrow {
+		callEnv.define("this", this)
 	}
-	callEnv.define("this", effectiveThis)
 	for i, p := range o.fn.Params {
 		if i < len(args) {
 			callEnv.define(p, args[i])

@@ -149,20 +149,20 @@ func TestGlobalResolvesOnDemand(t *testing.T) {
 	}
 }
 
-// Objects start without a property map; every way to read, enumerate or
-// delete properties works on them.
+// Objects start without property storage; every way to read, enumerate
+// or delete properties works on them.
 func TestNilPropsObjects(t *testing.T) {
 	for _, v := range []Value{ObjectValue(NewObject()), ObjectValue(NewArray()), NewHostFunc(nil)} {
 		o := v.Object()
-		if o.Props != nil {
-			t.Fatalf("a new %d object has a property map", o.Class)
+		if o.props.ents != nil || o.props.index != nil {
+			t.Fatalf("a new %d object has property storage", o.Class)
 		}
-		if o.Get("x").Kind() != KindUndefined || o.Has("x") || len(o.Keys()) != 0 {
+		if o.Get("x").Kind() != KindUndefined || o.Has("x") || len(o.Keys()) != 0 || o.NumProps() != 0 {
 			t.Errorf("a new %d object reads a property", o.Class)
 		}
 		o.Delete("x")
-		if o.Props != nil {
-			t.Errorf("deleting from a new %d object made a property map", o.Class)
+		if o.props.ents != nil || o.props.index != nil {
+			t.Errorf("deleting from a new %d object made property storage", o.Class)
 		}
 	}
 	for src, want := range map[string]string{

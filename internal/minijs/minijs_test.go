@@ -2,6 +2,7 @@ package minijs
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -917,6 +918,32 @@ func TestJSONEdgeCases(t *testing.T) {
 		if got := evalStr(t, tt.src); got != tt.want {
 			t.Errorf("%q = %q, want %q", tt.src, got, tt.want)
 		}
+	}
+}
+
+// Inspect renders a value for test failure messages.
+func Inspect(v Value) string {
+	switch v.kind {
+	case KindString:
+		return fmt.Sprintf("%q", v.str)
+	case KindObject:
+		if v.obj.Class == ClassArray {
+			parts := make([]string, len(v.obj.Elems))
+			for i, e := range v.obj.Elems {
+				parts[i] = Inspect(e)
+			}
+			return "[" + strings.Join(parts, ", ") + "]"
+		}
+		if v.obj.Class == ClassPlain {
+			var parts []string
+			for _, k := range v.obj.Keys() {
+				parts = append(parts, k+": "+Inspect(v.obj.own(k)))
+			}
+			return "{" + strings.Join(parts, ", ") + "}"
+		}
+		return v.ToString()
+	default:
+		return v.ToString()
 	}
 }
 

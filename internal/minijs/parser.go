@@ -216,7 +216,7 @@ func (p *parser) block() (*blockStmt, error) {
 	if err := p.expectPunct("}"); err != nil {
 		return nil, err
 	}
-	return &blockStmt{Stmts: stmts}, nil
+	return &blockStmt{Stmts: stmts, decls: declared(stmts)}, nil
 }
 
 func (p *parser) varStatement() (stmt, error) {
@@ -342,7 +342,7 @@ func (p *parser) forStatement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &forInStmt{Decl: decl, Name: name, Of: of, Obj: obj, Body: body}, nil
+			return &forInStmt{Decl: decl, Name: name, Of: of, Obj: obj, Body: body, decls: 1 + bound(body)}, nil
 		}
 	}
 	p.pos = save
@@ -392,7 +392,11 @@ func (p *parser) forStatement() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &forStmt{Init: initStmt, Cond: cond, Post: post, Body: body}, nil
+	decls := bound(body)
+	if initStmt != nil {
+		decls += bound(initStmt)
+	}
+	return &forStmt{Init: initStmt, Cond: cond, Post: post, Body: body, decls: decls}, nil
 }
 
 func (p *parser) tryStatement() (stmt, error) {
@@ -426,6 +430,12 @@ func (p *parser) tryStatement() (stmt, error) {
 	}
 	if out.Catch == nil && out.Finally == nil {
 		return nil, &SyntaxError{Line: p.cur().line, Msg: "try without catch or finally"}
+	}
+	if out.Catch != nil {
+		out.catchDecls = out.Catch.decls
+		if out.CatchName != "" {
+			out.catchDecls++
+		}
 	}
 	return out, nil
 }
@@ -471,6 +481,9 @@ func (p *parser) switchStatement() (stmt, error) {
 			body = append(body, s)
 		}
 		out.Cases = append(out.Cases, switchCase{Test: test, Body: body})
+		for _, s := range body {
+			out.decls += bound(s)
+		}
 	}
 	if err := p.expectPunct("}"); err != nil {
 		return nil, err
@@ -501,7 +514,7 @@ func (p *parser) funcRest(arrow bool) (*funcLit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &funcLit{Params: params, Body: body, Arrow: arrow}, nil
+	return newFuncLit(params, body, arrow), nil
 }
 
 // Expression parsing: precedence climbing.
@@ -569,7 +582,7 @@ func (p *parser) tryArrow() (expr, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return &funcLit{Params: []string{param}, Body: body, Arrow: true}, true, nil
+		return newFuncLit([]string{param}, body, true), true, nil
 	}
 	// (a, b) => ...: a parameter list holds only identifiers and commas,
 	// so the scan for its ")" stops at the first other token. (A scan to
@@ -608,7 +621,7 @@ func (p *parser) tryArrow() (expr, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			return &funcLit{Params: params, Body: body, Arrow: true}, true, nil
+			return newFuncLit(params, body, true), true, nil
 		}
 	}
 	return nil, false, nil

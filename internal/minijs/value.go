@@ -1,15 +1,15 @@
 package minijs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Kind discriminates runtime values.
-type Kind int
+// Kind discriminates runtime values. It is a byte so that it and Value.b
+// share a word: a Value is 40 bytes.
+type Kind uint8
 
 // Value kinds.
 const (
@@ -84,16 +84,18 @@ const (
 )
 
 // Object is a mutable property bag, also used for arrays and functions.
+// It is 96 bytes: what few objects carry (embedder data, a pending fill)
+// sits behind ext.
 type Object struct {
 	Class ObjectClass
 	// joining is set while the array's elements are being joined, see
 	// join.
 	joining bool
-	// Props holds named properties. Array elements live in Elems. It is nil
-	// until the first Set: most objects a script makes are read, never
-	// written. Read it through Get, Has and Keys, which also run a fill
-	// registered with Defer.
-	Props map[string]Value
+	// props holds named properties. Array elements live in Elems. It holds
+	// no storage until the first Set: most objects a script makes are read,
+	// never written. Read it through Get, Has, Keys and NumProps, which
+	// also run a fill registered with Defer.
+	props propTable
 	// Elems holds array elements when Class == ClassArray.
 	Elems []Value
 	// fn is the compiled function for script functions.
@@ -102,12 +104,38 @@ type Object struct {
 	env *environment
 	// host is the Go implementation for host functions.
 	host HostFunc
-	// boundThis is the receiver captured by arrow functions.
-	boundThis *Value
-	// HostData lets embedders attach arbitrary state (e.g. an XHR handle).
-	HostData any
+	// ext is nil until SetHostData or Defer needs it.
+	ext *objectExt
+}
+
+// objectExt holds the fields few objects use.
+type objectExt struct {
+	// hostData lets embedders attach arbitrary state (e.g. a DOM node).
+	hostData any
 	// fill adds the properties Defer put off; it is cleared when it runs.
 	fill func(*Object)
+}
+
+// extension returns o's ext, making it if needed.
+func (o *Object) extension() *objectExt {
+	if o.ext == nil {
+		o.ext = &objectExt{}
+	}
+	return o.ext
+}
+
+// HostData returns the value SetHostData attached, or nil.
+func (o *Object) HostData() any {
+	if o.ext == nil {
+		return nil
+	}
+	return o.ext.hostData
+}
+
+// SetHostData attaches embedder state to o (e.g. the DOM node an element
+// wraps). Scripts cannot see it.
+func (o *Object) SetHostData(v any) {
+	o.extension().hostData = v
 }
 
 // join renders an array's elements separated by sep, nullish elements as
@@ -146,19 +174,23 @@ func NewHostFunc(fn HostFunc) Value {
 
 // Defer puts off building some of o's properties: fill adds them, and it
 // runs once, before the first Get, Has or Set of a name o does not hold yet
-// and before the first Keys or Delete. Until then no script can tell the
-// properties are missing, so fill must add exactly what it would have
-// added when Defer was called. An object has at most one pending fill.
+// and before the first Keys, NumProps or Delete. Until then no script can
+// tell the properties are missing, so fill must add exactly what it would
+// have added when Defer was called. An object has at most one pending fill.
 func (o *Object) Defer(fill func(o *Object)) {
-	o.fill = fill
+	o.extension().fill = fill
 }
 
-// runFill runs and clears a fill registered with Defer.
-func (o *Object) runFill() {
-	if fill := o.fill; fill != nil {
-		o.fill = nil
-		fill(o)
+// runFill runs and clears a fill registered with Defer, and reports
+// whether there was one.
+func (o *Object) runFill() bool {
+	if o.ext == nil || o.ext.fill == nil {
+		return false
 	}
+	fill := o.ext.fill
+	o.ext.fill = nil
+	fill(o)
+	return true
 }
 
 // Get reads a named property.
@@ -166,11 +198,10 @@ func (o *Object) Get(name string) Value {
 	if o.Class == ClassArray && name == "length" {
 		return Number(float64(len(o.Elems)))
 	}
-	if v, ok := o.Props[name]; ok {
+	if v, ok := o.props.get(name); ok {
 		return v
 	}
-	if o.fill != nil {
-		o.runFill()
+	if o.runFill() {
 		return o.Get(name)
 	}
 	return Undefined
@@ -178,15 +209,21 @@ func (o *Object) Get(name string) Value {
 
 // Set writes a named property.
 func (o *Object) Set(name string, v Value) {
-	if o.Props == nil {
-		o.Props = map[string]Value{}
+	if o.props.set(name, v) {
+		return
 	}
-	if o.fill != nil {
-		if _, ok := o.Props[name]; !ok {
-			o.runFill()
-		}
+	if o.runFill() && o.props.set(name, v) {
+		return
 	}
-	o.Props[name] = v
+	o.props.add(name, v)
+}
+
+// Grow makes room for n more named properties, so that the next n Sets of
+// new names do not reallocate. An embedder that builds an object of known
+// shape calls it before the Sets; on an object without properties it is
+// the one allocation of their storage.
+func (o *Object) Grow(n int) {
+	o.props.grow(n)
 }
 
 // Has reports whether a named property exists.
@@ -194,11 +231,10 @@ func (o *Object) Has(name string) bool {
 	if o.Class == ClassArray && name == "length" {
 		return true
 	}
-	if _, ok := o.Props[name]; ok {
+	if o.props.find(name) >= 0 {
 		return true
 	}
-	if o.fill != nil {
-		o.runFill()
+	if o.runFill() {
 		return o.Has(name)
 	}
 	return false
@@ -207,18 +243,32 @@ func (o *Object) Has(name string) bool {
 // Delete removes a named property.
 func (o *Object) Delete(name string) {
 	o.runFill()
-	delete(o.Props, name)
+	o.props.del(name)
 }
 
 // Keys returns the object's own property names, sorted for determinism.
 func (o *Object) Keys() []string {
 	o.runFill()
-	out := make([]string, 0, len(o.Props))
-	for k := range o.Props {
-		out = append(out, k)
+	out := make([]string, len(o.props.ents))
+	for i := range o.props.ents {
+		out[i] = o.props.ents[i].name
 	}
 	sort.Strings(out)
 	return out
+}
+
+// NumProps returns how many named properties o has. Array elements are
+// not named properties.
+func (o *Object) NumProps() int {
+	o.runFill()
+	return len(o.props.ents)
+}
+
+// own reads a named property without the array length and without
+// running a fill: for callers that ran Keys first.
+func (o *Object) own(name string) Value {
+	v, _ := o.props.get(name)
+	return v
 }
 
 // Callable reports whether the object can be invoked.
@@ -393,30 +443,4 @@ func trimFloat(f float64) string {
 		return strconv.FormatInt(int64(f), 10)
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// Inspect renders a value for debugging output.
-func Inspect(v Value) string {
-	switch v.kind {
-	case KindString:
-		return fmt.Sprintf("%q", v.str)
-	case KindObject:
-		if v.obj.Class == ClassArray {
-			parts := make([]string, len(v.obj.Elems))
-			for i, e := range v.obj.Elems {
-				parts[i] = Inspect(e)
-			}
-			return "[" + strings.Join(parts, ", ") + "]"
-		}
-		if v.obj.Class == ClassPlain {
-			var parts []string
-			for _, k := range v.obj.Keys() {
-				parts = append(parts, k+": "+Inspect(v.obj.Props[k]))
-			}
-			return "{" + strings.Join(parts, ", ") + "}"
-		}
-		return v.ToString()
-	default:
-		return v.ToString()
-	}
 }
