@@ -136,7 +136,7 @@ evidencecheck:
 # servecheck is the continuous-ingest golden gate (DESIGN.md §15): record
 # the example corpus into a canned ingest log, replay it through the daemon
 # pipeline at workers 1 and 8, and require byte-identical verdict streams
-# and counter lines — the executable proof that the sharded verdict cache's
+# and counter lines — the executable proof that the verdict cache's
 # hit/miss decisions, provenance labels, and counters are
 # schedule-independent. The grep pins that the gate exercises the cache (27
 # duplicate landing URLs in this corpus), not just the empty-cache path.

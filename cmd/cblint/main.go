@@ -17,7 +17,6 @@
 //	                 snapshot current findings as the baseline and exit
 //	-sarif FILE      additionally write findings as SARIF 2.1.0 ("-" = stdout)
 //	-suggest         print ready-to-paste //cblint:ignore lines per finding
-//	-factcache FILE  persist cross-package facts keyed by content hash
 //	-parallel N      analyze N packages concurrently (default GOMAXPROCS)
 //
 // Exit status is 0 when clean (or all findings baselined), 1 when any new
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	suggest := fs.Bool("suggest", false, "print ready-to-paste //cblint:ignore suppressions per finding")
-	factCache := fs.String("factcache", "", "cache cross-package facts in this file, keyed by content hash")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "number of packages analyzed concurrently")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -84,9 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	root := moduleRoot()
 	loader := lint.NewLoader(root)
 	facts := lint.NewFacts(loader)
-	if *factCache != "" {
-		facts.LoadCache(*factCache)
-	}
 
 	// Load sequentially — the loader's dependency cache is not safe for
 	// concurrent use — and precompute each package's facts so the parallel
@@ -137,12 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stampHashes(diags)
 	relativize(diags)
 	lint.SortDiagnostics(diags)
-
-	if *factCache != "" {
-		if err := facts.SaveCache(); err != nil {
-			fmt.Fprintln(stderr, "cblint: saving fact cache:", err)
-		}
-	}
 
 	if *writeBaseline != "" {
 		if err := lint.NewBaseline(diags).Write(*writeBaseline); err != nil {

@@ -127,22 +127,6 @@ func TestSuggestPrintsPasteableIgnores(t *testing.T) {
 	}
 }
 
-// TestFactCachePersists checks -factcache writes a reloadable cache file.
-func TestFactCachePersists(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "facts.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-factcache", path, fixture("cleanfix")}, &out, &errb); code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("fact cache not written: %v", err)
-	}
-	if !strings.Contains(string(data), lint.Version) {
-		t.Errorf("fact cache missing version stamp:\n%s", data)
-	}
-}
-
 func TestTextOutputFindings(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{fixture("jsonfix")}, &out, &errb)

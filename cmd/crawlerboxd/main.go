@@ -228,11 +228,10 @@ func serveIngest(addr, logPath string, seed int64, scale float64, maxPending int
 		return err
 	}
 
-	svc := ingest.NewService(pipe, ingest.PipelineKeyer(pipe), log,
+	svc := ingest.NewService(ctx, pipe, ingest.PipelineKeyer(pipe), log,
 		ingest.WithWorkers(*shared.Workers),
 		ingest.WithMaxPending(maxPending),
 		ingest.WithCache(cache))
-	svc.Start(ctx)
 	if resume {
 		if err := svc.Resume(ctx, logPath); err != nil {
 			svc.Drain()

@@ -135,9 +135,8 @@ func (a *releasableAnalyzer) Release() { a.once.Do(func() { close(a.release) }) 
 func TestDaemonAPI(t *testing.T) {
 	ra := &releasableAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := ingest.NewService(ra, keyer, nil,
+	svc := ingest.NewService(context.Background(), ra, keyer, nil,
 		ingest.WithWorkers(1), ingest.WithMaxPending(2))
-	svc.Start(context.Background())
 	ts := httptest.NewServer(daemonMux(svc))
 	defer ts.Close()
 
@@ -233,8 +232,7 @@ func TestDaemonAPI(t *testing.T) {
 // under the cap is accepted.
 func TestSubmitRejectsOversizedBody(t *testing.T) {
 	ra := &releasableAnalyzer{release: make(chan struct{})}
-	svc := ingest.NewService(ra, func(raw []byte) string { return string(raw) }, nil, ingest.WithWorkers(1))
-	svc.Start(context.Background())
+	svc := ingest.NewService(context.Background(), ra, func(raw []byte) string { return string(raw) }, nil, ingest.WithWorkers(1))
 	ts := httptest.NewServer(daemonMux(svc))
 	defer ts.Close()
 	defer func() {
@@ -269,15 +267,14 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 // TestSubmitDuplicateIDConflict pins the duplicate-ID answer: a second
 // submission of an ID is answered 409 and not journaled, so the daemon
 // restarts on its journal, and the restarted daemon still answers 409
-// for the recovered ID.
+// for the recovered ID and serves its checkpointed verdict.
 func TestSubmitDuplicateIDConflict(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.log")
 	keyer := func(raw []byte) string { return string(raw) }
 	ra := &releasableAnalyzer{release: make(chan struct{})}
 	ra.Release()
 	start := func(log *ingest.Log, resume bool) (*ingest.Service, *httptest.Server) {
-		svc := ingest.NewService(ra, keyer, log, ingest.WithWorkers(1))
-		svc.Start(context.Background())
+		svc := ingest.NewService(context.Background(), ra, keyer, log, ingest.WithWorkers(1))
 		if resume {
 			if err := svc.Resume(context.Background(), journal); err != nil {
 				t.Fatal(err)
@@ -324,6 +321,22 @@ func TestSubmitDuplicateIDConflict(t *testing.T) {
 	defer ts.Close()
 	if got := post(ts, `{"id":1,"raw":"Yw=="}`); got != http.StatusConflict {
 		t.Fatalf("restarted daemon, submit of id 1: status %d, want 409", got)
+	}
+	// The recovered ID's verdict is the checkpointed done record.
+	resp, err := http.Get(ts.URL + "/api/verdict?id=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served ingest.Emitted
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("restarted daemon, verdict of id 1: status %d, decode err %v", resp.StatusCode, err)
+	}
+	gotJSON, _ := json.Marshal(served)
+	wantJSON, _ := json.Marshal(state.Done[1])
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("restarted daemon, verdict of id 1:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 	if got := post(ts, `{"id":2,"raw":"Yw=="}`); got != http.StatusAccepted {
 		t.Fatalf("restarted daemon, submit of id 2: status %d, want 202", got)

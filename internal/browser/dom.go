@@ -98,7 +98,7 @@ func (pg *page) newElementObject(node *htmlx.Node, extra int) *minijs.Object {
 		}
 		pg.wrapRoots()
 		htmlx.AppendChild(node, childNode)
-		pg.processNewNode(childNode, childObj)
+		pg.processNewNode(childNode)
 		return args[0], nil
 	}))
 	obj.Set("click", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
@@ -142,24 +142,16 @@ func styleObject(node *htmlx.Node) *minijs.Object {
 	return style
 }
 
-// elementGetDynamic resolves element properties that must read live state.
-// It is installed as explicit getter methods because the interpreter has no
-// property traps; scripts in the corpus use the method forms too.
-func (pg *page) installLiveProps(obj *minijs.Object, node *htmlx.Node) {
-	obj.Set("value", minijs.String(node.Attr("value")))
-}
-
 // afterAttrChange reacts to attribute writes that have side effects.
 func (pg *page) afterAttrChange(node *htmlx.Node, name string) {
 	if name == "src" && (node.Tag == "img" || node.Tag == "iframe" || node.Tag == "script") {
-		pg.processNewNode(node, nil)
+		pg.processNewNode(node)
 	}
 }
 
 // processNewNode handles dynamically inserted content: fetch iframe/img
 // sources, execute script nodes.
-func (pg *page) processNewNode(node *htmlx.Node, obj *minijs.Object) {
-	_ = obj
+func (pg *page) processNewNode(node *htmlx.Node) {
 	htmlx.Walk(node, func(n *htmlx.Node) {
 		if n.Kind != htmlx.KindElement {
 			return
@@ -229,7 +221,7 @@ func (pg *page) documentObject() *minijs.Object {
 		}
 		obj := pg.elementObject(node, innerHTMLProps+1)
 		pg.installInnerHTML(obj, node)
-		pg.installLiveProps(obj, node)
+		obj.Set("value", minijs.String(node.Attr("value")))
 		return minijs.ObjectValue(obj), nil
 	}))
 	doc.Set("getElementsByTagName", minijs.NewHostFunc(func(_ *minijs.Interp, _ minijs.Value, args []minijs.Value) (minijs.Value, error) {
@@ -267,7 +259,7 @@ func (pg *page) documentObject() *minijs.Object {
 				htmlx.AppendChild(body, c)
 				// Only the newly written nodes are processed; re-walking
 				// the whole body would re-execute the calling script.
-				pg.processNewNode(c, nil)
+				pg.processNewNode(c)
 			}
 		}
 		return minijs.Undefined, nil
@@ -307,7 +299,7 @@ func (pg *page) installInnerHTML(obj *minijs.Object, node *htmlx.Node) {
 		pg.wrapRoots()
 		frag := htmlx.Parse(args[0].ToString())
 		htmlx.ReplaceChildren(node, frag)
-		pg.processNewNode(node, obj)
+		pg.processNewNode(node)
 		update()
 		return minijs.Undefined, nil
 	}))

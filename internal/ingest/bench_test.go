@@ -42,25 +42,36 @@ func BenchmarkVerdictCacheHit(b *testing.B) {
 	c, pipe := buildWorld(b)
 	keyer := PipelineKeyer(pipe)
 
-	// Pre-resolve keys so the benchmark targets the cache, not the parser.
-	var keys []string
+	// Pre-resolve keys so the benchmark targets admission, not the parser:
+	// each submission's raw bytes are its key.
+	var keys [][]byte
 	for _, s := range corpusSpecs(c) {
 		if k := keyer(s.Raw); k != "" {
-			keys = append(keys, k)
+			keys = append(keys, []byte(k))
 		}
 	}
 	if len(keys) == 0 {
 		b.Fatal("no keyable messages in corpus")
 	}
-	cache := newVerdictCache()
+	ctx := context.Background()
+	svc := NewService(ctx, pipe, func(raw []byte) string { return string(raw) }, nil)
+	svc.mu.Lock()
 	for i, k := range keys {
-		cache.warm(k, int64(i+1), tracestore.Verdict{ID: int64(i + 1), Outcome: "credential-phish"})
+		svc.cache.warm(string(k), int64(i+1), tracestore.Verdict{ID: int64(i + 1), Outcome: "credential-phish"})
 	}
+	svc.mu.Unlock()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adm, _, _ := cache.admit(keys[i%len(keys)], int64(i)+1e6)
-		if adm != admitHit {
-			b.Fatalf("admission = %d, want hit", adm)
+		if err := svc.Submit(ctx, Spec{ID: int64(i) + 1e6, Raw: keys[i%len(keys)]}); err != nil {
+			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	res, err := svc.Drain()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Counters.CacheHits != int64(b.N) {
+		b.Fatalf("%d cache hits over %d submissions", res.Counters.CacheHits, b.N)
 	}
 }

@@ -9,7 +9,7 @@
 // reported messages per landing domain (max 58), so at production volume
 // most submissions are cache hits that re-emit a stored verdict with a
 // "cached" provenance mark instead of running the crawl pipeline. Hit or
-// miss is decided at admission time, under the cache lock, in
+// miss is decided at admission time, under the service lock, in
 // submission order — so provenance marks and hit counters are a pure
 // function of the submission sequence, never of scheduling.
 //
@@ -144,9 +144,9 @@ func (r *Result) WriteVerdictStream(w io.Writer) error {
 	return nil
 }
 
-// options collects the service configuration assembled by Option values —
-// the same functional-options surface report.Analyze uses, so batch runs,
-// replays, and the daemon are configured in one vocabulary.
+// options collects the service configuration assembled by Option values.
+// report.Analyze has its own option type; batch runs and the service
+// share vocabulary (workers, cache), not a type.
 type options struct {
 	workers    int
 	maxPending int
@@ -179,52 +179,56 @@ func WithCache(enabled bool) Option {
 	return func(o *options) { o.cacheOff = !enabled }
 }
 
-// job is one fresh analysis in flight: the submission it answers and its
-// cache key.
-type job struct {
-	id  int64
-	key string
-}
-
 // Service is the continuous-ingest daemon core. Submissions flow through
 // admission (admission control, cache consult, queue slot, journal) into
 // one bounded work queue drained by crawlerbox.AnalyzeStream; each
 // completed analysis fills its cache entry, flushing any waiters. Drain
 // stops intake, waits for in-flight work, and returns the Result.
 type Service struct {
-	analyzer Analyzer
-	keyer    KeyFunc
-	o        options
-	log      *Log
-	cache    *verdictCache
-	jobs     chan crawlerbox.IndexedSpec
+	keyer      KeyFunc
+	maxPending int
+	log        *Log
+	jobs       chan crawlerbox.IndexedSpec
 	// slots holds one token per fresh analysis queued or running; it has
 	// the capacity of jobs, so a send to jobs by a slot holder never blocks.
-	slots   chan struct{}
-	wg      sync.WaitGroup
-	started bool
+	slots chan struct{}
+	wg    sync.WaitGroup
 
 	// admitMu serializes admission so journal order, cache consults, and
 	// counters all see one total submission order.
-	admitMu sync.Mutex
-	// mu guards the emission buffer, counters, pending count, and the
-	// in-flight table of queued and running jobs by queue Index.
-	mu       sync.Mutex
-	emitted  []Emitted   // guarded by mu
-	counters Counters    // guarded by mu
-	pending  int         // guarded by mu
-	inflight map[int]job // guarded by mu
-	nextJob  int         // guarded by mu
-	draining bool        // read/written under admitMu (see submitLocked/Drain)
-	emitErr  error       // guarded by mu
-	// ids holds every accepted or resumed message ID; read/written under
-	// admitMu (see submitLocked/resumeDone).
-	ids map[int64]struct{}
+	admitMu  sync.Mutex
+	draining bool // read/written under admitMu (see submitLocked/Drain)
+
+	// mu guards the ID table, the emissions, the cache and the counters.
+	// The pending depth is counters.Submitted minus len(emitted).
+	mu sync.Mutex
+	// byID is the one table of accepted and resumed message IDs: the
+	// duplicate check, the /api/verdict index, and the route from a fresh
+	// analysis's completion back to its cache key.
+	byID     map[int64]entry // guarded by mu
+	emitted  []Emitted       // guarded by mu
+	cache    verdictCache    // guarded by mu (nil when the cache is off)
+	counters Counters        // guarded by mu
+	emitErr  error           // guarded by mu
 }
 
-// NewService assembles a service around an analyzer and a cache keyer.
-// A nil log runs without a journal (no checkpoint/resume); see WithLog.
-func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
+// entry is one accepted ID's row in Service.byID: the slot of its emission
+// in emitted, or inFlight until it is emitted, and the cache key a fresh
+// analysis in flight completes.
+type entry struct {
+	slot int
+	key  string
+}
+
+// inFlight is the slot of an entry whose verdict is not emitted yet.
+const inFlight = -1
+
+// NewService assembles a service around an analyzer, a cache keyer and a
+// journal, and starts its worker pool. A nil log runs without a journal
+// (no checkpoint/resume). ctx cancels in-flight analyses; work already
+// admitted still emits exactly one verdict (a failed-analysis verdict
+// when cancelled, whether or not its analysis had started).
+func NewService(ctx context.Context, a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
 	o := options{workers: 1}
 	for _, fn := range opts {
 		fn(&o)
@@ -236,39 +240,24 @@ func NewService(a Analyzer, keyer KeyFunc, log *Log, opts ...Option) *Service {
 	// fed while Submit blocks for backpressure.
 	depth := 3 * o.workers
 	s := &Service{
-		analyzer: a, keyer: keyer, o: o, log: log,
-		jobs:     make(chan crawlerbox.IndexedSpec, depth),
-		slots:    make(chan struct{}, depth),
-		inflight: map[int]job{},
-		ids:      map[int64]struct{}{},
+		keyer: keyer, maxPending: o.maxPending, log: log,
+		jobs:  make(chan crawlerbox.IndexedSpec, depth),
+		slots: make(chan struct{}, depth),
+		byID:  map[int64]entry{},
 	}
 	if !o.cacheOff {
-		s.cache = newVerdictCache()
+		s.cache = verdictCache{}
 	}
-	return s
-}
-
-// Start launches the worker pool. ctx cancels in-flight analyses; work
-// already admitted still emits exactly one verdict (a failed-analysis
-// verdict when cancelled, whether or not its analysis had started).
-func (s *Service) Start(ctx context.Context) {
-	if s.started {
-		return
-	}
-	s.started = true
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		crawlerbox.AnalyzeStream(ctx, s.analyzer.Analyze, s.jobs, s.o.workers,
+		crawlerbox.AnalyzeStream(ctx, a.Analyze, s.jobs, o.workers,
 			func(res crawlerbox.CorpusResult) {
-				s.mu.Lock()
-				j := s.inflight[res.Index]
-				delete(s.inflight, res.Index)
-				s.mu.Unlock()
 				<-s.slots
-				s.complete(j, tracestore.VerdictOf(j.id, res.Analysis, res.Err))
+				s.complete(res)
 			})
 	}()
+	return s
 }
 
 // Submit admits one reported message: admission control, cache consult,
@@ -288,29 +277,32 @@ func (s *Service) Submit(ctx context.Context, spec Spec) error {
 // submitLocked is the admission path; callers hold admitMu. resumed marks
 // specs re-admitted from a recovered journal, which are not re-journaled.
 func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) error {
-	if !s.started {
-		return errors.New("ingest: service not started")
-	}
 	if s.draining {
 		return ErrDraining
 	}
-	if _, dup := s.ids[spec.ID]; dup {
-		return fmt.Errorf("%w %d", ErrDuplicateID, spec.ID)
-	}
 	s.mu.Lock()
-	if s.o.maxPending > 0 && s.pending >= s.o.maxPending {
+	_, dup := s.byID[spec.ID]
+	overloaded := !dup && s.maxPending > 0 && int(s.counters.Submitted)-len(s.emitted) >= s.maxPending
+	if overloaded {
 		s.counters.Rejected++
-		s.mu.Unlock()
-		return ErrOverloaded
 	}
 	s.mu.Unlock()
+	if dup {
+		return fmt.Errorf("%w %d", ErrDuplicateID, spec.ID)
+	}
+	if overloaded {
+		return ErrOverloaded
+	}
 
+	// The keyer parses outside mu, so completions never wait behind it.
 	// The consult is exact: only admission, which admitMu serializes,
 	// adds a key, and a completion only turns an in-flight key into a
 	// stored one — a hit either way.
 	key := s.keyer(spec.Raw)
 	cacheable := key != "" && s.cache != nil
-	fresh := !cacheable || !s.cache.has(key)
+	s.mu.Lock()
+	fresh := !cacheable || s.cache[key] == nil
+	s.mu.Unlock()
 	if fresh {
 		select {
 		case s.slots <- struct{}{}:
@@ -326,61 +318,56 @@ func (s *Service) submitLocked(ctx context.Context, spec Spec, resumed bool) err
 			return fmt.Errorf("ingest: journaling spec %d: %w", spec.ID, err)
 		}
 	}
-	s.ids[spec.ID] = struct{}{}
+
 	s.mu.Lock()
 	s.counters.Submitted++
-	s.mu.Unlock()
-
+	s.byID[spec.ID] = entry{slot: inFlight, key: key}
 	if fresh {
 		if cacheable {
-			s.cache.admit(key, spec.ID)
+			s.cache[key] = &cacheEntry{sourceID: spec.ID}
 		}
-		s.mu.Lock()
 		if key == "" {
 			s.counters.Keyless++
 		}
 		s.counters.Fresh++
-		s.pending++
-		idx := s.nextJob
-		s.nextJob++
-		// Registered before the send: a worker may complete the job
-		// before the send returns.
-		s.inflight[idx] = job{id: spec.ID, key: key}
 		s.mu.Unlock()
-		s.jobs <- crawlerbox.IndexedSpec{Index: idx, Spec: crawlerbox.MessageSpec{Raw: spec.Raw, ID: spec.ID, At: spec.At}}
+		// The entry is in the table before the send: a worker may complete
+		// the job before the send returns. The job's queue Index is its
+		// message ID, which routes the completion to the entry (an int
+		// holds every int64 on 64-bit platforms).
+		s.jobs <- crawlerbox.IndexedSpec{Index: int(spec.ID), Spec: crawlerbox.MessageSpec{Raw: spec.Raw, ID: spec.ID, At: spec.At}}
 		return nil
 	}
-
-	adm, v, sourceID := s.cache.admit(key, spec.ID)
-	s.mu.Lock()
 	s.counters.CacheHits++
-	if adm == admitWait {
-		s.pending++
+	e := s.cache[key]
+	if !e.done {
+		// The key's analysis is in flight: its completion flushes this ID.
+		e.waiters = append(e.waiters, spec.ID)
+		s.mu.Unlock()
+		return nil
 	}
+	hit := cachedEmission(spec.ID, key, e.sourceID, e.verdict)
 	s.mu.Unlock()
-	if adm == admitHit {
-		s.emit(cachedEmission(spec.ID, key, sourceID, v), true)
-		return s.emitError()
-	}
-	return nil
+	return s.fill(hit)
 }
 
-// complete records a fresh verdict, fills the cache entry, and flushes
-// any waiters as cached emissions.
-func (s *Service) complete(j job, v tracestore.Verdict) {
-	s.emit(Emitted{ID: j.id, Provenance: ProvenanceFresh, Key: j.key, Verdict: v}, true)
+// complete records the fresh verdict of message res.Index, fills its
+// cache entry, and flushes any waiters as cached emissions.
+func (s *Service) complete(res crawlerbox.CorpusResult) {
+	id := int64(res.Index)
 	s.mu.Lock()
-	s.pending--
+	key := s.byID[id].key
 	s.mu.Unlock()
-	if j.key == "" || s.cache == nil {
+	v := tracestore.VerdictOf(id, res.Analysis, res.Err)
+	s.fill(Emitted{ID: id, Provenance: ProvenanceFresh, Key: key, Verdict: v})
+	if key == "" || s.cache == nil {
 		return
 	}
-	waiters, sourceID := s.cache.complete(j.key, v)
-	for _, id := range waiters {
-		s.emit(cachedEmission(id, j.key, sourceID, v), true)
-		s.mu.Lock()
-		s.pending--
-		s.mu.Unlock()
+	s.mu.Lock()
+	waiters := s.cache.complete(key, v)
+	s.mu.Unlock()
+	for _, w := range waiters {
+		s.fill(cachedEmission(w, key, id, v))
 	}
 }
 
@@ -391,24 +378,18 @@ func cachedEmission(id int64, key string, sourceID int64, v tracestore.Verdict) 
 	return Emitted{ID: id, Provenance: ProvenanceCached, Key: key, CachedFrom: sourceID, Verdict: v}
 }
 
-// emit buffers one emission and journals its done record.
-func (s *Service) emit(e Emitted, journal bool) {
-	var logErr error
-	if journal {
-		logErr = s.log.AppendDone(e)
-	}
+// fill journals e's done record, then appends e to the emissions and
+// points its ID's entry at it. It returns the first journal failure, if
+// any.
+func (s *Service) fill(e Emitted) error {
+	logErr := s.log.AppendDone(e)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.byID[e.ID] = entry{slot: len(s.emitted)}
 	s.emitted = append(s.emitted, e)
 	if logErr != nil && s.emitErr == nil {
 		s.emitErr = logErr
 	}
-	s.mu.Unlock()
-}
-
-// emitError reports the first journal failure, if any.
-func (s *Service) emitError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.emitErr
 }
 
@@ -429,9 +410,6 @@ func (s *Service) emitError() error {
 func (s *Service) Resume(ctx context.Context, path string) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	if !s.started {
-		return errors.New("ingest: service not started")
-	}
 	j, err := openJournal(path)
 	if err != nil {
 		return err
@@ -453,15 +431,17 @@ func (s *Service) Resume(ctx context.Context, path string) error {
 	}, nil)
 }
 
-// resumeDone accepts a checkpointed spec: it re-emits the spec's done
+// resumeDone accepts a checkpointed spec: it stores the spec's done
 // record e without journaling it and counts it; a fresh done record also
 // warms the cache. Callers hold admitMu.
 func (s *Service) resumeDone(e Emitted) {
-	s.ids[e.ID] = struct{}{}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.byID[e.ID] = entry{slot: len(s.emitted)}
+	s.emitted = append(s.emitted, e)
 	if s.cache != nil && e.Provenance == ProvenanceFresh && e.Key != "" {
 		s.cache.warm(e.Key, e.ID, e.Verdict)
 	}
-	s.mu.Lock()
 	s.counters.Submitted++
 	s.counters.Resumed++
 	if e.Provenance == ProvenanceCached {
@@ -472,12 +452,11 @@ func (s *Service) resumeDone(e Emitted) {
 			s.counters.Keyless++
 		}
 	}
-	s.mu.Unlock()
-	s.emit(e, false)
 }
 
 // Drain stops intake, waits for every in-flight analysis and waiter
-// flush, and returns the sorted Result. The service cannot be reused.
+// flush, and returns the sorted Result. The service cannot be reused;
+// Emission still answers.
 func (s *Service) Drain() (*Result, error) {
 	s.admitMu.Lock()
 	if s.draining {
@@ -497,6 +476,9 @@ func (s *Service) Drain() (*Result, error) {
 		return nil, s.emitErr
 	}
 	sort.Slice(s.emitted, func(i, j int) bool { return s.emitted[i].ID < s.emitted[j].ID })
+	for i := range s.emitted {
+		s.byID[s.emitted[i].ID] = entry{slot: i}
+	}
 	return &Result{Emitted: s.emitted, Counters: s.counters}, nil
 }
 
@@ -505,7 +487,7 @@ func (s *Service) Drain() (*Result, error) {
 func (s *Service) Stats() (Counters, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters, s.pending
+	return s.counters, int(s.counters.Submitted) - len(s.emitted)
 }
 
 // Emission returns the verdict already emitted for message id, if any —
@@ -514,10 +496,9 @@ func (s *Service) Stats() (Counters, int) {
 func (s *Service) Emission(id int64) (Emitted, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.emitted {
-		if s.emitted[i].ID == id {
-			return s.emitted[i], true
-		}
+	en, ok := s.byID[id]
+	if !ok || en.slot == inFlight {
+		return Emitted{}, false
 	}
-	return Emitted{}, false
+	return s.emitted[en.slot], true
 }

@@ -115,8 +115,7 @@ func TestKillResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(pipe, PipelineKeyer(pipe), log, WithWorkers(4))
-	svc.Start(context.Background())
+	svc := NewService(context.Background(), pipe, PipelineKeyer(pipe), log, WithWorkers(4))
 	for _, spec := range specs {
 		if err := svc.Submit(context.Background(), spec); err != nil {
 			t.Fatal(err)
@@ -237,9 +236,8 @@ func (b *blockingAnalyzer) Release() { b.once.Do(func() { close(b.release) }) }
 func TestAdmissionControl(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, nil, WithWorkers(1), WithMaxPending(2))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, nil, WithWorkers(1), WithMaxPending(2))
 
 	// Two distinct keys: the first occupies the worker, the second its
 	// queue slot. Both are pending.
@@ -266,17 +264,16 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestCancelEmitsFailedVerdicts pins cancellation: cancelling Start's
-// context while specs wait behind a blocked analysis still emits exactly
+// TestCancelEmitsFailedVerdicts pins cancellation: cancelling the
+// context NewService was given while specs wait behind a blocked analysis still emits exactly
 // one failed verdict per admitted submission — the running analysis cut
 // off mid-flight, the queued ones never started — and Drain returns.
 func TestCancelEmitsFailedVerdicts(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, nil, WithWorkers(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, nil, WithWorkers(1))
 	// Distinct keys: one analysis blocks the worker, the rest queue.
 	const n = 3
 	for id := int64(1); id <= n; id++ {
@@ -311,9 +308,8 @@ func TestCancelEmitsFailedVerdicts(t *testing.T) {
 func TestWaiterFlush(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return "same-key" }
-	svc := NewService(ba, keyer, nil, WithWorkers(2))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, nil, WithWorkers(2))
 	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("a")}); err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +333,156 @@ func TestWaiterFlush(t *testing.T) {
 	}
 	if res.Emitted[1].CachedFrom != 1 {
 		t.Fatalf("CachedFrom = %d, want 1", res.Emitted[1].CachedFrom)
+	}
+}
+
+// TestEmissionEveryProvenance pins the /api/verdict lookup over every way
+// a verdict is emitted: a resumed done record, a fresh analysis, a waiter
+// flushed by it, and a direct cache hit. An in-flight ID and an ID never
+// submitted report false, and at every step the pending depth is the
+// accepted submissions minus the emitted ones.
+func TestEmissionEveryProvenance(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	writeLog(t, path, []Spec{{ID: 1, Raw: []byte("r")}},
+		[]Emitted{{ID: 1, Provenance: ProvenanceFresh, Key: "r", Verdict: tracestore.Verdict{ID: 1, Outcome: "error-page"}}})
+	ba := &blockingAnalyzer{release: make(chan struct{})}
+	keyer := func(raw []byte) string { return string(raw) }
+	ctx := context.Background()
+	svc := NewService(ctx, ba, keyer, nil, WithWorkers(1))
+	const maxID = 6 // ID 6 is never submitted
+	check := func(step string, want map[int64]Emitted) {
+		t.Helper()
+		counters, pending := svc.Stats()
+		emitted := 0
+		for id := int64(1); id <= maxID; id++ {
+			got, ok := svc.Emission(id)
+			w, wantOK := want[id]
+			if ok != wantOK {
+				t.Fatalf("%s: Emission(%d) ok = %v, want %v", step, id, ok, wantOK)
+			}
+			if ok {
+				emitted++
+				if got.ID != id || got.Provenance != w.Provenance || got.CachedFrom != w.CachedFrom || got.Verdict.ID != id {
+					t.Fatalf("%s: Emission(%d) = %+v, want provenance %q from %d", step, id, got, w.Provenance, w.CachedFrom)
+				}
+			}
+		}
+		if int64(pending) != counters.Submitted-int64(emitted) {
+			t.Fatalf("%s: pending %d, want %d submitted - %d emitted", step, pending, counters.Submitted, emitted)
+		}
+	}
+	want := map[int64]Emitted{}
+	check("empty", want)
+
+	if err := svc.Resume(ctx, path); err != nil {
+		t.Fatal(err)
+	}
+	want[1] = Emitted{Provenance: ProvenanceFresh}
+	check("resumed done record", want)
+
+	// ID 2 runs fresh and blocks; ID 3 waits on its key; ID 4 hits the
+	// resumed record's key.
+	if err := svc.Submit(ctx, Spec{ID: 2, Raw: []byte("a")}); err != nil {
+		t.Fatal(err)
+	}
+	check("fresh in flight", want)
+	if err := svc.Submit(ctx, Spec{ID: 3, Raw: []byte("a")}); err != nil {
+		t.Fatal(err)
+	}
+	check("waiter in flight", want)
+	if err := svc.Submit(ctx, Spec{ID: 4, Raw: []byte("r")}); err != nil {
+		t.Fatal(err)
+	}
+	want[4] = Emitted{Provenance: ProvenanceCached, CachedFrom: 1}
+	check("hit on the resumed record", want)
+
+	ba.Release()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := svc.Emission(3); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiter 3 never flushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	want[2] = Emitted{Provenance: ProvenanceFresh}
+	want[3] = Emitted{Provenance: ProvenanceCached, CachedFrom: 2}
+	check("fresh verdict and flushed waiter", want)
+
+	if err := svc.Submit(ctx, Spec{ID: 5, Raw: []byte("a")}); err != nil {
+		t.Fatal(err)
+	}
+	want[5] = Emitted{Provenance: ProvenanceCached, CachedFrom: 2}
+	check("hit on the fresh verdict", want)
+
+	if _, err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	check("drained", want)
+}
+
+// TestEmissionConcurrent drives the ID table from every side at once:
+// submitters, the workers' completions and waiter flushes, and pollers of
+// Emission and Stats. Under -race it pins the table's locking; at the
+// end every ID answers with its own verdict and nothing is pending.
+func TestEmissionConcurrent(t *testing.T) {
+	const n, keys, submitters = 240, 16, 4
+	a := &countingAnalyzer{}
+	keyer := func(raw []byte) string { return string(raw) }
+	ctx := context.Background()
+	svc := NewService(ctx, a, keyer, nil, WithWorkers(4))
+	stop := make(chan struct{})
+	var polls sync.WaitGroup
+	for range 2 {
+		polls.Add(1)
+		go func() {
+			defer polls.Done()
+			for id := int64(1); ; id = id%n + 1 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if e, ok := svc.Emission(id); ok && e.ID != id {
+					t.Errorf("Emission(%d) answered for id %d", id, e.ID)
+				}
+				if counters, pending := svc.Stats(); pending < 0 || int64(pending) > counters.Submitted {
+					t.Errorf("pending %d outside [0, %d]", pending, counters.Submitted)
+				}
+			}
+		}()
+	}
+	var subs sync.WaitGroup
+	for w := range submitters {
+		subs.Add(1)
+		go func() {
+			defer subs.Done()
+			for id := int64(w + 1); id <= n; id += submitters {
+				if err := svc.Submit(ctx, Spec{ID: id, Raw: []byte{byte('a' + id%keys)}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	subs.Wait()
+	res, err := svc.Drain()
+	close(stop)
+	polls.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emitted) != n || res.Counters.Fresh != keys || res.Counters.CacheHits != n-keys {
+		t.Fatalf("%d emissions, counters %+v; want %d, %d fresh", len(res.Emitted), res.Counters, n, keys)
+	}
+	for id := int64(1); id <= n; id++ {
+		if e, ok := svc.Emission(id); !ok || e.ID != id || e.Verdict.ID != id {
+			t.Fatalf("Emission(%d) = %+v, %v after drain", id, e, ok)
+		}
+	}
+	if _, pending := svc.Stats(); pending != 0 {
+		t.Fatalf("pending %d after drain", pending)
 	}
 }
 
@@ -404,8 +550,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	ba := &blockingAnalyzer{release: make(chan struct{})}
-	svc := NewService(ba, keyer, log, WithWorkers(1))
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, log, WithWorkers(1))
 	if err := svc.Submit(ctx, Spec{ID: 1, Raw: []byte("a")}); err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +576,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc = NewService(ba, keyer, log, WithWorkers(1))
-	svc.Start(ctx)
+	svc = NewService(ctx, ba, keyer, log, WithWorkers(1))
 	if err := svc.Resume(ctx, path); err != nil {
 		t.Fatal(err)
 	}
@@ -457,9 +601,8 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestCancelledEnqueueReleasesKey(t *testing.T) {
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, nil, WithWorkers(1))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, nil, WithWorkers(1))
 	// One worker blocks on the first spec; three fresh submissions fill
 	// its three slots.
 	for id := int64(1); id <= 3; id++ {
@@ -507,9 +650,8 @@ func TestCancelledSubmitCanRetry(t *testing.T) {
 	}
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, log, WithWorkers(1))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, log, WithWorkers(1))
 	for id := int64(1); id <= 3; id++ {
 		if err := svc.Submit(ctx, Spec{ID: id, Raw: []byte{byte('a' + id)}}); err != nil {
 			t.Fatal(err)
@@ -558,9 +700,8 @@ func TestJournalFailureLeavesNoTrace(t *testing.T) {
 	}
 	ba := &blockingAnalyzer{release: make(chan struct{})}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(ba, keyer, log, WithWorkers(1))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, ba, keyer, log, WithWorkers(1))
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +711,11 @@ func TestJournalFailureLeavesNoTrace(t *testing.T) {
 	if counters, pending := svc.Stats(); counters != (Counters{}) || pending != 0 {
 		t.Fatalf("counters = %+v, pending %d after a refused spec", counters, pending)
 	}
-	if len(svc.slots) != 0 || svc.cache.has("a") || len(svc.ids) != 0 {
-		t.Fatalf("refused spec left state: %d slots, cache entry %v, %d ids", len(svc.slots), svc.cache.has("a"), len(svc.ids))
+	svc.mu.Lock()
+	slots, cached, ids := len(svc.slots), svc.cache["a"], len(svc.byID)
+	svc.mu.Unlock()
+	if slots != 0 || cached != nil || ids != 0 {
+		t.Fatalf("refused spec left state: %d slots, cache entry %v, %d ids", slots, cached, ids)
 	}
 	// Drain stops the workers; its error is the log closed a second time.
 	_, _ = svc.Drain()

@@ -18,8 +18,7 @@ import (
 // never all in memory at once: Resume copies only the specs it admits,
 // and admission holds at most 3×workers fresh analyses.
 func Replay(ctx context.Context, logPath string, a Analyzer, keyer KeyFunc, opts ...Option) (*Result, error) {
-	s := NewService(a, keyer, nil, opts...)
-	s.Start(ctx)
+	s := NewService(ctx, a, keyer, nil, opts...)
 	if err := s.Resume(ctx, logPath); err != nil {
 		// Drain what was admitted before surfacing the error, so workers
 		// never leak.

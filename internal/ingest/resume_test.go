@@ -91,8 +91,7 @@ func TestResumeRejectsBadJournalBeforeAdmitting(t *testing.T) {
 			a := &countingAnalyzer{}
 			keyed := 0
 			keyer := func(raw []byte) string { keyed++; return string(raw) }
-			svc := NewService(a, keyer, nil, WithWorkers(2))
-			svc.Start(context.Background())
+			svc := NewService(context.Background(), a, keyer, nil, WithWorkers(2))
 			if err := svc.Resume(context.Background(), path); err == nil || err.Error() != tc.want {
 				t.Fatalf("Resume = %v, want %q", err, tc.want)
 			}
@@ -163,9 +162,8 @@ func TestResumeLegacyJSONJournal(t *testing.T) {
 
 	a := &countingAnalyzer{}
 	keyer := func(raw []byte) string { return string(raw) }
-	svc := NewService(a, keyer, nil, WithWorkers(2))
 	ctx := context.Background()
-	svc.Start(ctx)
+	svc := NewService(ctx, a, keyer, nil, WithWorkers(2))
 	if err := svc.Resume(ctx, path); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -14,9 +12,7 @@ import (
 // package — today, taint summaries for every function — consumed by the
 // downstream analyzers that need to reason across package boundaries
 // (taintflow's interprocedural propagation). Facts are pure functions of a
-// package's source bytes and its dependencies' facts, so they are cached on
-// disk keyed by content hash: `make lint` recomputes summaries only for
-// packages whose files (or whose dependencies' files) actually changed.
+// package's source bytes and its dependencies' facts, memoized for one run.
 
 // ParamFlow records that bytes flowing into one parameter reach the
 // function's results.
@@ -55,31 +51,22 @@ func equalFacts(a, b *FuncFacts) bool {
 }
 
 // PackageFacts is the export data of one package: function summaries keyed
-// by "Func" or "Type.Method", plus the provenance needed to validate a
-// cached copy (own content hash and each module-local dependency's hash at
-// compute time).
+// by "Func" or "Type.Method".
 type PackageFacts struct {
-	Path  string                `json:"path"`
-	Hash  string                `json:"hash"`
-	Deps  map[string]string     `json:"deps,omitempty"`
-	Funcs map[string]*FuncFacts `json:"funcs,omitempty"`
+	Path  string
+	Funcs map[string]*FuncFacts
 }
 
-// Facts is the engine: it computes, memoizes, and (optionally) persists
-// per-package facts. All methods are safe for concurrent use — the driver
+// Facts is the engine: it computes and memoizes per-package facts. All methods are safe for concurrent use — the driver
 // analyzes packages in parallel and every analyzer may query the engine.
 type Facts struct {
 	mu     sync.Mutex
 	loader *Loader
-	// mem holds validated facts by import path; computing marks packages
+	// mem holds computed facts by import path; computing marks packages
 	// whose facts are being computed (cycle guard — Go imports are acyclic,
 	// so hitting one means corrupt input, not a real cycle).
 	mem       map[string]*PackageFacts
 	computing map[string]bool
-	// disk holds entries loaded from the cache file, pending validation.
-	disk      map[string]*PackageFacts
-	cachePath string
-	dirty     bool
 }
 
 // NewFacts returns an engine resolving packages through the loader.
@@ -88,61 +75,10 @@ func NewFacts(l *Loader) *Facts {
 		loader:    l,
 		mem:       map[string]*PackageFacts{},
 		computing: map[string]bool{},
-		disk:      map[string]*PackageFacts{},
 	}
 }
 
-// factCacheFile is the on-disk cache format. A version mismatch discards
-// the whole file: summaries are only comparable within one analyzer suite.
-type factCacheFile struct {
-	Version  string                   `json:"cblint_version"`
-	Packages map[string]*PackageFacts `json:"packages"`
-}
-
-// LoadCache reads a facts cache written by SaveCache. Missing or malformed
-// files are ignored — the cache is an accelerator, never a correctness
-// input, because every entry is revalidated against current content hashes
-// before use.
-func (e *Facts) LoadCache(path string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cachePath = path
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	var f factCacheFile
-	if json.Unmarshal(data, &f) != nil || f.Version != Version {
-		return
-	}
-	for p, pf := range f.Packages {
-		if pf != nil && pf.Hash != "" {
-			e.disk[p] = pf
-		}
-	}
-}
-
-// SaveCache writes every computed fact back to the cache path given to
-// LoadCache. A no-op when no path was set or nothing changed.
-func (e *Facts) SaveCache() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cachePath == "" || !e.dirty {
-		return nil
-	}
-	f := factCacheFile{Version: Version, Packages: e.mem}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(e.cachePath), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(e.cachePath, append(data, '\n'), 0o644)
-}
-
-// For returns the facts for an import path, computing (or adopting a
-// cache-validated copy of) them on demand. It returns nil for paths the
+// For returns the facts for an import path, computing them on demand. It returns nil for paths the
 // engine cannot resolve inside the module — stdlib callees have no facts
 // and the taint analysis treats them conservatively instead.
 func (e *Facts) For(path string) *PackageFacts {
@@ -151,8 +87,7 @@ func (e *Facts) For(path string) *PackageFacts {
 	return e.forLocked(path)
 }
 
-// Record computes (or adopts from cache) the facts for an already loaded
-// package — the driver's precompute step, so the parallel analysis phase
+// Record computes the facts for an already loaded package — the driver's precompute step, so the parallel analysis phase
 // hits only memoized entries.
 func (e *Facts) Record(pkg *Package) *PackageFacts {
 	e.mu.Lock()
@@ -160,14 +95,7 @@ func (e *Facts) Record(pkg *Package) *PackageFacts {
 	if pf, ok := e.mem[pkg.ImportPath]; ok {
 		return pf
 	}
-	hash, err := e.packageHash(pkg.Dir)
-	if err != nil {
-		hash = ""
-	}
-	if pf := e.adoptCachedLocked(pkg.ImportPath, hash); pf != nil {
-		return pf
-	}
-	return e.computeLocked(pkg, hash)
+	return e.computeLocked(pkg)
 }
 
 // forLocked is For with e.mu held (the compute path recurses through
@@ -183,89 +111,31 @@ func (e *Facts) forLocked(path string) *PackageFacts {
 	if !ok {
 		return nil
 	}
-	hash, err := e.packageHash(dir)
-	if err != nil {
-		return nil
-	}
-	if pf := e.adoptCachedLocked(path, hash); pf != nil {
-		return pf
-	}
 	pkg, err := e.loader.Load(dir)
 	if err != nil {
 		return nil
 	}
-	return e.computeLocked(pkg, hash)
-}
-
-// adoptCachedLocked promotes a disk entry into memory when its own hash and
-// every recorded dependency's facts still match.
-func (e *Facts) adoptCachedLocked(path, hash string) *PackageFacts {
-	pf := e.disk[path]
-	if pf == nil || hash == "" || pf.Hash != hash {
-		return nil
-	}
-	depPaths := make([]string, 0, len(pf.Deps))
-	//cblint:ignore maprange keys collected then sorted
-	for dp := range pf.Deps {
-		depPaths = append(depPaths, dp)
-	}
-	sort.Strings(depPaths)
-	for _, dp := range depPaths {
-		df := e.forLocked(dp)
-		if df == nil || df.Hash != pf.Deps[dp] {
-			return nil
-		}
-	}
-	e.mem[path] = pf
-	return pf
+	return e.computeLocked(pkg)
 }
 
 // computeLocked runs the taint summary fixed point over a loaded package.
-func (e *Facts) computeLocked(pkg *Package, hash string) *PackageFacts {
-	pf := &PackageFacts{Path: pkg.ImportPath, Hash: hash, Deps: map[string]string{}}
+func (e *Facts) computeLocked(pkg *Package) *PackageFacts {
+	pf := &PackageFacts{Path: pkg.ImportPath}
 	e.computing[pkg.ImportPath] = true
 	lookup := func(path string) *PackageFacts {
 		if path == pkg.ImportPath {
 			return nil // own package is served from the in-progress map
 		}
-		df := e.forLocked(path)
-		if df != nil {
-			pf.Deps[df.Path] = df.Hash
-		}
-		return df
+		return e.forLocked(path)
 	}
 	pf.Funcs = computeTaintFacts(pkg, lookup)
 	delete(e.computing, pkg.ImportPath)
 	e.mem[pkg.ImportPath] = pf
-	e.dirty = true
 	return pf
 }
 
-// packageHash hashes the package's non-test Go sources — base names and
-// contents, sorted — so the result is stable across checkouts and machines.
-func (e *Facts) packageHash(dir string) (string, error) {
-	bp, err := e.loader.bctx.ImportDir(dir, 0)
-	if err != nil {
-		return "", err
-	}
-	names := append([]string(nil), bp.GoFiles...)
-	sort.Strings(names)
-	h := sha256.New()
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return "", err
-		}
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write(data)
-		h.Write([]byte{0})
-	}
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// HashFile returns the content hash of one file in the same format the
-// facts engine uses — the driver stamps it into JSON output and baselines.
+// HashFile returns the content hash of one file ("sha256:" and hex) — the
+// driver stamps it into JSON output and baselines.
 func HashFile(path string) string {
 	data, err := os.ReadFile(path)
 	if err != nil {
