@@ -1,19 +1,18 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-sarif lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench fuzz-smoke
+.PHONY: check build fmt vet lint lint-test test race bench-scale perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench fuzz-smoke
 
 # check is the repository's quality gate (DESIGN.md §7): compile, gofmt,
-# vet, the cblint invariant linter in baseline and SARIF modes plus its own
-# test suite under the race detector (DESIGN.md §9, §13), the full test suite
-# (plain and under the race detector — the race run includes the
-# workers-1-vs-8 determinism tests and the concurrent-census test), a
-# small-scale run of the repository benchmark, the trace golden check
+# vet, the cblint invariant linter plus its own test suite under the race
+# detector (DESIGN.md §9, §13), the full test suite (plain and under the race
+# detector — the race run includes the workers-1-vs-8 determinism tests and
+# the concurrent-census test), a small-scale run of the repository benchmark, the trace golden check
 # (DESIGN.md §10), the triage-index golden gate (DESIGN.md §14), the
 # evidence-store pin (DESIGN.md §8), the ingest replay-determinism gate
 # (DESIGN.md §15), the verdict-stream pin of the full seed-42 corpus, the
 # paper-table golden of the same corpus, and the benchmark module's own vet
 # and tests.
-check: build fmt vet lint lint-sarif lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench
+check: build fmt vet lint lint-test test race perfsmoke tracecheck triagecheck evidencecheck servecheck verdictcheck papercheck perfbench
 
 build:
 	$(GO) build ./...
@@ -28,17 +27,11 @@ vet:
 	$(GO) vet ./...
 
 # lint runs cblint, the stdlib-only invariant linter (see `go run
-# ./cmd/cblint -list` and DESIGN.md §9, §13), against the committed baseline:
-# findings recorded in lint.baseline.json are accepted debt, any NEW finding
-# fails the run. The committed baseline is empty — the repo is clean — so in
-# practice every finding fails; regenerate after deliberate acceptance with
-#   go run ./cmd/cblint -write-baseline lint.baseline.json ./...
+# ./cmd/cblint -list` and DESIGN.md §9, §13): any unsuppressed finding fails
+# the run. A site that is safe by construction carries a
+# //cblint:ignore <analyzer> <reason> directive instead.
 lint:
-	$(GO) run ./cmd/cblint -baseline lint.baseline.json ./...
-
-# lint-sarif writes the findings as SARIF 2.1.0 for CI annotation.
-lint-sarif:
-	$(GO) run ./cmd/cblint -baseline lint.baseline.json -sarif cblint.sarif ./...
+	$(GO) run ./cmd/cblint ./...
 
 # lint-test runs the analyzer suite's own tests (fixtures, facts engine,
 # driver) under the race detector — the linter is concurrent (parallel

@@ -123,21 +123,11 @@ func BenchmarkAblationCrawlerChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkPerceptualHashing measures the screenshot classifier primitives.
+// BenchmarkPerceptualHashing measures the screenshot classifier's hashing.
 func BenchmarkPerceptualHashing(b *testing.B) {
 	img := imaging.MustNew(256, 192, imaging.White)
 	img.FillRect(0, 0, 256, 28, imaging.RGB{R: 20, G: 60, B: 140})
 	imaging.DrawText(img, 8, 10, "ACME TRAVELTECH", imaging.White)
-	b.Run("pHash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = imaging.PHash(img)
-		}
-	})
-	b.Run("dHash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = imaging.DHash(img)
-		}
-	})
 	// Sign is what the pipeline calls per screenshot: both hashes from one
 	// pass over the pixels.
 	b.Run("Sign", func(b *testing.B) {

@@ -12,15 +12,9 @@
 //	-json            emit findings as a JSON object (analyzer version,
 //	                 findings with file content hashes)
 //	-list            print the analyzer registry and exit
-//	-baseline FILE   load accepted findings; only NEW findings fail the run
-//	-write-baseline FILE
-//	                 snapshot current findings as the baseline and exit
-//	-sarif FILE      additionally write findings as SARIF 2.1.0 ("-" = stdout)
-//	-suggest         print ready-to-paste //cblint:ignore lines per finding
-//	-parallel N      analyze N packages concurrently (default GOMAXPROCS)
 //
-// Exit status is 0 when clean (or all findings baselined), 1 when any new
-// unsuppressed finding exists, 2 on a driver error.
+// Packages are analyzed concurrently, GOMAXPROCS at a time. Exit status is 0
+// when clean, 1 when any unsuppressed finding exists, 2 on a driver error.
 package main
 
 import (
@@ -43,9 +37,8 @@ func main() {
 }
 
 // jsonReport is the -json output shape. The version stamp and per-finding
-// content hashes make reports (and baselines derived from them) comparable
-// across checkouts: identical sources produce identical reports no matter
-// where the repo lives on disk.
+// content hashes make reports comparable across checkouts: identical sources
+// produce identical reports no matter where the repo lives on disk.
 type jsonReport struct {
 	Version  string            `json:"cblint_version"`
 	Findings []lint.Diagnostic `json:"findings"`
@@ -56,11 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON object with version and file hashes")
 	list := fs.Bool("list", false, "print the analyzer registry and exit")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings; only new findings fail")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
-	sarifPath := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	suggest := fs.Bool("suggest", false, "print ready-to-paste //cblint:ignore suppressions per finding")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "number of packages analyzed concurrently")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -102,13 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	analyzers := lint.Registry()
 	results := make([]lint.Result, len(pkgs))
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -133,51 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	relativize(diags)
 	lint.SortDiagnostics(diags)
 
-	if *writeBaseline != "" {
-		if err := lint.NewBaseline(diags).Write(*writeBaseline); err != nil {
-			fmt.Fprintln(stderr, "cblint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cblint: wrote baseline with %d findings to %s\n",
-			len(diags), *writeBaseline)
-		return 0
-	}
-
-	accepted := 0
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "cblint:", err)
-			return 2
-		}
-		if base.Version != lint.Version {
-			fmt.Fprintf(stderr, "cblint: baseline written by version %s, running %s — regenerate with -write-baseline\n",
-				base.Version, lint.Version)
-		}
-		var old []lint.Diagnostic
-		diags, old = base.Filter(diags)
-		accepted = len(old)
-	}
-
-	if *sarifPath != "" {
-		out := stdout
-		if *sarifPath != "-" {
-			f, err := os.Create(*sarifPath)
-			if err != nil {
-				fmt.Fprintln(stderr, "cblint:", err)
-				return 2
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := lint.WriteSARIF(out, diags); err != nil {
-			fmt.Fprintln(stderr, "cblint:", err)
-			return 2
-		}
-	}
-
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		report := jsonReport{Version: lint.Version, Findings: diags}
 		if report.Findings == nil {
 			report.Findings = []lint.Diagnostic{}
@@ -188,20 +128,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "cblint:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-			if *suggest {
-				fmt.Fprintf(stdout, "\t%s:%d: paste above the line:\n", d.File, d.Line)
-				fmt.Fprintf(stdout, "\t//cblint:ignore %s <why this site is safe>\n", d.Analyzer)
-			}
 		}
-		fmt.Fprintf(stderr, "cblint: %d packages, %d findings, %d suppressed",
+		fmt.Fprintf(stderr, "cblint: %d packages, %d findings, %d suppressed\n",
 			len(pkgs), len(diags), suppressed)
-		if *baselinePath != "" {
-			fmt.Fprintf(stderr, ", %d baselined", accepted)
-		}
-		fmt.Fprintln(stderr)
 	}
 	if len(diags) > 0 {
 		return 1

@@ -166,16 +166,12 @@ func replayLog(path, out string, seed int64, scale float64, cache bool,
 	if err != nil {
 		return err
 	}
-	dst := w
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
+	if out == "" {
+		err = res.WriteVerdictStream(w)
+	} else {
+		err = climain.WriteTo(out, res.WriteVerdictStream)
 	}
-	if err := res.WriteVerdictStream(dst); err != nil {
+	if err != nil {
 		return err
 	}
 	if *shared.TraceStore != "" {

@@ -32,9 +32,6 @@ func NewAnonWAF(host string) *AnonWAF {
 	return &AnonWAF{host: host, log: newVerdictLog()}
 }
 
-// Host returns the protected host name.
-func (w *AnonWAF) Host() string { return w.host }
-
 // Wrap returns a handler enforcing the WAF in front of origin.
 func (w *AnonWAF) Wrap(origin webnet.Handler) webnet.Handler {
 	return func(req *webnet.Request) *webnet.Response {

@@ -66,7 +66,6 @@ func scriptResponse(body []byte) *webnet.Response {
 // BotD is the basic open-source detection library. Its probe script runs on
 // any page that includes it and reports the result to the BotD host.
 type BotD struct {
-	host string
 	// script is the probe script, built once; body holds its bytes, which
 	// every /botd.js response shares (see scriptResponse).
 	script string
@@ -76,7 +75,7 @@ type BotD struct {
 
 // NewBotD installs the BotD service on the network at the given host.
 func NewBotD(net *webnet.Internet, host string) *BotD {
-	b := &BotD{host: host, script: botdScript(host), log: newVerdictLog()}
+	b := &BotD{script: botdScript(host), log: newVerdictLog()}
 	b.body = []byte(b.script)
 	ip := net.AllocateIP(webnet.IPDatacenter)
 	net.AddDNS(host, ip)
@@ -94,9 +93,6 @@ func NewBotD(net *webnet.Internet, host string) *BotD {
 	})
 	return b
 }
-
-// Host returns the service host name.
-func (b *BotD) Host() string { return b.host }
 
 // Script returns the client-side probe. The checks mirror the real BotD's
 // core heuristics.

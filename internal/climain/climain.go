@@ -105,20 +105,21 @@ func (f *Flags) WriteExports(o *obs.Observer) error {
 		return nil
 	}
 	if *f.Trace != "" {
-		if err := writeTo(*f.Trace, o.WriteJSONL); err != nil {
+		if err := WriteTo(*f.Trace, o.WriteJSONL); err != nil {
 			return err
 		}
 	}
 	if *f.Metrics != "" {
-		if err := writeTo(*f.Metrics, o.Metrics.WriteProm); err != nil {
+		if err := WriteTo(*f.Metrics, o.Metrics.WriteProm); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeTo creates path and streams write into it, closing on every path.
-func writeTo(path string, write func(io.Writer) error) error {
+// WriteTo creates path and streams write into it, closing on every path and
+// returning the close error, so a short file never passes for a whole one.
+func WriteTo(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

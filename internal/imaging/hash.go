@@ -11,7 +11,7 @@ import (
 const phashSide = 32
 
 // phashCos is the DCT-II cosine kernel for a phashSide-point transform,
-// precomputed once at package init. Rebuilding it per PHash call (1024
+// precomputed once at package init. Rebuilding it per hash (1024
 // math.Cos evaluations and an 8 KiB allocation) used to dominate the
 // hash's allocation profile; the kernel depends only on the transform
 // size, so it is hoisted to package level and shared by every call.
@@ -35,16 +35,12 @@ const (
 	dhashH = phashLow
 )
 
-// PHash computes a 64-bit DCT-based perceptual hash: the image is resized to
-// 32x32 grayscale, transformed with a 2D DCT-II, and the 8x8 lowest
-// frequencies (excluding the DC term for the median) are thresholded at
-// their median. Robust to scaling, mild cropping, noise, and — because it
-// discards chroma — to the hue-rotate evasion.
-func PHash(img *Image) uint64 {
-	return Sign(img).PHash
-}
-
-// phashOf is PHash over an already downsampled 32x32 grid.
+// phashOf computes the 64-bit DCT-based perceptual hash of an image already
+// downsampled to 32x32: the grid goes to grayscale, is transformed with a
+// 2D DCT-II, and the 8x8 lowest frequencies (excluding the DC term for the
+// median) are thresholded at their median. Robust to scaling, mild
+// cropping, noise, and — because it discards chroma — to the hue-rotate
+// evasion.
 func phashOf(small *[phashSide * phashSide]RGB) uint64 {
 	var gray [phashSide * phashSide]float64
 	for i, c := range small {
@@ -67,13 +63,9 @@ func phashOf(small *[phashSide * phashSide]RGB) uint64 {
 	return hash
 }
 
-// DHash computes a 64-bit difference hash: resize to 9x8 grayscale and set a
-// bit when a pixel is brighter than its right neighbor.
-func DHash(img *Image) uint64 {
-	return Sign(img).DHash
-}
-
-// dhashOf is DHash over an already downsampled 9x8 grid.
+// dhashOf computes the 64-bit difference hash of an image already
+// downsampled to 9x8: in grayscale, a bit is set when a pixel is brighter
+// than its right neighbor.
 func dhashOf(small *[dhashW * dhashH]RGB) uint64 {
 	// The dead zone keeps flat regions stable under additive noise: after
 	// box averaging, residual noise is well below 2 luma levels, while real
@@ -155,7 +147,7 @@ func (fm FuzzyMatcher) Match(a, b Signature) (bool, int, int) {
 
 // dct2d computes the phashLow x phashLow lowest-frequency block of the 2D
 // DCT-II of a phashSide x phashSide block, using the separable row-column
-// method against the package-level cosine kernel. PHash reads only that
+// method against the package-level cosine kernel. phashOf reads only that
 // block, so the row pass stops at frequency phashLow and the column pass
 // runs over the first phashLow columns. Each coefficient it does compute
 // is the same sequence of multiplies and adds, in the same order, as in

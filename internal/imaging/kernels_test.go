@@ -151,12 +151,6 @@ func checkSign(t *testing.T, img *Image) {
 	if got := Sign(img); got != want {
 		t.Fatalf("%dx%d: Sign = %#x/%#x, reference %#x/%#x", img.W, img.H, got.PHash, got.DHash, want.PHash, want.DHash)
 	}
-	if got := PHash(img); got != want.PHash {
-		t.Fatalf("%dx%d: PHash = %#x, reference %#x", img.W, img.H, got, want.PHash)
-	}
-	if got := DHash(img); got != want.DHash {
-		t.Fatalf("%dx%d: DHash = %#x, reference %#x", img.W, img.H, got, want.DHash)
-	}
 }
 
 func TestSignMatchesReference(t *testing.T) {

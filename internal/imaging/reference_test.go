@@ -97,7 +97,7 @@ func refDCT2D(data *[phashSide * phashSide]float64) *[phashSide * phashSide]floa
 	return &out
 }
 
-// refPHash is PHash over refResizeBox and refDCT2D.
+// refPHash is Sign's pHash over refResizeBox and refDCT2D.
 func refPHash(img *Image) uint64 {
 	const side = phashSide
 	small := refResizeBox(img, side, side)
@@ -137,7 +137,7 @@ func refPHash(img *Image) uint64 {
 	return hash
 }
 
-// refDHash is DHash over refResizeBox.
+// refDHash is Sign's dHash over refResizeBox.
 func refDHash(img *Image) uint64 {
 	small := refResizeBox(img, 9, 8)
 	const deadZone = 2.0

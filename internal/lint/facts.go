@@ -135,7 +135,7 @@ func (e *Facts) computeLocked(pkg *Package) *PackageFacts {
 }
 
 // HashFile returns the content hash of one file ("sha256:" and hex) — the
-// driver stamps it into JSON output and baselines.
+// driver stamps it into JSON output.
 func HashFile(path string) string {
 	data, err := os.ReadFile(path)
 	if err != nil {

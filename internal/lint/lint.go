@@ -58,10 +58,9 @@ import (
 	"strings"
 )
 
-// Version is the analyzer-suite version stamped into JSON output, SARIF,
-// baselines, and the facts cache. Bump it whenever an analyzer's findings or
-// the facts format change shape: a version mismatch invalidates cached facts
-// and marks baselines as needing regeneration.
+// Version is the analyzer-suite version stamped into cblint's JSON output.
+// Bump it whenever an analyzer's findings change shape, so reports from
+// different versions are not compared as if alike.
 const Version = "2.1.0"
 
 // Diagnostic is one finding, positioned for file:line:col reporting.
@@ -73,8 +72,8 @@ type Diagnostic struct {
 	Col      int            `json:"col"`
 	Message  string         `json:"message"`
 	// FileHash is the content hash of File, filled by the driver so JSON
-	// output and baselines stay stable across checkouts (paths relative,
-	// hashes content-derived).
+	// output stays stable across checkouts (paths relative, hashes
+	// content-derived).
 	FileHash string `json:"file_hash,omitempty"`
 }
 

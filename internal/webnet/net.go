@@ -103,15 +103,6 @@ func (r *Request) Header(name string) string {
 	return headerLookup(r.Headers, name)
 }
 
-// URL reassembles the absolute URL.
-func (r *Request) URL() string {
-	u := "https://" + r.Host + r.Path
-	if r.RawQuery != "" {
-		u += "?" + r.RawQuery
-	}
-	return u
-}
-
 // Response is a simulated HTTP response. A nil Response from a handler
 // models a hung connection and surfaces as ErrTimeout.
 type Response struct {
